@@ -275,14 +275,16 @@ def decide_lp(
         if outcome.value != 0:
             raise RuntimeError("homogeneous program with a nonzero optimum")
         certificate = outcome.row_duals
-        assert certificate is not None and len(certificate) == k
+        if certificate is None or len(certificate) != k:
+            raise RuntimeError("solver returned no dual value per premise")
         violation = _certificate_violation(rows, gamma, certificate)
         if violation is not None:
             raise RuntimeError("extracted multipliers fail their own constraints")
         return EntailmentVerdict(
             holds=True, regime=Regime.LP_DIRECT, certificate=certificate
         )
-    assert isinstance(outcome, lp.Unbounded)
+    if not isinstance(outcome, lp.Unbounded):
+        raise RuntimeError("homogeneous program reported infeasible")
     counterexample = _dataset_from_ray(query, rows, outcome.ray)
     return EntailmentVerdict(
         holds=False, regime=Regime.LP_DIRECT, counterexample=counterexample
@@ -324,7 +326,8 @@ def lp_counterexample(
     verdict = decide_lp(query, max_attrs)
     if verdict.holds:
         raise RuntimeError("no counterexample: the entailment holds")
-    assert verdict.counterexample is not None
+    if verdict.counterexample is None:
+        raise RuntimeError("failing verdict without a counterexample")
     return verdict.counterexample
 
 
@@ -395,9 +398,11 @@ def _tautology_verdict(query: EntailmentQuery) -> EntailmentVerdict:
         return EntailmentVerdict(
             holds=True, regime=Regime.TAUTOLOGY, certificate=_zeros(query.k)
         )
-    assert query.k == 0
+    if query.k != 0:
+        raise RuntimeError("premises present for a premise-free verdict")
     data = Dataset(query.universe, {query.conclusion.antecedent: 1})
-    assert not satisfies(data, query.conclusion, query.gamma)
+    if satisfies(data, query.conclusion, query.gamma):
+        raise RuntimeError("single-transaction dataset satisfies the conclusion")
     return EntailmentVerdict(
         holds=False, regime=Regime.TAUTOLOGY, counterexample=data
     )

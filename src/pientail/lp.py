@@ -1,9 +1,13 @@
 """Exact linear programming over the rationals.
 
-A small dense two-phase simplex using ``fractions.Fraction`` throughout.
-Bland's smallest-index rule makes every run terminate (no cycling), and
-every outcome carries a witness that is re-verified against the original
-constraints by exact substitution before it is returned:
+A small dense simplex using ``fractions.Fraction`` throughout.  It starts
+from the surplus basis and gives an artificial variable only to rows whose
+right-hand side is positive in ``>=`` form, so phase 1 works on those rows
+alone and is skipped outright for homogeneous programs, whose origin is
+already feasible.  Bland's smallest-index rule makes every run terminate
+(no cycling), and every outcome carries a witness that is re-verified
+against the original constraints by exact substitution before it is
+returned:
 
 * ``Optimal``    - an optimal point (and, for pure >=-row minimisation
                    programs, the dual values of the rows);
@@ -213,30 +217,40 @@ def solve(lp: LinearProgram) -> LpOutcome:
     zero = Fraction(0)
     one = Fraction(1)
 
-    # Equality form: a.x - s_r = b with rhs made nonnegative by row
-    # negation, then one artificial variable per row.  Column layout:
-    # x (n) | surplus (m) | artificial (m) | rhs.
-    num_cols = n + 2 * m
+    # Equality form: a.x - s_r = b.  A row with b <= 0 is negated, so its
+    # surplus starts basic at -b >= 0; only a row with b > 0 needs an
+    # artificial variable to start.  Column layout:
+    # x (n) | surplus (m) | artificial (one per b > 0 row) | rhs.
+    needs_art = [rhs > 0 for _, rhs in ge_rows]
+    art_start = n + m
+    num_cols = art_start + sum(needs_art)
     rows: list[list[Fraction]] = []
+    basis: list[int] = []
+    art = art_start
     for r, (coeffs, rhs) in enumerate(ge_rows):
         line = [zero] * (num_cols + 1)
-        sign = one if rhs >= 0 else -one
+        sign = one if needs_art[r] else -one
         for j, c in enumerate(coeffs):
             line[j] = sign * c
         line[n + r] = -sign
-        line[n + m + r] = one
         line[-1] = sign * rhs
+        if needs_art[r]:
+            line[art] = one
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(n + r)
         rows.append(line)
-    basis = [n + m + r for r in range(m)]
 
-    # Phase 1: minimise the sum of the artificials.
+    # Phase 1: minimise the sum of the artificials; with none, the cost row
+    # is zero and phase 1 ends at once.
     cost = [zero] * (num_cols + 1)
-    for line in rows:
-        for j in range(num_cols + 1):
-            if line[j]:
-                cost[j] -= line[j]
-    for r in range(m):
-        cost[n + m + r] = zero
+    for r, line in enumerate(rows):
+        if needs_art[r]:
+            for j in range(art_start):
+                if line[j]:
+                    cost[j] -= line[j]
+            cost[-1] -= line[-1]
     if _run_simplex(rows, cost, basis, num_cols) is not None:
         raise RuntimeError("phase 1 cannot be unbounded")
     if -cost[-1] > 0:
@@ -246,7 +260,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     # Drive leftover artificials out of the basis; rows that cannot be
     # pivoted are redundant and dropped.
-    art_start = n + m
     for r in range(len(rows) - 1, -1, -1):
         if basis[r] >= art_start:
             pivot_col = next(
@@ -308,5 +321,6 @@ def feasible(
     outcome = solve(lp)
     if isinstance(outcome, Infeasible):
         return None
-    assert isinstance(outcome, Optimal)
+    if not isinstance(outcome, Optimal):
+        raise RuntimeError("a zero objective cannot be unbounded")
     return outcome.point

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
-
 from .entailment import EntailmentQuery, _query_rows
 from .homogeneity import ImplicationSet
 from .model import (
@@ -73,6 +71,8 @@ def search_counterexample(
     bound = den * max_mult * max_support
     if bound >= 2**62:
         raise ValueError("gamma denominator too large for the integer search")
+
+    import numpy as np  # only this search needs it; keeps `import pientail` light
 
     matrix = np.array([vec for _, vec in weighted], dtype=np.int64)
     negative_conclusion = matrix[:, 0] < 0

@@ -15,7 +15,8 @@ of some premise subset characterise entailment for every ``gamma``
 strictly between 0 and 1.
 
 Whether a given ``gamma`` is at or above the critical threshold is a
-single exact LP feasibility question (``feasible_at``), so decisions never
+single exact LP question (``feasible_at``, posed as a cone program that is
+unbounded exactly when multipliers exist), so decisions never
 depend on any numeric tolerance; bisection with ``feasible_at`` merely
 reports a bracket for the value itself, which is in general irrational.
 """
@@ -116,14 +117,15 @@ def _ratio_rows(
 
 
 def _feasible(rows: list[_RatioRow], k: int, gamma: Fraction) -> tuple[Fraction, ...] | None:
-    """Simplex multipliers whose worst ratio over ``rows`` is at most ``gamma``."""
-    constraints = [
-        lp.Constraint(
-            coeffs=tuple([Fraction(1)] * k),
-            relation=lp.Relation.EQ,
-            rhs=Fraction(1),
-        )
-    ]
+    """Simplex multipliers whose worst ratio over ``rows`` is at most ``gamma``.
+
+    The ratio rows are homogeneous, so the question is posed as the cone
+    program "maximise the sum of ``lambda`` subject to ``witnessed - gamma
+    * covered <= 0`` on every row": it is unbounded exactly when a nonzero
+    ``lambda`` exists, and its verified ray, divided by its sum, is a
+    simplex point.  Otherwise its optimum is 0 and there is none.
+    """
+    constraints = []
     for row in rows:
         coeffs = [Fraction(0)] * k
         for i in row.covered:
@@ -135,7 +137,22 @@ def _feasible(rows: list[_RatioRow], k: int, gamma: Fraction) -> tuple[Fraction,
                 coeffs=tuple(coeffs), relation=lp.Relation.LE, rhs=Fraction(0)
             )
         )
-    return lp.feasible(constraints, k)
+    outcome = lp.solve(
+        lp.LinearProgram(
+            num_vars=k,
+            objective=tuple([Fraction(1)] * k),
+            constraints=tuple(constraints),
+            maximize=True,
+        )
+    )
+    if isinstance(outcome, lp.Optimal):
+        if outcome.value != 0:
+            raise RuntimeError("cone program with a nonzero optimum")
+        return None
+    if not isinstance(outcome, lp.Unbounded):
+        raise RuntimeError("the cone program always has the origin")
+    total = sum(outcome.ray)
+    return tuple(v / total for v in outcome.ray)
 
 
 def feasible_at(
@@ -214,7 +231,8 @@ def critical_threshold(
     lower = Fraction(0)
     upper = Fraction(1)
     at_upper = _feasible(rows, k, upper)
-    assert at_upper is not None, "every ratio is at most 1"
+    if at_upper is None:
+        raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
     while upper - lower > tol:
         mid = (lower + upper) / 2
         at_mid = _feasible(rows, k, mid)

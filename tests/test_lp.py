@@ -65,6 +65,29 @@ class TestOutcomes:
         unsat = lp.LinearProgram(0, (), (lp.Constraint((), lp.Relation.GE, F(1)),))
         assert isinstance(lp.solve(unsat), lp.Infeasible)
 
+    def test_mixed_sign_right_hand_sides(self):
+        # min x + 2y  s.t.  x + y >= 2 (needs an artificial),
+        # -x + y >= -1 and x - y >= 0 (surplus starts basic)
+        prog = lp.LinearProgram(
+            num_vars=2,
+            objective=(F(1), F(2)),
+            constraints=(ge([1, 1], 2), ge([-1, 1], -1), ge([1, -1], 0)),
+        )
+        out = lp.solve(prog)
+        assert isinstance(out, lp.Optimal)
+        assert out.point == (F(3, 2), F(1, 2))
+        assert out.value == F(5, 2)
+        assert out.row_duals == (F(3, 2), F(1, 2), F(0))
+
+    def test_infeasible_through_an_artificial(self):
+        # x + y >= 3 needs an artificial; -x >= 0 and -y >= -1 do not
+        prog = lp.LinearProgram(
+            num_vars=2,
+            objective=(F(1), F(1)),
+            constraints=(ge([1, 1], 3), ge([-1, 0], 0), ge([0, -1], -1)),
+        )
+        assert isinstance(lp.solve(prog), lp.Infeasible)
+
     def test_feasible_helper(self):
         point = lp.feasible([lp.Constraint((F(1),), lp.Relation.EQ, F(1))], 1)
         assert point == (F(1),)
@@ -117,6 +140,41 @@ class TestDuality:
             elif isinstance(pout, lp.Unbounded):
                 assert isinstance(dout, lp.Infeasible)
         assert both_optimal >= 40  # the sample is not degenerate
+
+    def test_homogeneous_optimum_has_feasible_duals(self):
+        """Homogeneous programs start from the surplus basis with no phase 1;
+        a bounded one has optimum 0 at the origin's value, and its row
+        duals must still solve the dual system A^T y <= c, y >= 0."""
+        # min x - y  s.t.  x - y >= 0: the single dual value is forced to 1
+        out = lp.solve(
+            lp.LinearProgram(2, (F(1), F(-1)), (ge([1, -1]),))
+        )
+        assert isinstance(out, lp.Optimal)
+        assert out.value == 0
+        assert out.row_duals == (F(1),)
+
+        rng = random.Random(11)
+        optimal = 0
+        for _ in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            A = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+            c = [F(rng.randint(-2, 3)) for _ in range(n)]
+            out = lp.solve(
+                lp.LinearProgram(
+                    num_vars=n,
+                    objective=tuple(c),
+                    constraints=tuple(ge(row) for row in A),
+                )
+            )
+            assert not isinstance(out, lp.Infeasible)
+            if isinstance(out, lp.Optimal):
+                assert out.value == 0
+                y = out.row_duals
+                assert y is not None and all(v >= 0 for v in y)
+                for j in range(n):
+                    assert sum(A[i][j] * y[i] for i in range(m)) <= c[j]
+                optimal += 1
+        assert optimal >= 40  # the sample is not degenerate
 
     def test_entailment_dual_is_feasible_on_worked_example(self, pair_query):
         """The multiplier system of the shared-antecedent example admits

@@ -65,6 +65,71 @@ class TestFeasibleAt:
             if pt.feasible_at(low, q.premises, x) is not None:
                 assert pt.feasible_at(high, q.premises, x) is not None
 
+    def test_cone_form_matches_simplex_form(self):
+        """``feasible_at`` poses each probe as a cone program with no
+        equality row.  Cross-check it against the direct form, a sum-to-one
+        row plus the ratio rows through ``lp.feasible``, on the exact
+        critical values 1/2, 2/3 and 3/4 of fans ``A -> B x_i`` with 2, 3
+        and 4 premises and of cycles ``x_i -> x_{i+1}`` of length 3, 4
+        and 5, 1/1000 either side of each, and on seeded random instances.
+        The length-5 cycle, the slowest, is only checked at its own value."""
+        from pientail import lp
+        from pientail.threshold import _ratio_rows
+
+        def simplex_form(gamma, premises, antecedent):
+            k = len(premises)
+            constraints = [lp.Constraint((F(1),) * k, lp.Relation.EQ, F(1))]
+            for row in _ratio_rows(premises, antecedent, 20):
+                coeffs = [F(0)] * k
+                for i in row.covered:
+                    coeffs[i] -= gamma
+                for i in row.witnessed:
+                    coeffs[i] += 1
+                constraints.append(
+                    lp.Constraint(tuple(coeffs), lp.Relation.LE, F(0))
+                )
+            return lp.feasible(constraints, k)
+
+        critical = [F(1, 2), F(2, 3), F(3, 4)]
+        grid = sorted(
+            {c + d for c in critical for d in (F(-1, 1000), F(0), F(1, 1000))}
+            | {F(0), F(1, 4), F(1)}
+        )
+        cases = []
+        for k, c in zip((2, 3, 4), critical):
+            fan = pt.parse_rules("\n".join(f"A -> B x{i}" for i in range(k)))
+            ring = pt.parse_rules(
+                "\n".join(f"x{i} -> x{(i + 1) % (k + 1)}" for i in range(k + 1))
+            )
+            for rules, names in (
+                (fan, ["A", *(f"x{i}" for i in range(k))]),
+                (ring, [f"x{i}" for i in range(k + 1)]),
+            ):
+                x = rules.universe.attrs(*names)
+                assert pt.feasible_at(c, rules, x) is not None
+                assert pt.feasible_at(c - F(1, 1000), rules, x) is None
+                if len(rules) <= 4:
+                    cases.append((rules, x))
+        rng = random.Random(2718)
+        for _ in range(40):
+            spec = pt.RandomInstanceSpec(
+                num_attrs=rng.randint(2, 6),
+                num_premises=rng.randint(1, 4),
+                seed=rng.randrange(10**9),
+            )
+            q = pt.random_query(spec, F(1, 2))
+            cases.append((q.premises, q.conclusion.antecedent))
+        feasible_count = 0
+        for premises, x in cases:
+            for g in grid:
+                lams = pt.feasible_at(g, premises, x)
+                assert (lams is None) == (simplex_form(g, premises, x) is None)
+                if lams is not None:
+                    assert sum(lams) == 1 and all(lam >= 0 for lam in lams)
+                    assert pt.max_ratio(lams, premises, x) <= g
+                    feasible_count += 1
+        assert 0 < feasible_count < len(cases) * len(grid)
+
 
 class TestCriticalThreshold:
     def test_cycle_bracket(self, cycle_premises, cycle_antecedent):
