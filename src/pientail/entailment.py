@@ -18,6 +18,11 @@ the whole question is linear-programming duality:
 Transactions only matter through their cover pattern against the k+1 rules
 involved, so the ``2**n`` transaction types collapse to at most ``3**(k+1)``
 distinct constraint signatures before any program is built.
+``signature_rows`` finds them with a frontier over classes of attributes
+that lie in the same rules, so its cost grows with the number of
+signatures, not with ``2**n``.  ``threshold.decide_general`` builds one
+such table per query and reads it for every premise subset, for the
+certificate check and for the LP counterexample.
 
 Besides the LP route, this module implements direct structural tests that
 decide the same question without solving programs in the regimes where
@@ -39,7 +44,6 @@ from . import lp
 from .homogeneity import ImplicationSet, enforces_homogeneity
 from .model import (
     AttrSet,
-    AttributeCapError,
     AttributeUniverse,
     CoverStatus,
     DEFAULT_ENUMERATION_CAP,
@@ -48,6 +52,7 @@ from .model import (
     UniverseMismatchError,
     as_rational,
     bit_positions,
+    rule_bitmasks,
     satisfies,
 )
 
@@ -160,67 +165,61 @@ def signature_rows(
     """Distinct cover patterns over all transaction types, with witnesses.
 
     Only subsets of the attributes occurring in ``implications`` (plus
-    ``extra``) are enumerated; any other transaction realises the same
-    pattern as its restriction to those attributes.  Rows appear in the
-    order their first witness arises when transaction bitmasks are
-    enumerated in increasing order, which keeps every downstream
-    "first found" answer deterministic.
+    ``extra``) matter; any other transaction realises the same pattern as
+    its restriction to those attributes.  Each row's witness is the
+    smallest transaction bitmask realising its pattern, and rows appear in
+    the order their first witness arises when transaction bitmasks are
+    enumerated in increasing order, which keeps every downstream "first
+    found" answer deterministic.
+
+    The transactions are not enumerated one by one.  Attributes lying in
+    exactly the same antecedents and spans form a class, and a pattern
+    depends only on which sets a transaction breaks (misses an attribute
+    of): bit ``2j`` of a state is rule j's antecedent, bit ``2j+1`` its
+    span.  A frontier over the classes keeps, per state, the smallest
+    transaction so far; a class is either kept whole or dropped whole,
+    which ORs its sets into the state.  Classes own disjoint bits, so the
+    smallest prefix of a state extends to the smallest witness of every
+    pattern it leads to, in any class order.  The work is the number of
+    classes times the number of states, at most ``3**len(implications)``,
+    instead of ``2**width``.
     """
-    occ = extra.bits if extra is not None else 0
-    for imp in implications:
-        if imp.universe != universe:
-            raise UniverseMismatchError("implication belongs to a different universe")
-        occ |= imp.span.bits
-    width = occ.bit_count()
-    if width > max_attrs:
-        raise AttributeCapError(
-            f"{width} occurring attributes exceed the enumeration cap of {max_attrs}"
-        )
-    positions = bit_positions(occ)
-    place = {p: i for i, p in enumerate(positions)}
-
-    def compress(bits: int) -> int:
-        out = 0
-        for p in bit_positions(bits):
-            out |= 1 << place[p]
-        return out
-
-    def expand(small: int) -> int:
-        out = 0
-        for i in bit_positions(small):
-            out |= 1 << positions[i]
-        return out
-
-    pairs = [
-        (compress(imp.antecedent.bits), compress(imp.span.bits))
-        for imp in implications
-    ]
-    seen: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    for z in range(1 << width):
-        code = []
-        for x, xy in pairs:
-            if z & x != x:
-                code.append(0)
-            elif z & xy == xy:
-                code.append(2)
-            else:
-                code.append(1)
-        key = tuple(code)
-        if key not in seen:
-            seen[key] = z
-            order.append(key)
-    status_by_code = {
-        0: CoverStatus.NOT_COVERED,
-        1: CoverStatus.VIOLATED,
-        2: CoverStatus.WITNESSED,
-    }
+    occ, pairs = rule_bitmasks(implications, universe, extra, max_attrs)
+    classes: dict[int, int] = {}
+    for p in bit_positions(occ):
+        bit = 1 << p
+        sets = 0
+        for j, (x, xy) in enumerate(pairs):
+            if x & bit:
+                sets |= 1 << 2 * j
+            if xy & bit:
+                sets |= 2 << 2 * j
+        classes[sets] = classes.get(sets, 0) | bit
+    frontier = {0: 0}
+    for sets, bits in classes.items():
+        step = {broken: z | bits for broken, z in frontier.items()}
+        for broken, z in frontier.items():
+            state = broken | sets
+            best = step.get(state)
+            if best is None or z < best:
+                step[state] = z
+        frontier = step
+    # Two bits per rule: neither broken, the span only, or both (a broken
+    # antecedent breaks its span too).
+    status_by_bits = (
+        CoverStatus.WITNESSED,
+        None,
+        CoverStatus.VIOLATED,
+        CoverStatus.NOT_COVERED,
+    )
     return [
         SignatureRow(
-            statuses=tuple(status_by_code[c] for c in key),
-            witness=AttrSet(universe, expand(seen[key])),
+            statuses=tuple(
+                status_by_bits[broken >> 2 * j & 3] for j in range(len(pairs))
+            ),
+            witness=AttrSet(universe, z),
         )
-        for key in order
+        for z, broken in sorted((z, broken) for broken, z in frontier.items())
     ]
 
 
@@ -252,7 +251,13 @@ def decide_lp(
     back a rational ray that integer scaling turns into a counterexample
     dataset.  Both witnesses are re-verified before being returned.
     """
-    rows = _query_rows(query, max_attrs)
+    return _decide_lp_rows(query, _query_rows(query, max_attrs))
+
+
+def _decide_lp_rows(
+    query: EntailmentQuery, rows: list[SignatureRow]
+) -> EntailmentVerdict:
+    """``decide_lp`` over the already enumerated signature rows of ``query``."""
     gamma = query.gamma
     k = query.k
     weights = [

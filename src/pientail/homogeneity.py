@@ -17,11 +17,10 @@ from typing import Iterator, Sequence
 from .model import (
     AttrSet,
     AttributeUniverse,
-    AttributeCapError,
     DEFAULT_ENUMERATION_CAP,
     PartialImplication,
     UniverseMismatchError,
-    bit_positions,
+    rule_bitmasks,
 )
 
 
@@ -114,25 +113,9 @@ def brute_force_homogeneity(
     or covers none.  Exponential in the number of occurring attributes;
     exists as an independent oracle for the closure-based test.
     """
-    occ = rules.occurring.bits
-    width = occ.bit_count()
-    if width > max_attrs:
-        raise AttributeCapError(
-            f"{width} occurring attributes exceed the enumeration cap of {max_attrs}"
-        )
-    positions = bit_positions(occ)
-    place = {p: i for i, p in enumerate(positions)}
-
-    def compress(bits: int) -> int:
-        out = 0
-        for p in bit_positions(bits):
-            out |= 1 << place[p]
-        return out
-
-    pairs = [
-        (compress(imp.antecedent.bits), compress(imp.span.bits)) for imp in rules
-    ]
-    for z in range(1 << width):
+    occ, pairs = rule_bitmasks(rules, rules.universe, max_attrs=max_attrs)
+    z = 0
+    while True:
         covered = 0
         witnessed = 0
         violates = False
@@ -144,11 +127,11 @@ def brute_force_homogeneity(
                 else:
                     violates = True
                     break
-        if violates:
-            continue
-        if covered and witnessed < len(pairs):
+        if not violates and covered and witnessed < len(pairs):
             return False
-    return True
+        if z == occ:
+            return True
+        z = (z - occ) & occ  # the next subset of ``occ`` in increasing order
 
 
 def two_premise_nicety(first: PartialImplication, second: PartialImplication) -> bool:

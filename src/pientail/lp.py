@@ -258,18 +258,17 @@ def solve(lp: LinearProgram) -> LpOutcome:
         _verify(lp, outcome)
         return outcome
 
-    # Drive leftover artificials out of the basis; rows that cannot be
-    # pivoted are redundant and dropped.
+    # Drive leftover artificials (basic at zero) out of the basis.  Every
+    # row has its own surplus column, so the non-artificial columns have
+    # full row rank and such a row always has a nonzero entry among them.
     for r in range(len(rows) - 1, -1, -1):
         if basis[r] >= art_start:
             pivot_col = next(
                 (j for j in range(art_start) if rows[r][j] != 0), None
             )
             if pivot_col is None:
-                del rows[r]
-                del basis[r]
-            else:
-                _pivot(rows, cost, basis, r, pivot_col)
+                raise RuntimeError("no pivot column for a leftover artificial")
+            _pivot(rows, cost, basis, r, pivot_col)
 
     # Phase 2: drop artificial columns, rebuild the reduced-cost row for
     # the real objective, and reoptimise.
@@ -302,7 +301,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     row_duals = None
     if pure_ge:
         # Reduced cost of the surplus column of row r is exactly the dual
-        # value of row r (rows dropped as redundant come out as zero).
+        # value of row r.
         row_duals = tuple(cost[n + r] for r in range(m))
     outcome = Optimal(point=point, value=value, row_duals=row_duals)
     _verify(lp, outcome)

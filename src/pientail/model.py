@@ -18,10 +18,11 @@ from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
 
-# Decision procedures enumerate one constraint per transaction type, i.e.
-# up to 2**n rows for n attributes.  The hard cap bounds the universe a
-# problem instance may declare; the soft cap bounds how many attributes a
-# single enumeration may touch and can be raised per call up to the hard cap.
+# Decision procedures build one constraint per distinct cover pattern of a
+# transaction type, up to 2**n rows for n attributes.  The hard cap bounds
+# the universe a problem instance may declare; the soft cap bounds how many
+# attributes a single enumeration may touch and can be raised per call up
+# to the hard cap.
 HARD_ATTRIBUTE_CAP = 24
 DEFAULT_ENUMERATION_CAP = 20
 
@@ -211,6 +212,34 @@ class PartialImplication:
 
     def __repr__(self) -> str:
         return f"PartialImplication({self})"
+
+
+def rule_bitmasks(
+    implications: Iterable[PartialImplication],
+    universe: AttributeUniverse,
+    extra: AttrSet | None = None,
+    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[int, list[tuple[int, int]]]:
+    """Occurring attributes and the ``(antecedent, span)`` bitmasks of each rule.
+
+    The occurring attributes are every span plus ``extra``: the attributes
+    an enumeration of transaction types has to look at.  More than
+    ``max_attrs`` of them raise ``AttributeCapError``.
+    """
+    occ = extra.bits if extra is not None else 0
+    pairs = []
+    for imp in implications:
+        if imp.universe != universe:
+            raise UniverseMismatchError("implication belongs to a different universe")
+        span = imp.span.bits
+        occ |= span
+        pairs.append((imp.antecedent.bits, span))
+    width = occ.bit_count()
+    if width > max_attrs:
+        raise AttributeCapError(
+            f"{width} occurring attributes exceed the enumeration cap of {max_attrs}"
+        )
+    return occ, pairs
 
 
 class CoverStatus(Enum):

@@ -72,7 +72,13 @@ def search_counterexample(
     if bound >= 2**62:
         raise ValueError("gamma denominator too large for the integer search")
 
-    import numpy as np  # only this search needs it; keeps `import pientail` light
+    try:
+        import numpy as np  # only this search needs it; keeps `import pientail` light
+    except ImportError as exc:
+        raise ImportError(
+            "search_counterexample needs numpy, which pientail does not "
+            "install; install it with `pip install numpy` or the `test` extra"
+        ) from exc
 
     matrix = np.array([vec for _, vec in weighted], dtype=np.int64)
     negative_conclusion = matrix[:, 0] < 0

@@ -32,12 +32,13 @@ from .entailment import (
     EntailmentQuery,
     EntailmentVerdict,
     Regime,
+    SignatureRow,
     _certificate_violation,
     _combination_conditions,
+    _decide_lp_rows,
     _nonempty_subsets,
     _query_rows,
     _tautology_verdict,
-    lp_counterexample,
     signature_rows,
 )
 from .homogeneity import ImplicationSet
@@ -94,12 +95,27 @@ def _ratio_rows(
         extra=antecedent,
         max_attrs=max_attrs,
     )
+    return _project_ratio_rows(rows, range(len(premises)))
+
+
+def _project_ratio_rows(
+    rows: list[SignatureRow], indices: Sequence[int]
+) -> list[_RatioRow]:
+    """Ratio rows of the premises at ``indices`` from a signature table
+    whose column 0 has the antecedent ``X0`` and column ``i + 1`` premise i.
+
+    The rows are those whose column 0 is not covered (the transaction
+    misses part of ``X0``), cut down to the chosen premises, first
+    occurrence kept.  Patterns over a subset of the columns depend only on
+    the attributes those rules mention, so the first occurrences, and
+    their order, are those of a table built for the subset alone.
+    """
     seen: set[tuple[CoverStatus, ...]] = set()
     out: list[_RatioRow] = []
     for row in rows:
         if row.statuses[0] is not CoverStatus.NOT_COVERED:
             continue
-        rest = row.statuses[1:]
+        rest = tuple(row.statuses[i + 1] for i in indices)
         if rest in seen:
             continue
         seen.add(rest)
@@ -256,7 +272,10 @@ def decide_general(
     conditions and has critical threshold at most ``gamma``; in that case
     the feasibility multipliers of the subset, padded with zeros,
     certify the full entailment.  Subsets are scanned in increasing
-    bitmask order and the first success is reported.
+    bitmask order and the first success is reported.  The query's
+    signature table is enumerated once: each subset's ratio rows are
+    projected from it, and the certificate check and the LP counterexample
+    reuse it.
     """
     if query.k < 1:
         raise ValueError("general decider needs at least one premise")
@@ -266,18 +285,18 @@ def decide_general(
         )
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
-    x0 = query.conclusion.antecedent
+    rows = _query_rows(query, max_attrs)
     for indices in _nonempty_subsets(query.k):
         if not _combination_conditions(query, indices):
             continue
-        sub = query.premises.subset(indices)
-        lams = feasible_at(query.gamma, sub, x0, max_attrs)
+        lams = _feasible(
+            _project_ratio_rows(rows, indices), len(indices), query.gamma
+        )
         if lams is None:
             continue
         certificate = [Fraction(0)] * query.k
         for lam, i in zip(lams, indices):
             certificate[i] = lam
-        rows = _query_rows(query, max_attrs)
         if _certificate_violation(rows, query.gamma, certificate) is not None:
             raise RuntimeError("subset multipliers fail the full constraint system")
         return EntailmentVerdict(
@@ -285,8 +304,11 @@ def decide_general(
             regime=Regime.GENERAL_GAMMA_STAR,
             certificate=tuple(certificate),
         )
+    verdict = _decide_lp_rows(query, rows)
+    if verdict.holds:
+        raise RuntimeError("the LP certifies a query no premise subset carries")
     return EntailmentVerdict(
         holds=False,
         regime=Regime.GENERAL_GAMMA_STAR,
-        counterexample=lp_counterexample(query, max_attrs),
+        counterexample=verdict.counterexample,
     )

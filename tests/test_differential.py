@@ -11,6 +11,7 @@ import pientail as pt
 
 METHODS = (pt.Method.AUTO, pt.Method.LP, pt.Method.CHARACTERIZATION)
 QUERIES = 85
+WIDE_QUERIES = 16
 BUDGET_S = 30.0  # about 5 s on a 2-core machine; fails only on a blow-up
 
 
@@ -44,6 +45,33 @@ def _random_query(rng):
     return premises, pt.PartialImplication(u.attrs(*lhs), u.attrs(*rhs))
 
 
+def _wide_query(rng):
+    """15 to 18 occurring attributes out of 20 and 2 to 4 premises; half of
+    the conclusions sit inside the premises' spans so that some hold."""
+    names = [f"a{i}" for i in range(20)]
+    u = pt.AttributeUniverse(tuple(names))
+    pool = sorted(rng.sample(names, rng.randint(15, 18)), key=names.index)
+    rules = [
+        (_subset(rng, pool, 0.15), _subset(rng, pool, 0.3))
+        for _ in range(rng.randint(2, 4))
+    ]
+    for a in pool:
+        if not any(a in ante or a in cons for ante, cons in rules):
+            rng.choice(rules)[1].append(a)
+    if rng.random() < 0.5:
+        picked = rng.sample(rules, rng.randint(1, len(rules)))
+        lhs = sorted({a for r in picked for a in r[0]}, key=names.index)
+        rhs = sorted({a for r in picked for a in r[1]} - set(lhs), key=names.index)[:2]
+    else:
+        lhs, rhs = _subset(rng, pool, 0.2), _subset(rng, pool, 0.15)
+    if set(rhs) <= set(lhs):
+        rhs = [rng.choice([a for a in pool if a not in lhs] or pool)]
+    premises = pt.ImplicationSet(
+        u, tuple(pt.PartialImplication(u.attrs(*a), u.attrs(*c)) for a, c in rules)
+    )
+    return premises, pt.PartialImplication(u.attrs(*lhs), u.attrs(*rhs))
+
+
 def _gammas(rng, k):
     edges = {F(1, k), F(k - 1, k)}
     near = {g + d for g in edges for d in (F(-1, 1000), F(0), F(1, 1000))}
@@ -59,12 +87,11 @@ def _check_witness(query, verdict):
         assert not pt.satisfies(data, query.conclusion, query.gamma)
 
 
-def test_routes_agree_at_regime_boundaries():
-    rng = random.Random(20150119)
-    start = time.perf_counter()
+def _agree(queries, rng):
+    """Decide every query with every method at the boundary gammas; return
+    how many held and how many failed."""
     held = failed = 0
-    for _ in range(QUERIES):
-        premises, conclusion = _random_query(rng)
+    for premises, conclusion in queries:
         for gamma in _gammas(rng, len(premises)):
             query = pt.EntailmentQuery(premises, conclusion, gamma)
             verdicts = [pt.decide(query, method=m) for m in METHODS]
@@ -73,5 +100,24 @@ def test_routes_agree_at_regime_boundaries():
                 _check_witness(query, verdict)
             held += verdicts[0].holds
             failed += not verdicts[0].holds
+    return held, failed
+
+
+def test_routes_agree_at_regime_boundaries():
+    rng = random.Random(20150119)
+    start = time.perf_counter()
+    held, failed = _agree((_random_query(rng) for _ in range(QUERIES)), rng)
     assert held >= 20 and failed >= 20  # both outcomes are exercised
+    assert time.perf_counter() - start < BUDGET_S
+
+
+def test_routes_agree_on_wide_queries():
+    rng = random.Random(19860801)
+    start = time.perf_counter()
+    queries = [_wide_query(rng) for _ in range(WIDE_QUERIES)]
+    for premises, conclusion in queries:
+        width = (premises.occurring | conclusion.span).bits.bit_count()
+        assert 15 <= width <= 18
+    held, failed = _agree(queries, rng)
+    assert held >= 5 and failed >= 5
     assert time.perf_counter() - start < BUDGET_S

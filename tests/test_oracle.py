@@ -1,8 +1,12 @@
 """Independent brute-force cross-checks: bounded counterexample search
 and the coarse grid scan for the critical threshold."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,28 @@ class TestSearchCounterexample:
         assert pt.search_counterexample(q, max_mult=1, max_support=2) is None
         found = pt.search_counterexample(q, max_mult=49, max_support=3)
         assert found is not None
+
+    def test_clear_import_error_without_numpy(self, monkeypatch):
+        q = make_query("A -> B", "A C -> B C", F(1, 2))
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import now fails
+        with pytest.raises(ImportError, match="search_counterexample needs numpy"):
+            pt.search_counterexample(q)
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy is a test extra, not a runtime dependency: the package and
+    its CLI import without it."""
+    src = str(Path(pt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pientail, pientail.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestGridMinMax:
