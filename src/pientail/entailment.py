@@ -223,12 +223,13 @@ def signature_rows(
     ]
 
 
-def _status_weight(status: CoverStatus, gamma: Fraction) -> Fraction:
-    if status is CoverStatus.WITNESSED:
-        return 1 - gamma
-    if status is CoverStatus.VIOLATED:
-        return -gamma
-    return Fraction(0)
+def _status_weights(gamma: Fraction) -> dict[CoverStatus, Fraction]:
+    """The constraint weight of each cover status at ``gamma``."""
+    return {
+        CoverStatus.WITNESSED: 1 - gamma,
+        CoverStatus.VIOLATED: -gamma,
+        CoverStatus.NOT_COVERED: Fraction(0),
+    }
 
 
 def _query_rows(query: EntailmentQuery, max_attrs: int) -> list[SignatureRow]:
@@ -260,9 +261,8 @@ def _decide_lp_rows(
     """``decide_lp`` over the already enumerated signature rows of ``query``."""
     gamma = query.gamma
     k = query.k
-    weights = [
-        [_status_weight(s, gamma) for s in row.statuses] for row in rows
-    ]
+    weight = _status_weights(gamma)
+    weights = [[weight[s] for s in row.statuses] for row in rows]
     program = lp.LinearProgram(
         num_vars=len(rows),
         objective=tuple(w[0] for w in weights),
@@ -351,14 +351,13 @@ def _certificate_violation(
     gamma: Fraction,
     multipliers: Sequence[Fraction],
 ) -> CertificateViolation | None:
+    weight = _status_weights(gamma)
     for row in rows:
-        rhs = _status_weight(row.statuses[0], gamma)
+        rhs = weight[row.statuses[0]]
         lhs = Fraction(0)
         for lam, status in zip(multipliers, row.statuses[1:]):
-            if status is CoverStatus.WITNESSED:
-                lhs += lam * (1 - gamma)
-            elif status is CoverStatus.VIOLATED:
-                lhs -= lam * gamma
+            if status is not CoverStatus.NOT_COVERED:
+                lhs += lam * weight[status]
         if lhs > rhs:
             return CertificateViolation(
                 signature=row.signature(), witness=row.witness, lhs=lhs, rhs=rhs

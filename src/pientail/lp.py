@@ -1,13 +1,23 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, pivoted in integers.
 
-A small dense simplex using ``fractions.Fraction`` throughout.  It starts
-from the surplus basis and gives an artificial variable only to rows whose
-right-hand side is positive in ``>=`` form, so phase 1 works on those rows
-alone and is skipped outright for homogeneous programs, whose origin is
-already feasible.  Bland's smallest-index rule makes every run terminate
-(no cycling), and every outcome carries a witness that is re-verified
-against the original constraints by exact substitution before it is
-returned:
+A small dense simplex.  Each row, once put in ``>=`` form, is scaled by the
+least common multiple of its denominators, so the tableau holds only
+integers; with one positive common denominator ``D`` every entry is the
+integer ``D`` times the entry of the rational tableau, and pivots are
+fraction-free (Edmonds 1967, Bareiss 1968): a pivot on ``p`` sends
+``T[i][j]`` to ``(T[i][j] * p - T[i][c] * T[r][j]) / D``, a division that
+is always exact, and ``p`` becomes the new ``D``.  The rescaling only
+stretches each surplus variable by a positive factor, so Bland's
+smallest-index rule (which makes every run terminate) takes the pivots of
+the rational tableau, and the points, rays, values and duals read off at the
+end are those of the rational tableau.
+
+The simplex starts from the surplus basis and gives an artificial variable
+only to rows whose right-hand side is positive in ``>=`` form, so phase 1
+works on those rows alone and is skipped outright for homogeneous programs,
+whose origin is already feasible.  Every outcome carries a witness that is
+re-verified before it is returned, by exact substitution into the original
+constraints, each scaled to integers on its own:
 
 * ``Optimal``    - an optimal point (and, for pure >=-row minimisation
                    programs, the dual values of the rows);
@@ -15,8 +25,8 @@ returned:
                    objective improves forever;
 * ``Infeasible`` - no witness to carry.
 
-The sizes that show up here are tiny (tens of rows and columns), so a
-dense tableau of Fractions is both fast enough and immune to rounding.
+No float and no tolerance enters: coefficients are read as exact
+numerator/denominator pairs, and a float is refused with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .model import as_rational
 
@@ -90,33 +102,75 @@ class Unbounded(LpOutcome):
     ray: tuple[Fraction, ...]
 
 
-def _pivot(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int], r: int, c: int) -> None:
+def _integers(values) -> tuple[list[int], int]:
+    """Integer numerators of exact ``values`` over their least common
+    denominator, and that denominator.
+
+    ``Fraction`` and ``int`` are read through ``numerator`` and
+    ``denominator``; anything else goes through ``as_rational``, which
+    refuses floats.
+    """
+    try:
+        scale = lcm(*[v.denominator for v in values])
+    except AttributeError:
+        values = [as_rational(v) for v in values]
+        scale = lcm(*[v.denominator for v in values])
+    if scale == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _eliminate(row: list[int], pivot_row: list[int], p: int, c: int, d: int) -> list[int]:
+    """``row`` after the fraction-free pivot on ``pivot_row[c] == p`` over
+    the common denominator ``d``; every division is exact."""
+    f = row[c]
+    if f:
+        if d == 1:
+            return [a * p - f * b for a, b in zip(row, pivot_row)]
+        return [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+    if p == d:
+        return row
+    return [a * p // d for a in row]
+
+
+def _pivot(
+    rows: list[list[int]], cost: list[int], basis: list[int], r: int, c: int, d: int
+) -> int:
+    """Pivot on ``rows[r][c]`` and return the new common denominator.
+
+    The pivot row keeps its numerators: over the new denominator ``p`` it
+    reads as itself divided by the pivot.  Only the drive-out of a leftover artificial can pivot on a negative
+    entry; its row is negated first, which keeps the denominator positive.
+    """
     pivot_row = rows[r]
-    inv = Fraction(1) / pivot_row[c]
-    new_row = [v * inv for v in pivot_row]
-    rows[r] = new_row
+    p = pivot_row[c]
+    if p < 0:
+        pivot_row = [-v for v in pivot_row]
+        rows[r] = pivot_row
+        p = -p
     for i, row in enumerate(rows):
         if i != r:
-            f = row[c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(row, new_row)]
-    f = cost[c]
-    if f:
-        cost[:] = [a - f * b for a, b in zip(cost, new_row)]
+            rows[i] = _eliminate(row, pivot_row, p, c, d)
+    cost[:] = _eliminate(cost, pivot_row, p, c, d)
     basis[r] = c
+    return p
 
 
 def _run_simplex(
-    rows: list[list[Fraction]],
-    cost: list[Fraction],
+    rows: list[list[int]],
+    cost: list[int],
     basis: list[int],
     num_cols: int,
-) -> int | None:
-    """Minimise until optimal (return None) or unbounded (return entering column).
+    d: int,
+) -> tuple[int | None, int]:
+    """Minimise until optimal or unbounded.
 
-    Bland's rule both for the entering column (smallest index with a
-    negative reduced cost) and for the leaving row (among the minimum
-    ratios, the one whose basic variable has the smallest index).
+    Returns the entering column of an unbounded direction (None when
+    optimal) and the common denominator at the end.  Bland's rule both for
+    the entering column (smallest index with a negative reduced cost) and
+    for the leaving row (among the minimum ratios ``rhs / coeff``, compared
+    by cross-multiplication, the one whose basic variable has the smallest
+    index).
     """
     while True:
         entering = None
@@ -125,64 +179,72 @@ def _run_simplex(
                 entering = j
                 break
         if entering is None:
-            return None
-        best_key = None
+            return None, d
         best_row = -1
+        best_num = best_coeff = 0
         for i, row in enumerate(rows):
             coeff = row[entering]
             if coeff > 0:
-                key = (row[-1] / coeff, basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_row = i
+                num = row[-1]
+                if best_row >= 0:
+                    lhs = num * best_coeff
+                    rhs = best_num * coeff
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[best_row]):
+                        continue
+                best_row, best_num, best_coeff = i, num, coeff
         if best_row < 0:
-            return entering
-        _pivot(rows, cost, basis, best_row, entering)
+            return entering, d
+        d = _pivot(rows, cost, basis, best_row, entering, d)
+
+
+def _dot(a: list[int], b: list[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 def _verify(lp: LinearProgram, outcome: LpOutcome) -> None:
-    """Exact substitution check of every witness; raises on solver bugs."""
-    zero = Fraction(0)
+    """Exact substitution check of every witness; raises on solver bugs.
 
-    def dot(coeffs, vec):
-        return sum((c * v for c, v in zip(coeffs, vec)), zero)
+    Each constraint of ``lp`` is scaled to integers on its own, and the
+    point and the ray are integer numerators over a common denominator, so
+    every comparison is between integers.
+    """
+    if isinstance(outcome, Infeasible):
+        return
+    rows = []
+    for row in lp.constraints:
+        ints, _ = _integers((*row.coeffs, row.rhs))
+        rows.append((ints[:-1], ints[-1], row.relation))
+    objective, obj_scale = _integers(lp.objective)
 
-    def check_point(point):
-        if any(v < 0 for v in point):
-            raise RuntimeError("solver returned a negative component")
-        for row in lp.constraints:
-            lhs = dot(row.coeffs, point)
-            ok = (
-                lhs >= row.rhs
-                if row.relation is Relation.GE
-                else lhs <= row.rhs
-                if row.relation is Relation.LE
-                else lhs == row.rhs
-            )
-            if not ok:
-                raise RuntimeError("solver returned an infeasible point")
+    def holds(lhs: int, relation: Relation, rhs: int) -> bool:
+        if relation is Relation.GE:
+            return lhs >= rhs
+        if relation is Relation.LE:
+            return lhs <= rhs
+        return lhs == rhs
+
+    point, d = _integers(outcome.point)
+    if any(v < 0 for v in point):
+        raise RuntimeError("solver returned a negative component")
+    for coeffs, rhs, relation in rows:
+        if not holds(_dot(coeffs, point), relation, rhs * d):
+            raise RuntimeError("solver returned an infeasible point")
 
     if isinstance(outcome, Optimal):
-        check_point(outcome.point)
-        if dot(lp.objective, outcome.point) != outcome.value:
+        value = as_rational(outcome.value)
+        if (
+            _dot(objective, point) * value.denominator
+            != value.numerator * obj_scale * d
+        ):
             raise RuntimeError("solver value disagrees with its point")
     elif isinstance(outcome, Unbounded):
-        check_point(outcome.point)
-        ray = outcome.ray
+        ray, _ = _integers(outcome.ray)
         if any(v < 0 for v in ray) or not any(ray):
             raise RuntimeError("solver returned an invalid ray")
-        for row in lp.constraints:
-            lhs = dot(row.coeffs, ray)
-            ok = (
-                lhs >= 0
-                if row.relation is Relation.GE
-                else lhs <= 0
-                if row.relation is Relation.LE
-                else lhs == 0
-            )
-            if not ok:
+        for coeffs, _, relation in rows:
+            if not holds(_dot(coeffs, ray), relation, 0):
                 raise RuntimeError("solver ray escapes the feasible cone")
-        gain = dot(lp.objective, ray)
+        gain = _dot(objective, ray)
         if (gain >= 0) if not lp.maximize else (gain <= 0):
             raise RuntimeError("solver ray does not improve the objective")
 
@@ -190,70 +252,75 @@ def _verify(lp: LinearProgram, outcome: LpOutcome) -> None:
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` exactly and return a verified outcome."""
     n = lp.num_vars
-    objective = [as_rational(c) for c in lp.objective]
+    objective, obj_scale = _integers(lp.objective)
     if lp.maximize:
         objective = [-c for c in objective]
 
     # Normalise every row to >= with the original ordering retained: <=
-    # rows are negated, = rows are split into a >= pair.  ``pure_ge`` keeps
-    # track of whether row r of the normalised system is row r of the
-    # input, which is what makes the dual extraction below meaningful.
-    ge_rows: list[tuple[list[Fraction], Fraction]] = []
+    # rows are negated, = rows are split into a >= pair.  Each row is kept
+    # as integers (right-hand side last) with the positive factor that
+    # scaled it.  ``pure_ge`` keeps track of whether row r of the
+    # normalised system is row r of the input, which is what makes the
+    # dual extraction below meaningful.
+    ge_rows: list[tuple[list[int], int]] = []
     pure_ge = not lp.maximize
     for row in lp.constraints:
-        coeffs = [as_rational(c) for c in row.coeffs]
-        rhs = as_rational(row.rhs)
-        if row.relation is Relation.GE:
-            ge_rows.append((coeffs, rhs))
-        elif row.relation is Relation.LE:
-            ge_rows.append(([-c for c in coeffs], -rhs))
-            pure_ge = False
-        else:
-            ge_rows.append((coeffs, rhs))
-            ge_rows.append(([-c for c in coeffs], -rhs))
+        ints, scale = _integers((*row.coeffs, row.rhs))
+        if row.relation is not Relation.LE:
+            ge_rows.append((ints, scale))
+        if row.relation is not Relation.GE:
+            ge_rows.append(([-v for v in ints], scale))
             pure_ge = False
 
     m = len(ge_rows)
-    zero = Fraction(0)
-    one = Fraction(1)
 
-    # Equality form: a.x - s_r = b.  A row with b <= 0 is negated, so its
-    # surplus starts basic at -b >= 0; only a row with b > 0 needs an
-    # artificial variable to start.  Column layout:
+    # Equality form: a.x - s_r = b, where the integer row stretches the
+    # surplus s_r of the rational row by the row's scale.  A row with
+    # b <= 0 is negated, so its surplus starts basic at -b >= 0; only a row
+    # with b > 0 needs an artificial variable to start.  Column layout:
     # x (n) | surplus (m) | artificial (one per b > 0 row) | rhs.
-    needs_art = [rhs > 0 for _, rhs in ge_rows]
+    # The starting basis is the identity, so the common denominator is 1.
+    needs_art = [ints[-1] > 0 for ints, _ in ge_rows]
     art_start = n + m
     num_cols = art_start + sum(needs_art)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     art = art_start
-    for r, (coeffs, rhs) in enumerate(ge_rows):
-        line = [zero] * (num_cols + 1)
-        sign = one if needs_art[r] else -one
-        for j, c in enumerate(coeffs):
-            line[j] = sign * c
-        line[n + r] = -sign
-        line[-1] = sign * rhs
+    for r, (ints, _) in enumerate(ge_rows):
+        line = [0] * (num_cols + 1)
         if needs_art[r]:
-            line[art] = one
+            line[:n] = ints[:-1]
+            line[n + r] = -1
+            line[-1] = ints[-1]
+            line[art] = 1
             basis.append(art)
             art += 1
         else:
+            line[:n] = [-v for v in ints[:-1]]
+            line[n + r] = 1
+            line[-1] = -ints[-1]
             basis.append(n + r)
         rows.append(line)
 
-    # Phase 1: minimise the sum of the artificials; with none, the cost row
-    # is zero and phase 1 ends at once.
-    cost = [zero] * (num_cols + 1)
-    for r, line in enumerate(rows):
-        if needs_art[r]:
-            for j in range(art_start):
-                if line[j]:
-                    cost[j] -= line[j]
-            cost[-1] -= line[-1]
-    if _run_simplex(rows, cost, basis, num_cols) is not None:
+    # Phase 1: minimise the sum of the rational rows' artificials.  The
+    # integer artificial of row r is the rational one times the row's
+    # scale, so the costs are weighted by lcm / scale; with no artificial,
+    # the cost row is zero and phase 1 ends at once.
+    cost = [0] * (num_cols + 1)
+    art_scales = [scale for r, (_, scale) in enumerate(ge_rows) if needs_art[r]]
+    if art_scales:
+        phase1_scale = lcm(*art_scales)
+        for r, line in enumerate(rows):
+            if needs_art[r]:
+                w = phase1_scale // ge_rows[r][1]
+                for j in range(art_start):
+                    if line[j]:
+                        cost[j] -= w * line[j]
+                cost[-1] -= w * line[-1]
+    entering, d = _run_simplex(rows, cost, basis, num_cols, 1)
+    if entering is not None:
         raise RuntimeError("phase 1 cannot be unbounded")
-    if -cost[-1] > 0:
+    if cost[-1] < 0:
         outcome: LpOutcome = Infeasible()
         _verify(lp, outcome)
         return outcome
@@ -268,41 +335,56 @@ def solve(lp: LinearProgram) -> LpOutcome:
             )
             if pivot_col is None:
                 raise RuntimeError("no pivot column for a leftover artificial")
-            _pivot(rows, cost, basis, r, pivot_col)
+            d = _pivot(rows, cost, basis, r, pivot_col, d)
 
     # Phase 2: drop artificial columns, rebuild the reduced-cost row for
-    # the real objective, and reoptimise.
+    # the real objective as numerators over d (c_j * d minus the basic
+    # costs times the column), and reoptimise.
     rows = [line[:art_start] + line[-1:] for line in rows]
     num_cols = art_start
-    full_cost = objective + [zero] * m
-    cost = full_cost + [zero]
+    cost = [c * d for c in objective] + [0] * (m + 1)
     for i, b in enumerate(basis):
-        f = cost[b]
+        f = objective[b] if b < n else 0
         if f:
             cost = [a - f * v for a, v in zip(cost, rows[i])]
 
-    entering = _run_simplex(rows, cost, basis, num_cols)
+    entering, d = _run_simplex(rows, cost, basis, num_cols, d)
 
-    point_full = [zero] * num_cols
+    point_num = [0] * n
     for i, b in enumerate(basis):
-        point_full[b] = rows[i][-1]
-    point = tuple(point_full[:n])
+        if b < n:
+            point_num[b] = rows[i][-1]
+    zero = Fraction(0)
+    point = tuple(Fraction(v, d) if v else zero for v in point_num)
 
     if entering is not None:
-        ray_full = [zero] * num_cols
-        ray_full[entering] = one
+        # Along the ray the entering variable grows by one unit of the
+        # rational tableau; a surplus column is stretched by its row's
+        # scale, so its integer column is multiplied back by that scale.
+        stretch = 1 if entering < n else ge_rows[entering - n][1]
+        ray_num = [0] * n
+        if entering < n:
+            ray_num[entering] = d
         for i, b in enumerate(basis):
-            ray_full[b] = -rows[i][entering]
-        outcome = Unbounded(point=point, ray=tuple(ray_full[:n]))
+            if b < n:
+                ray_num[b] = -rows[i][entering] * stretch
+        outcome = Unbounded(
+            point=point, ray=tuple(Fraction(v, d) if v else zero for v in ray_num)
+        )
         _verify(lp, outcome)
         return outcome
 
-    value = sum((c * v for c, v in zip(lp.objective, point)), zero)
+    # cost[-1] is minus d * obj_scale times the minimised objective.
+    value = Fraction(cost[-1] if lp.maximize else -cost[-1], d * obj_scale)
     row_duals = None
     if pure_ge:
-        # Reduced cost of the surplus column of row r is exactly the dual
-        # value of row r.
-        row_duals = tuple(cost[n + r] for r in range(m))
+        # The dual value of row r is the reduced cost of its rational
+        # surplus column: the integer one times the row's scale, over
+        # d * obj_scale.
+        den = d * obj_scale
+        row_duals = tuple(
+            Fraction(cost[n + r] * ge_rows[r][1], den) for r in range(m)
+        )
     outcome = Optimal(point=point, value=value, row_duals=row_duals)
     _verify(lp, outcome)
     return outcome

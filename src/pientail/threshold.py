@@ -141,13 +141,14 @@ def _feasible(rows: list[_RatioRow], k: int, gamma: Fraction) -> tuple[Fraction,
     ``lambda`` exists, and its verified ray, divided by its sum, is a
     simplex point.  Otherwise its optimum is 0 and there is none.
     """
+    zero, violated, witnessed = Fraction(0), -gamma, 1 - gamma
     constraints = []
     for row in rows:
-        coeffs = [Fraction(0)] * k
+        coeffs = [zero] * k
         for i in row.covered:
-            coeffs[i] -= gamma
+            coeffs[i] = violated
         for i in row.witnessed:
-            coeffs[i] += 1
+            coeffs[i] = witnessed
         constraints.append(
             lp.Constraint(
                 coeffs=tuple(coeffs), relation=lp.Relation.LE, rhs=Fraction(0)

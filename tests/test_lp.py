@@ -1,4 +1,5 @@
-"""Exact simplex: outcomes, witnesses, duality, and termination."""
+"""Exact simplex: outcomes, witnesses, duality, termination, and agreement
+with the Fraction tableau the integer one replaced."""
 
 import random
 from fractions import Fraction as F
@@ -179,16 +180,14 @@ class TestDuality:
     def test_entailment_dual_is_feasible_on_worked_example(self, pair_query):
         """The multiplier system of the shared-antecedent example admits
         (1/2, 1/2) at threshold 1/2; build its rows directly and check."""
-        from pientail.entailment import _query_rows, _status_weight
+        from pientail.entailment import _query_rows, _status_weights
 
         rows = _query_rows(pair_query, 20)
-        gamma = pair_query.gamma
+        weight = _status_weights(pair_query.gamma)
         constraints = []
         for row in rows:
-            coeffs = tuple(
-                _status_weight(s, gamma) for s in row.statuses[1:]
-            )
-            rhs = _status_weight(row.statuses[0], gamma)
+            coeffs = tuple(weight[s] for s in row.statuses[1:])
+            rhs = weight[row.statuses[0]]
             constraints.append(lp.Constraint(coeffs, lp.Relation.LE, rhs))
         point = lp.feasible(constraints, 2)
         assert point is not None
@@ -227,3 +226,310 @@ class TestTermination:
             lp.LinearProgram(2, (F(1),), ())
         with pytest.raises(ValueError):
             lp.LinearProgram(1, (F(1),), (ge([1, 2], 0),))
+
+
+# --- reference: the dense Fraction simplex that ``lp.solve`` replaced ------
+#
+# The same column layout, start basis and Bland's rule as ``lp.solve``, with
+# every tableau entry a ``Fraction``.  The integer tableau is the common
+# denominator times this one, so both must return identical outcomes.
+
+
+def _reference_pivot(rows, cost, basis, r, c):
+    pivot_row = rows[r]
+    inv = F(1) / pivot_row[c]
+    new_row = [v * inv for v in pivot_row]
+    rows[r] = new_row
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(row, new_row)]
+    f = cost[c]
+    if f:
+        cost[:] = [a - f * b for a, b in zip(cost, new_row)]
+    basis[r] = c
+
+
+def _reference_run_simplex(rows, cost, basis, num_cols):
+    while True:
+        entering = next((j for j in range(num_cols) if cost[j] < 0), None)
+        if entering is None:
+            return None
+        best_key = None
+        best_row = -1
+        for i, row in enumerate(rows):
+            coeff = row[entering]
+            if coeff > 0:
+                key = (row[-1] / coeff, basis[i])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_row = i
+        if best_row < 0:
+            return entering
+        _reference_pivot(rows, cost, basis, best_row, entering)
+
+
+def reference_solve(program):
+    n = program.num_vars
+    objective = [F(c) for c in program.objective]
+    if program.maximize:
+        objective = [-c for c in objective]
+    ge_rows = []
+    pure_ge = not program.maximize
+    for row in program.constraints:
+        coeffs = [F(c) for c in row.coeffs]
+        rhs = F(row.rhs)
+        if row.relation is lp.Relation.GE:
+            ge_rows.append((coeffs, rhs))
+        elif row.relation is lp.Relation.LE:
+            ge_rows.append(([-c for c in coeffs], -rhs))
+            pure_ge = False
+        else:
+            ge_rows.append((coeffs, rhs))
+            ge_rows.append(([-c for c in coeffs], -rhs))
+            pure_ge = False
+    m = len(ge_rows)
+    zero, one = F(0), F(1)
+    needs_art = [rhs > 0 for _, rhs in ge_rows]
+    art_start = n + m
+    num_cols = art_start + sum(needs_art)
+    rows, basis = [], []
+    art = art_start
+    for r, (coeffs, rhs) in enumerate(ge_rows):
+        line = [zero] * (num_cols + 1)
+        sign = one if needs_art[r] else -one
+        for j, c in enumerate(coeffs):
+            line[j] = sign * c
+        line[n + r] = -sign
+        line[-1] = sign * rhs
+        if needs_art[r]:
+            line[art] = one
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(n + r)
+        rows.append(line)
+    cost = [zero] * (num_cols + 1)
+    for r, line in enumerate(rows):
+        if needs_art[r]:
+            for j in range(art_start):
+                cost[j] -= line[j]
+            cost[-1] -= line[-1]
+    if _reference_run_simplex(rows, cost, basis, num_cols) is not None:
+        raise RuntimeError("phase 1 cannot be unbounded")
+    if -cost[-1] > 0:
+        return lp.Infeasible()
+    for r in range(len(rows) - 1, -1, -1):
+        if basis[r] >= art_start:
+            pivot_col = next(j for j in range(art_start) if rows[r][j] != 0)
+            _reference_pivot(rows, cost, basis, r, pivot_col)
+    rows = [line[:art_start] + line[-1:] for line in rows]
+    num_cols = art_start
+    cost = objective + [zero] * (m + 1)
+    for i, b in enumerate(basis):
+        f = cost[b]
+        if f:
+            cost = [a - f * v for a, v in zip(cost, rows[i])]
+    entering = _reference_run_simplex(rows, cost, basis, num_cols)
+    point_full = [zero] * num_cols
+    for i, b in enumerate(basis):
+        point_full[b] = rows[i][-1]
+    point = tuple(point_full[:n])
+    if entering is not None:
+        ray_full = [zero] * num_cols
+        ray_full[entering] = one
+        for i, b in enumerate(basis):
+            ray_full[b] = -rows[i][entering]
+        return lp.Unbounded(point=point, ray=tuple(ray_full[:n]))
+    value = sum((F(c) * v for c, v in zip(program.objective, point)), zero)
+    row_duals = tuple(cost[n + r] for r in range(m)) if pure_ge else None
+    return lp.Optimal(point=point, value=value, row_duals=row_duals)
+
+
+def _outcome_key(outcome):
+    """Everything an outcome carries, ``row_duals`` included (it is left
+    out of dataclass equality)."""
+    fields = (type(outcome).__name__,)
+    for name in ("point", "ray", "value", "row_duals"):
+        fields += (getattr(outcome, name, None),)
+    return fields
+
+
+def _seeded_programs(seed, count):
+    """Programs of every shape ``lp.solve`` meets, in turn: the homogeneous
+    ``decide_lp`` shape (weights ``1 - g``, ``-g``, 0 in >= rows,
+    minimised), the cone shape of critical-threshold probes (``<= 0`` rows,
+    sum maximised), zero-objective feasibility over rows through a known
+    point (phase 1 alone picks the vertex), and mixed GE/LE/EQ rows with
+    positive and non-positive right-hand sides, min and max, duplicate rows,
+    boxes and infeasible systems."""
+    rng = random.Random(seed)
+
+    def coef():
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def gamma():
+        return F(rng.randint(1, 15), 16) if rng.random() < 0.5 else F(
+            rng.randint(1, 9), rng.randint(10, 12)
+        )
+
+    for index in range(count):
+        shape = index % 5
+        if shape == 0:  # decide_lp: one variable per signature row
+            g = gamma()
+            weight = (1 - g, -g, F(0))
+            k, cols = rng.randint(1, 5), rng.randint(1, 14)
+            table = [[rng.choice(weight) for _ in range(k + 1)] for _ in range(cols)]
+            yield lp.LinearProgram(
+                num_vars=cols,
+                objective=tuple(w[0] for w in table),
+                constraints=tuple(
+                    lp.Constraint(tuple(w[i] for w in table), lp.Relation.GE, F(0))
+                    for i in range(1, k + 1)
+                ),
+            )
+        elif shape == 1:  # critical-threshold probe: a homogeneous cone
+            g = F(rng.randint(1, 63), 64)
+            k, count_rows = rng.randint(1, 5), rng.randint(1, 14)
+            constraints = []
+            for _ in range(count_rows):
+                coeffs = []
+                for _ in range(k):
+                    status = rng.randrange(3)
+                    coeffs.append((1 - g, -g, F(0))[status])
+                constraints.append(
+                    lp.Constraint(tuple(coeffs), lp.Relation.LE, F(0))
+                )
+            yield lp.LinearProgram(
+                num_vars=k,
+                objective=tuple([F(1)] * k),
+                constraints=tuple(constraints),
+                maximize=True,
+            )
+        elif shape == 2:  # lp.feasible on rows through a known point
+            n = rng.randint(2, 5)
+            x0 = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)]
+            constraints = []
+            for _ in range(rng.randint(2, 6)):
+                coeffs = tuple(coef() for _ in range(n))
+                lhs = sum(c * v for c, v in zip(coeffs, x0))
+                slack = F(rng.randint(0, 2), rng.randint(1, 5))
+                rel = rng.choice([lp.Relation.GE, lp.Relation.GE, lp.Relation.LE])
+                rhs = lhs - slack if rel is lp.Relation.GE else lhs + slack
+                constraints.append(lp.Constraint(coeffs, rel, rhs))
+            yield lp.LinearProgram(
+                num_vars=n,
+                objective=tuple([F(0)] * n),
+                constraints=tuple(constraints),
+            )
+        else:  # general rows; shape 4 adds duplicates and bounded boxes
+            m, n = rng.randint(1, 6), rng.randint(1, 5)
+            constraints = []
+            for _ in range(m):
+                coeffs = tuple(coef() for _ in range(n))
+                rel = rng.choice(list(lp.Relation))
+                rhs = rng.choice([F(0), coef(), abs(coef()) + 1, -abs(coef())])
+                constraints.append(lp.Constraint(coeffs, rel, rhs))
+                if shape == 4 and rng.random() < 0.4:
+                    constraints.append(lp.Constraint(coeffs, rel, rhs))
+            if shape == 4 and rng.random() < 0.5:
+                for j in range(n):
+                    box = [F(0)] * n
+                    box[j] = F(1)
+                    constraints.append(
+                        lp.Constraint(tuple(box), lp.Relation.LE, F(rng.randint(1, 6), 2))
+                    )
+            zero_objective = rng.random() < 0.25  # the ``lp.feasible`` shape
+            yield lp.LinearProgram(
+                num_vars=n,
+                objective=tuple(F(0) if zero_objective else coef() for _ in range(n)),
+                constraints=tuple(constraints),
+                maximize=rng.random() < 0.5,
+            )
+
+
+class TestIntegerTableau:
+    def test_matches_the_fraction_reference(self):
+        """The integer tableau is the common denominator times the Fraction
+        one, so on every program the outcome type, point, ray, value and
+        row duals are identical."""
+        seen = {"Optimal": 0, "Unbounded": 0, "Infeasible": 0}
+        for program in _seeded_programs(seed=2024, count=600):
+            out = lp.solve(program)
+            assert _outcome_key(out) == _outcome_key(reference_solve(program))
+            seen[type(out).__name__] += 1
+        assert min(seen.values()) >= 100  # every outcome is well represented
+
+    def test_negative_pivot_drives_out_a_leftover_artificial(self, monkeypatch):
+        """``x1 = 1`` stated twice leaves an artificial basic at zero after
+        phase 1, and driving it out pivots on a negative entry."""
+        pivots = []
+        real_pivot = lp._pivot
+
+        def spy(rows, cost, basis, r, c, d):
+            pivots.append((rows[r][c], basis[r]))
+            return real_pivot(rows, cost, basis, r, c, d)
+
+        monkeypatch.setattr(lp, "_pivot", spy)
+        row = lp.Constraint((F(1),), lp.Relation.EQ, F(1))
+        program = lp.LinearProgram(1, (F(1),), (row, row))
+        out = lp.solve(program)
+        # four >= rows, so columns 5 and 6 are the two artificials
+        assert any(p < 0 and basic >= 5 for p, basic in pivots)
+        assert isinstance(out, lp.Optimal)
+        assert out.point == (F(1),)
+        assert out.value == 1
+        assert out.row_duals is None
+        assert _outcome_key(out) == _outcome_key(reference_solve(program))
+
+    def test_float_cells_are_refused(self):
+        one = (F(1),)
+        for program in (
+            lp.LinearProgram(1, one, (lp.Constraint((0.5,), lp.Relation.GE, F(0)),)),
+            lp.LinearProgram(1, one, (lp.Constraint(one, lp.Relation.LE, 0.5),)),
+            lp.LinearProgram(1, (1.0,), (lp.Constraint(one, lp.Relation.GE, F(0)),)),
+        ):
+            with pytest.raises(TypeError):
+                lp.solve(program)
+
+
+class TestVerification:
+    """``_verify`` checks witnesses in integers; each corrupted witness below
+    must still be caught."""
+
+    def test_point_off_by_one_part_in_its_denominator(self):
+        # min x + y  s.t.  7x + 7y >= 3: optimum 3/7
+        program = lp.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
+        out = lp.solve(program)
+        assert isinstance(out, lp.Optimal) and out.value == F(3, 7)
+        lp._verify(program, out)
+        x, y = out.point
+        short = (x - F(1, 7), y) if x else (x, y - F(1, 7))
+        bad = lp.Optimal(point=short, value=sum(short))
+        with pytest.raises(RuntimeError, match="infeasible point"):
+            lp._verify(program, bad)
+
+    def test_optimal_value_off(self):
+        program = lp.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
+        out = lp.solve(program)
+        bad = lp.Optimal(point=out.point, value=out.value + F(1, 7))
+        with pytest.raises(RuntimeError, match="value disagrees"):
+            lp._verify(program, bad)
+
+    def test_ray_with_a_negative_component(self):
+        # min -x - y  s.t.  x - y >= 0
+        program = lp.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
+        out = lp.solve(program)
+        assert isinstance(out, lp.Unbounded)
+        bad = lp.Unbounded(point=out.point, ray=(F(1), F(-1)))
+        with pytest.raises(RuntimeError, match="invalid ray"):
+            lp._verify(program, bad)
+
+    def test_ray_leaving_the_cone(self):
+        program = lp.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
+        out = lp.solve(program)
+        # (1, 2) improves the objective but breaks x - y >= 0
+        bad = lp.Unbounded(point=out.point, ray=(F(1), F(2)))
+        with pytest.raises(RuntimeError, match="escapes the feasible cone"):
+            lp._verify(program, bad)

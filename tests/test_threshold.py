@@ -177,6 +177,20 @@ class TestCriticalThreshold:
             assert bracket.upper - bracket.lower <= tol
             assert bracket.tolerance == tol
 
+    def test_pinned_cycle_bracket(self):
+        """The paper's cycle at tolerance 1/1000000, pinned to the last
+        probe's exact multipliers, so any change of pivot path shows."""
+        rules = pt.parse_rules("B -> A C H\nC -> A D\nD -> A B")
+        x = rules.universe.attrs("B", "C", "D", "H")
+        bracket = pt.critical_threshold(rules, x, tolerance=F(1, 1000000))
+        assert bracket.lower == F(37345, 65536)
+        assert bracket.upper == F(597521, 1048576)
+        assert bracket.multipliers == (
+            F(357031345441, 829996793121),
+            F(269514834655, 829996793121),
+            F(203450613025, 829996793121),
+        )
+
 
 class TestMaxRatio:
     def test_uniform_multipliers_on_cycle(self, cycle_premises, cycle_antecedent):
