@@ -22,7 +22,16 @@ distinct constraint signatures before any program is built.
 that lie in the same rules, so its cost grows with the number of
 signatures, not with ``2**n``.  ``threshold.decide_general`` builds one
 such table per query and reads it for every premise subset, for the
-certificate check and for the LP counterexample.
+certificate check and for the LP counterexample.  ``prune`` builds one
+table per call: every later decide projects the first decide's table onto
+its own rules.
+
+From the table to the verified witness the work is in integers.  A row
+holds one status code per rule, and with ``gamma = p/q`` in lowest terms
+the weights times ``q`` are ``(0, -p, q - p)`` by code, so the programs
+handed to ``lp.solve`` have integer cells; certificate checks put the
+multipliers over one denominator, and rays become counts through their
+numerators.
 
 Besides the LP route, this module implements direct structural tests that
 decide the same question without solving programs in the regimes where
@@ -35,9 +44,11 @@ characterisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import getitem
 from typing import Sequence
 
 from . import lp
@@ -138,20 +149,42 @@ class ConstraintSignature:
     violated: frozenset[int]
 
 
+# Status codes are the ``CoverStatus`` values; ``_STATUSES[code]`` is the status.
+_STATUSES = tuple(CoverStatus)
+_NOT_COVERED = CoverStatus.NOT_COVERED.value
+_VIOLATED = CoverStatus.VIOLATED.value
+_WITNESSED = CoverStatus.WITNESSED.value
+
+
 @dataclass(frozen=True)
 class SignatureRow:
-    """One distinct signature plus the first transaction realising it."""
+    """One distinct signature plus the first transaction realising it.
 
-    statuses: tuple[CoverStatus, ...]
-    witness: AttrSet
+    ``codes`` holds the cover status of each rule as its ``CoverStatus``
+    value (0 not covered, 1 violated, 2 witnessed), so that the decision
+    paths can index integer weights by it; ``bits`` is the bitmask of the
+    witness transaction.
+    """
+
+    codes: tuple[int, ...]
+    bits: int
+    universe: AttributeUniverse = field(repr=False)
+
+    @property
+    def witness(self) -> AttrSet:
+        return AttrSet(self.universe, self.bits)
+
+    @property
+    def statuses(self) -> tuple[CoverStatus, ...]:
+        return tuple(_STATUSES[c] for c in self.codes)
 
     def signature(self) -> ConstraintSignature:
         return ConstraintSignature(
             witnessed=frozenset(
-                i for i, s in enumerate(self.statuses) if s is CoverStatus.WITNESSED
+                i for i, c in enumerate(self.codes) if c == _WITNESSED
             ),
             violated=frozenset(
-                i for i, s in enumerate(self.statuses) if s is CoverStatus.VIOLATED
+                i for i, c in enumerate(self.codes) if c == _VIOLATED
             ),
         )
 
@@ -206,25 +239,23 @@ def signature_rows(
         frontier = step
     # Two bits per rule: neither broken, the span only, or both (a broken
     # antecedent breaks its span too).
-    status_by_bits = (
-        CoverStatus.WITNESSED,
-        None,
-        CoverStatus.VIOLATED,
-        CoverStatus.NOT_COVERED,
-    )
+    code_by_bits = (_WITNESSED, None, _VIOLATED, _NOT_COVERED)
+    shifts = range(0, 2 * len(pairs), 2)
     return [
         SignatureRow(
-            statuses=tuple(
-                status_by_bits[broken >> 2 * j & 3] for j in range(len(pairs))
-            ),
-            witness=AttrSet(universe, z),
+            tuple([code_by_bits[broken >> s & 3] for s in shifts]), z, universe
         )
         for z, broken in sorted((z, broken) for broken, z in frontier.items())
     ]
 
 
 def _status_weights(gamma: Fraction) -> dict[CoverStatus, Fraction]:
-    """The constraint weight of each cover status at ``gamma``."""
+    """The constraint weight of each cover status at ``gamma``.
+
+    The deciders use ``_integer_weights``, these weights times the
+    denominator of ``gamma``; the tests build the rational programs from
+    these as the reference.
+    """
     return {
         CoverStatus.WITNESSED: 1 - gamma,
         CoverStatus.VIOLATED: -gamma,
@@ -232,12 +263,72 @@ def _status_weights(gamma: Fraction) -> dict[CoverStatus, Fraction]:
     }
 
 
+def _integer_weights(gamma: Fraction) -> tuple[int, int, int]:
+    """The constraint weights at ``gamma = p/q`` times ``q``, indexed by
+    status code: 0 not covered, ``-p`` violated, ``q - p`` witnessed."""
+    p, q = gamma.numerator, gamma.denominator
+    return (0, -p, q - p)
+
+
+@dataclass
+class _SharedTable:
+    """The signature table that the decides of one ``prune`` call share.
+
+    ``rows`` stays None until the first decide that needs rows enumerates
+    them over its own rules; ``column`` maps a rule's (antecedent, span)
+    bitmasks, which fix its statuses, to its column in ``rows``.
+    """
+
+    rows: list[SignatureRow] | None = None
+    column: dict[tuple[int, int], int] = field(default_factory=dict)
+
+
+# Set by ``prune`` for the length of one call; read only by ``_query_rows``.
+_SHARED_TABLE: ContextVar[_SharedTable | None] = ContextVar(
+    "_SHARED_TABLE", default=None
+)
+
+
 def _query_rows(query: EntailmentQuery, max_attrs: int) -> list[SignatureRow]:
-    return signature_rows(
-        [query.conclusion, *query.premises],
-        query.universe,
-        max_attrs=max_attrs,
-    )
+    """The signature rows of ``query``, conclusion first.
+
+    Outside ``prune`` every call enumerates.  Inside, the first call
+    enumerates and later calls project its table (``_project_rows``):
+    ``prune`` guarantees that their rules are among the first call's.
+    """
+    rules = [query.conclusion, *query.premises]
+    shared = _SHARED_TABLE.get()
+    if shared is not None and shared.rows is not None:
+        columns = [shared.column[r.antecedent.bits, r.span.bits] for r in rules]
+        return _project_rows(shared.rows, columns)
+    rows = signature_rows(rules, query.universe, max_attrs=max_attrs)
+    if shared is not None:
+        shared.rows = rows
+        shared.column = {
+            (r.antecedent.bits, r.span.bits): j for j, r in enumerate(rules)
+        }
+    return rows
+
+
+def _project_rows(rows: list[SignatureRow], columns: list[int]) -> list[SignatureRow]:
+    """The table of the rules at ``columns`` of the table ``rows``.
+
+    Each pattern over those columns is kept at its first occurrence, with
+    that row's witness.  Rows are sorted by witness, and a transaction
+    restricted to the attributes of fewer rules realises the same pattern
+    over them, so the first witness of a pattern is its smallest, and the
+    rows, their order and their witnesses are those of a table enumerated
+    for those rules alone.
+    """
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for row in rows:
+        codes = row.codes
+        key = tuple([codes[c] for c in columns])
+        if key not in seen:
+            seen.add(key)
+            out.append(SignatureRow(key, row.bits, row.universe))
+    return out
 
 
 def decide_lp(
@@ -255,27 +346,33 @@ def decide_lp(
     return _decide_lp_rows(query, _query_rows(query, max_attrs))
 
 
+def _lp_program(rows: list[SignatureRow], gamma: Fraction) -> lp.LinearProgram:
+    """The ``decide_lp`` program over ``rows``, one variable per row.
+
+    Its cells are the integer weights of ``_integer_weights``: every
+    nonzero row of the program in rational weights is this row divided by
+    the denominator of ``gamma``, and so is its objective, so the simplex
+    takes the same pivots and reads off the same point and row duals.
+    """
+    weight = _integer_weights(gamma).__getitem__
+    conclusion, *premises = zip(*[map(weight, row.codes) for row in rows])
+    return lp.LinearProgram(
+        num_vars=len(rows),
+        objective=conclusion,
+        constraints=tuple(
+            lp.Constraint(coeffs=coeffs, relation=lp.Relation.GE, rhs=0)
+            for coeffs in premises
+        ),
+    )
+
+
 def _decide_lp_rows(
     query: EntailmentQuery, rows: list[SignatureRow]
 ) -> EntailmentVerdict:
     """``decide_lp`` over the already enumerated signature rows of ``query``."""
     gamma = query.gamma
     k = query.k
-    weight = _status_weights(gamma)
-    weights = [[weight[s] for s in row.statuses] for row in rows]
-    program = lp.LinearProgram(
-        num_vars=len(rows),
-        objective=tuple(w[0] for w in weights),
-        constraints=tuple(
-            lp.Constraint(
-                coeffs=tuple(w[i] for w in weights),
-                relation=lp.Relation.GE,
-                rhs=Fraction(0),
-            )
-            for i in range(1, k + 1)
-        ),
-    )
-    outcome = lp.solve(program)
+    outcome = lp.solve(_lp_program(rows, gamma))
     if isinstance(outcome, lp.Optimal):
         if outcome.value != 0:
             raise RuntimeError("homogeneous program with a nonzero optimum")
@@ -303,8 +400,8 @@ def _dataset_from_ray(
 ) -> Dataset:
     """Scale a rational recession ray to the smallest integer multiple and
     re-verify that the resulting dataset is a genuine counterexample."""
-    scale = math.lcm(*(component.denominator for component in ray))
-    counts = [int(component * scale) for component in ray]
+    scale = math.lcm(*[component.denominator for component in ray])
+    counts = [c.numerator * (scale // c.denominator) for c in ray]
     shrink = math.gcd(*counts)
     if shrink > 1:
         counts = [c // shrink for c in counts]
@@ -351,16 +448,25 @@ def _certificate_violation(
     gamma: Fraction,
     multipliers: Sequence[Fraction],
 ) -> CertificateViolation | None:
-    weight = _status_weights(gamma)
+    # Everything is over ``scale * q``: ``scale`` puts the multipliers over
+    # one denominator, ``q`` is that of ``gamma``.  ``terms[i][code]`` is
+    # rule i's integer weight times its multiplier, the conclusion's
+    # negated, so a row is broken exactly when its terms sum above 0.
+    p, q = gamma.numerator, gamma.denominator
+    scale = math.lcm(*[lam.denominator for lam in multipliers])
+    terms = [(0, p * scale, (p - q) * scale)]
+    for lam in multipliers:
+        m = lam.numerator * (scale // lam.denominator)
+        terms.append((0, -p * m, (q - p) * m))
     for row in rows:
-        rhs = weight[row.statuses[0]]
-        lhs = Fraction(0)
-        for lam, status in zip(multipliers, row.statuses[1:]):
-            if status is not CoverStatus.NOT_COVERED:
-                lhs += lam * weight[status]
-        if lhs > rhs:
+        total = sum(map(getitem, terms, row.codes))
+        if total > 0:
+            rhs_num = -terms[0][row.codes[0]]
             return CertificateViolation(
-                signature=row.signature(), witness=row.witness, lhs=lhs, rhs=rhs
+                signature=row.signature(),
+                witness=row.witness,
+                lhs=Fraction(total + rhs_num, scale * q),
+                rhs=Fraction(rhs_num, scale * q),
             )
     return None
 
@@ -535,27 +641,35 @@ def decide_two_premise(
     )
 
 
+def _premise_bits(query: EntailmentQuery) -> list[tuple[int, int, int]]:
+    """The (antecedent, span, consequent) bitmasks of each premise."""
+    return [
+        (p.antecedent.bits, p.span.bits, p.consequent.bits) for p in query.premises
+    ]
+
+
 def _combination_conditions(
-    query: EntailmentQuery, indices: Sequence[int]
+    query: EntailmentQuery,
+    premise_bits: list[tuple[int, int, int]],
+    indices: Sequence[int],
 ) -> bool:
     """Structural conditions for a premise subset to carry the conclusion:
     the subset enforces homogeneity, its antecedents sit inside the
     conclusion antecedent, which sits inside the union of its spans, and
     the conclusion consequent is covered by the conclusion antecedent plus
-    every consequent in the subset."""
-    x0 = query.conclusion.antecedent
-    y0 = query.conclusion.consequent
-    ante_union = query.universe.empty()
-    span_union = query.universe.empty()
-    cons_common = query.universe.full()
+    every consequent in the subset.  ``premise_bits`` is
+    ``_premise_bits(query)``; homogeneity is tested last, only for a subset
+    that meets the containments."""
+    x0 = query.conclusion.antecedent.bits
+    y0 = query.conclusion.consequent.bits
+    ante_union = span_union = 0
+    cons_common = -1
     for i in indices:
-        premise = query.premises[i]
-        ante_union |= premise.antecedent
-        span_union |= premise.span
-        cons_common &= premise.consequent
-    if not (ante_union <= x0 and x0 <= span_union):
-        return False
-    if not y0 <= x0 | cons_common:
+        ante, span, cons = premise_bits[i]
+        ante_union |= ante
+        span_union |= span
+        cons_common &= cons
+    if ante_union & ~x0 or x0 & ~span_union or y0 & ~(x0 | cons_common):
         return False
     return enforces_homogeneity(query.premises.subset(indices))
 
@@ -590,8 +704,9 @@ def decide_high_gamma(
         )
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
+    premise_bits = _premise_bits(query)
     for indices in _nonempty_subsets(k):
-        if _combination_conditions(query, indices):
+        if _combination_conditions(query, premise_bits, indices):
             share = Fraction(1, len(indices))
             certificate = list(_zeros(k))
             for i in indices:
@@ -718,11 +833,21 @@ def prune(
     g = as_rational(gamma)
     kept: list[int] = []
     n = len(rules)
-    for i in range(n):
-        others = kept + list(range(i + 1, n))
-        query = EntailmentQuery(
-            rules.subset(others), rules[i], g
-        )
-        if not decide(query, method, max_attrs).holds:
-            kept.append(i)
+    # Query i involves the rules kept and the rules from i on, a subset of
+    # those of every earlier query.  So the first decide that needs rows
+    # enumerates over a superset of every later decide's rules, and the
+    # later ones project its table.  That first enumeration is the widest,
+    # so it is the only one the attribute cap can stop, and the decide
+    # that makes it is the first to enumerate without a shared table too.
+    token = _SHARED_TABLE.set(_SharedTable())
+    try:
+        for i in range(n):
+            others = kept + list(range(i + 1, n))
+            query = EntailmentQuery(
+                rules.subset(others), rules[i], g
+            )
+            if not decide(query, method, max_attrs).holds:
+                kept.append(i)
+    finally:
+        _SHARED_TABLE.reset(token)
     return rules.subset(kept)

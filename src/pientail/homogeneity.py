@@ -80,8 +80,13 @@ def horn_closure(start: AttrSet, rules: ImplicationSet) -> AttrSet:
     """
     if start.universe != rules.universe:
         raise UniverseMismatchError("start set and rules universes differ")
-    closed = start.bits
     pairs = [(imp.antecedent.bits, imp.consequent.bits) for imp in rules]
+    return AttrSet(start.universe, _closure(start.bits, pairs))
+
+
+def _closure(closed: int, pairs: list[tuple[int, int]]) -> int:
+    """``horn_closure`` on bitmasks, with ``pairs`` the (antecedent,
+    consequent) bitmasks of the rules."""
     changed = True
     while changed:
         changed = False
@@ -89,7 +94,7 @@ def horn_closure(start: AttrSet, rules: ImplicationSet) -> AttrSet:
             if closed & ante == ante and closed | cons != closed:
                 closed |= cons
                 changed = True
-    return AttrSet(start.universe, closed)
+    return closed
 
 
 def enforces_homogeneity(rules: ImplicationSet) -> bool:
@@ -99,8 +104,11 @@ def enforces_homogeneity(rules: ImplicationSet) -> bool:
     definition of homogeneity; ``brute_force_homogeneity`` checks the
     latter directly.
     """
-    everything = rules.occurring
-    return all(everything <= horn_closure(imp.antecedent, rules) for imp in rules)
+    everything = rules.occurring.bits
+    pairs = [(imp.antecedent.bits, imp.consequent.bits) for imp in rules]
+    return all(
+        _closure(ante, pairs) & everything == everything for ante, _ in pairs
+    )
 
 
 def brute_force_homogeneity(

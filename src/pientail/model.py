@@ -202,9 +202,13 @@ class PartialImplication:
     def universe(self) -> AttributeUniverse:
         return self.antecedent.universe
 
-    @property
+    @cached_property
     def span(self) -> AttrSet:
-        """Union of antecedent and consequent: the attributes a witness must carry."""
+        """Union of antecedent and consequent: the attributes a witness must carry.
+
+        Computed once per rule; the cached value is not a dataclass field, so
+        equality and hashing still compare the two sides only.
+        """
         return self.antecedent | self.consequent
 
     def __str__(self) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .entailment import EntailmentQuery, _query_rows
+from .entailment import EntailmentQuery, _integer_weights, _query_rows
 from .homogeneity import ImplicationSet
 from .model import (
     AttrSet,
@@ -48,27 +48,16 @@ def search_counterexample(
     """
     if max_mult < 1 or max_support < 1:
         raise ValueError("max_mult and max_support must be at least 1")
-    gamma = query.gamma
-    # Integer weights: a witness of a rule contributes den-num, a violator
-    # -num, scaled from (1-gamma, -gamma) by the denominator of gamma.
-    num = gamma.numerator
-    den = gamma.denominator
-    rows = _query_rows(query, max_attrs)
+    # Integer weights: the weights at gamma times its denominator.
+    weights = _integer_weights(query.gamma)
     weighted: list[tuple[AttrSet, list[int]]] = []
-    for row in rows:
-        vec = []
-        for status in row.statuses:
-            if status.value == 2:
-                vec.append(den - num)
-            elif status.value == 1:
-                vec.append(-num)
-            else:
-                vec.append(0)
+    for row in _query_rows(query, max_attrs):
+        vec = [weights[c] for c in row.codes]
         if any(vec):
             weighted.append((row.witness, vec))
     if not weighted:
         return None
-    bound = den * max_mult * max_support
+    bound = query.gamma.denominator * max_mult * max_support
     if bound >= 2**62:
         raise ValueError("gamma denominator too large for the integer search")
 

@@ -33,10 +33,15 @@ from .entailment import (
     EntailmentVerdict,
     Regime,
     SignatureRow,
+    _NOT_COVERED,
+    _WITNESSED,
     _certificate_violation,
     _combination_conditions,
     _decide_lp_rows,
+    _integer_weights,
     _nonempty_subsets,
+    _premise_bits,
+    _project_rows,
     _query_rows,
     _tautology_verdict,
     signature_rows,
@@ -44,7 +49,6 @@ from .entailment import (
 from .homogeneity import ImplicationSet
 from .model import (
     AttrSet,
-    CoverStatus,
     DEFAULT_ENUMERATION_CAP,
     PartialImplication,
     UniverseMismatchError,
@@ -105,63 +109,52 @@ def _project_ratio_rows(
     whose column 0 has the antecedent ``X0`` and column ``i + 1`` premise i.
 
     The rows are those whose column 0 is not covered (the transaction
-    misses part of ``X0``), cut down to the chosen premises, first
-    occurrence kept.  Patterns over a subset of the columns depend only on
-    the attributes those rules mention, so the first occurrences, and
-    their order, are those of a table built for the subset alone.
+    misses part of ``X0``), projected onto the chosen premises by
+    ``_project_rows``, so they and their order are those of a table built
+    for the subset alone.
     """
-    seen: set[tuple[CoverStatus, ...]] = set()
-    out: list[_RatioRow] = []
-    for row in rows:
-        if row.statuses[0] is not CoverStatus.NOT_COVERED:
-            continue
-        rest = tuple(row.statuses[i + 1] for i in indices)
-        if rest in seen:
-            continue
-        seen.add(rest)
-        out.append(
-            _RatioRow(
-                witnessed=tuple(
-                    i for i, s in enumerate(rest) if s is CoverStatus.WITNESSED
-                ),
-                covered=tuple(
-                    i for i, s in enumerate(rest) if s is not CoverStatus.NOT_COVERED
-                ),
-            )
+    eligible = [row for row in rows if row.codes[0] == _NOT_COVERED]
+    return [
+        _RatioRow(
+            witnessed=tuple(i for i, c in enumerate(row.codes) if c == _WITNESSED),
+            covered=tuple(i for i, c in enumerate(row.codes) if c != _NOT_COVERED),
         )
-    return out
+        for row in _project_rows(eligible, [i + 1 for i in indices])
+    ]
 
 
-def _feasible(rows: list[_RatioRow], k: int, gamma: Fraction) -> tuple[Fraction, ...] | None:
-    """Simplex multipliers whose worst ratio over ``rows`` is at most ``gamma``.
-
-    The ratio rows are homogeneous, so the question is posed as the cone
-    program "maximise the sum of ``lambda`` subject to ``witnessed - gamma
-    * covered <= 0`` on every row": it is unbounded exactly when a nonzero
-    ``lambda`` exists, and its verified ray, divided by its sum, is a
-    simplex point.  Otherwise its optimum is 0 and there is none.
-    """
-    zero, violated, witnessed = Fraction(0), -gamma, 1 - gamma
+def _cone_program(rows: list[_RatioRow], k: int, gamma: Fraction) -> lp.LinearProgram:
+    """The cone program of ``_feasible``: maximise the sum of ``lambda``
+    subject to ``witnessed - gamma * covered <= 0`` on every row, each row
+    times the denominator of ``gamma`` so that its cells are integers."""
+    _, violated, witnessed = _integer_weights(gamma)
     constraints = []
     for row in rows:
-        coeffs = [zero] * k
+        coeffs = [0] * k
         for i in row.covered:
             coeffs[i] = violated
         for i in row.witnessed:
             coeffs[i] = witnessed
         constraints.append(
-            lp.Constraint(
-                coeffs=tuple(coeffs), relation=lp.Relation.LE, rhs=Fraction(0)
-            )
+            lp.Constraint(coeffs=tuple(coeffs), relation=lp.Relation.LE, rhs=0)
         )
-    outcome = lp.solve(
-        lp.LinearProgram(
-            num_vars=k,
-            objective=tuple([Fraction(1)] * k),
-            constraints=tuple(constraints),
-            maximize=True,
-        )
+    return lp.LinearProgram(
+        num_vars=k,
+        objective=(1,) * k,
+        constraints=tuple(constraints),
+        maximize=True,
     )
+
+
+def _feasible(rows: list[_RatioRow], k: int, gamma: Fraction) -> tuple[Fraction, ...] | None:
+    """Simplex multipliers whose worst ratio over ``rows`` is at most ``gamma``.
+
+    The ratio rows are homogeneous, so the question is posed as a cone
+    program (``_cone_program``): it is unbounded exactly when a nonzero
+    ``lambda`` exists, and its verified ray, divided by its sum, is a
+    simplex point.  Otherwise its optimum is 0 and there is none.
+    """
+    outcome = lp.solve(_cone_program(rows, k, gamma))
     if isinstance(outcome, lp.Optimal):
         if outcome.value != 0:
             raise RuntimeError("cone program with a nonzero optimum")
@@ -287,8 +280,9 @@ def decide_general(
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
     rows = _query_rows(query, max_attrs)
+    premise_bits = _premise_bits(query)
     for indices in _nonempty_subsets(query.k):
-        if not _combination_conditions(query, indices):
+        if not _combination_conditions(query, premise_bits, indices):
             continue
         lams = _feasible(
             _project_ratio_rows(rows, indices), len(indices), query.gamma

@@ -1,7 +1,9 @@
 """Differential gate: the structural routes, the LP route and AUTO
 dispatch must reach the same verdict on a seeded corpus, right at and next
 to the regime boundaries ``1/k`` and ``(k-1)/k``, and every witness they
-return must check out on its own."""
+return must check out on its own.  On the small queries the brute-force
+``search_counterexample`` runs too: a dataset it finds refutes the
+entailment, so every route must then say that it fails."""
 
 import random
 import time
@@ -78,19 +80,23 @@ def _gammas(rng, k):
     return sorted(near | {F(rng.randint(1, 19), 20)})
 
 
+def _check_counterexample(query, data):
+    assert all(pt.satisfies(data, p, query.gamma) for p in query.premises)
+    assert not pt.satisfies(data, query.conclusion, query.gamma)
+
+
 def _check_witness(query, verdict):
     if verdict.holds:
         assert pt.check_certificate(query, verdict.certificate)
     else:
-        data = verdict.counterexample
-        assert all(pt.satisfies(data, p, query.gamma) for p in query.premises)
-        assert not pt.satisfies(data, query.conclusion, query.gamma)
+        _check_counterexample(query, verdict.counterexample)
 
 
-def _agree(queries, rng):
-    """Decide every query with every method at the boundary gammas; return
-    how many held and how many failed."""
-    held = failed = 0
+def _agree(queries, rng, search=False):
+    """Decide every query with every method at the boundary gammas, and
+    with ``search`` look for a counterexample by brute force too; return
+    how many held, how many failed and how many the search refuted."""
+    held = failed = refuted = 0
     for premises, conclusion in queries:
         for gamma in _gammas(rng, len(premises)):
             query = pt.EntailmentQuery(premises, conclusion, gamma)
@@ -100,14 +106,21 @@ def _agree(queries, rng):
                 _check_witness(query, verdict)
             held += verdicts[0].holds
             failed += not verdicts[0].holds
-    return held, failed
+            found = pt.search_counterexample(query) if search else None
+            if found is not None:
+                _check_counterexample(query, found)
+                assert not verdicts[0].holds, (query, found)  # nor any other route
+                refuted += 1
+    return held, failed, refuted
 
 
 def test_routes_agree_at_regime_boundaries():
     rng = random.Random(20150119)
     start = time.perf_counter()
-    held, failed = _agree((_random_query(rng) for _ in range(QUERIES)), rng)
+    queries = (_random_query(rng) for _ in range(QUERIES))
+    held, failed, refuted = _agree(queries, rng, search=True)
     assert held >= 20 and failed >= 20  # both outcomes are exercised
+    assert refuted >= 200  # the search refutes most of the failures
     assert time.perf_counter() - start < BUDGET_S
 
 
@@ -118,6 +131,6 @@ def test_routes_agree_on_wide_queries():
     for premises, conclusion in queries:
         width = (premises.occurring | conclusion.span).bits.bit_count()
         assert 15 <= width <= 18
-    held, failed = _agree(queries, rng)
+    held, failed, _ = _agree(queries, rng)
     assert held >= 5 and failed >= 5
     assert time.perf_counter() - start < BUDGET_S

@@ -286,6 +286,41 @@ class TestCertificates:
         assert violation.signature.violated == {1}
         assert violation.signature.witnessed == {2, 3}
 
+    def test_violations_match_the_rational_check(self):
+        """The integer check reports the same first broken row, with the
+        same ``lhs`` and ``rhs``, as a check in ``Fraction`` arithmetic over
+        the rows in enumeration order."""
+        from pientail.entailment import (
+            CertificateViolation,
+            _query_rows,
+            _status_weights,
+        )
+
+        def reference(query, lams):
+            weight = _status_weights(query.gamma)
+            for row in _query_rows(query, 20):
+                rhs = weight[row.statuses[0]]
+                lhs = sum(
+                    (lam * weight[s] for lam, s in zip(lams, row.statuses[1:])),
+                    F(0),
+                )
+                if lhs > rhs:
+                    return CertificateViolation(row.signature(), row.witness, lhs, rhs)
+            return None
+
+        rng = random.Random(2610)
+        found = 0
+        for _ in range(200):
+            spec = pt.RandomInstanceSpec(rng.randint(2, 8), rng.randint(1, 4), rng.randrange(10**9))
+            gamma = rng.choice([F(0), F(1), F(1, 2), F(rng.randint(1, 99), 100), F(7, 9)])
+            query = pt.random_query(spec, gamma)
+            lams = [F(rng.randint(0, 6), rng.randint(1, 7)) for _ in range(query.k)]
+            want = reference(query, lams)
+            got = pt.find_certificate_violation(query, lams)
+            assert repr(got) == repr(want), (query, lams)
+            found += got is not None
+        assert found >= 100
+
     def test_descending_multipliers_certify_above_critical(self):
         """The multipliers tuned to a rational threshold just above the
         critical value certify the cycle example at exactly that value."""

@@ -533,3 +533,136 @@ class TestVerification:
         bad = lp.Unbounded(point=out.point, ray=(F(1), F(2)))
         with pytest.raises(RuntimeError, match="escapes the feasible cone"):
             lp._verify(program, bad)
+
+
+def _rational_decide_program(rows, gamma, k):
+    """The ``decide_lp`` program in rational weights ``1 - g``, ``-g`` and
+    0, as it was built before its cells became integers."""
+    from pientail.entailment import _status_weights
+
+    weight = _status_weights(gamma)
+    weights = [[weight[s] for s in row.statuses] for row in rows]
+    return lp.LinearProgram(
+        num_vars=len(rows),
+        objective=tuple(w[0] for w in weights),
+        constraints=tuple(
+            lp.Constraint(tuple(w[i] for w in weights), lp.Relation.GE, F(0))
+            for i in range(1, k + 1)
+        ),
+    )
+
+
+def _rational_cone_program(ratio_rows, k, gamma):
+    """The critical-threshold cone program in rational weights."""
+    zero, violated, witnessed = F(0), -gamma, 1 - gamma
+    constraints = []
+    for row in ratio_rows:
+        coeffs = [zero] * k
+        for i in row.covered:
+            coeffs[i] = violated
+        for i in row.witnessed:
+            coeffs[i] = witnessed
+        constraints.append(lp.Constraint(tuple(coeffs), lp.Relation.LE, F(0)))
+    return lp.LinearProgram(k, tuple([F(1)] * k), tuple(constraints), maximize=True)
+
+
+def _seeded_entailment_queries(seed, count):
+    """n <= 10 attributes, 1 to 6 premises, about one rule in seven a
+    duplicate of an earlier one, and sides that are often empty."""
+    import pientail as pt
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = [f"a{i}" for i in range(rng.randint(1, 10))]
+        u = pt.AttributeUniverse(tuple(names))
+
+        def side(density):
+            return u.attrs(*[a for a in names if rng.random() < density])
+
+        rules = []
+        for _ in range(rng.randint(2, 7)):
+            if rules and rng.random() < 0.15:
+                rules.append(rng.choice(rules))
+            else:
+                rules.append(pt.PartialImplication(side(0.25), side(0.3)))
+        premises = pt.ImplicationSet(u, tuple(rules[1:]))
+        yield pt.EntailmentQuery(premises, rules[0], F(1, 2))
+
+
+def _boundary_gammas(k):
+    """0, 1, ``1/k`` and ``(k-1)/k``, and 1/1000 either side of the last two."""
+    edges = {F(1, k), F(k - 1, k)}
+    near = {g + d for g in edges for d in (F(-1, 1000), F(0), F(1, 1000))}
+    return sorted(g for g in near | {F(0), F(1)} if 0 <= g <= 1)
+
+
+class TestIntegerCellPrograms:
+    """The programs of ``decide_lp`` and of the critical-threshold probes
+    have integer cells, each weight times the denominator of ``gamma``.
+    Solved, they give what the programs in rational weights give."""
+
+    def test_decide_program_matches_the_rational_one(self):
+        """Identical outcome type, point, value and row duals on every
+        program.  The ray is identical too, except where the simplex leaves
+        along a surplus column: the rational program stretches that surplus
+        by its row's scale, the denominator ``q`` of ``gamma``, so its ray
+        is ``q`` times the integer program's.  Both scale to the same
+        counterexample."""
+        import pientail as pt
+        from pientail.entailment import _dataset_from_ray, _lp_program, _query_rows
+
+        queries = list(_seeded_entailment_queries(seed=1906, count=320))
+        shapes = {"duplicate": 0, "empty side": 0, "k": set(), "width": set()}
+        same_ray = scaled_ray = optimal = 0
+        for query in queries:
+            rules = [query.conclusion, *query.premises]
+            shapes["duplicate"] += len(set(rules)) < len(rules)
+            shapes["empty side"] += any(
+                r.antecedent.is_empty or r.consequent.is_empty for r in rules
+            )
+            shapes["k"].add(query.k)
+            shapes["width"].add(query.universe.size)
+            rows = _query_rows(query, 20)
+            for gamma in _boundary_gammas(query.k):
+                got = lp.solve(_lp_program(rows, gamma))
+                want = lp.solve(_rational_decide_program(rows, gamma, query.k))
+                if isinstance(got, lp.Unbounded):
+                    assert isinstance(want, lp.Unbounded)
+                    assert got.point == want.point
+                    if got.ray == want.ray:
+                        same_ray += 1
+                        continue
+                    assert want.ray == tuple(gamma.denominator * v for v in got.ray)
+                    scaled_ray += 1
+                    at = pt.EntailmentQuery(query.premises, query.conclusion, gamma)
+                    assert _dataset_from_ray(at, rows, got.ray) == _dataset_from_ray(
+                        at, rows, want.ray
+                    )
+                else:
+                    assert _outcome_key(got) == _outcome_key(want)
+                    optimal += 1
+        assert shapes["k"] == set(range(1, 7)) and shapes["width"] == set(range(1, 11))
+        assert shapes["duplicate"] >= 30 and shapes["empty side"] >= 100
+        assert optimal >= 300 and same_ray >= 300
+        assert scaled_ray >= 1  # the surplus exit is exercised
+
+    def test_cone_program_matches_the_rational_one(self):
+        """Every probe program of every premise subset's projected ratio
+        rows, at dyadic gammas: identical outcome type, point, ray, value
+        and row duals."""
+        from pientail.entailment import _nonempty_subsets, _query_rows
+        from pientail.threshold import _cone_program, _project_ratio_rows
+
+        rng = random.Random(1907)
+        seen = {"Optimal": 0, "Unbounded": 0}
+        for query in _seeded_entailment_queries(seed=1907, count=150):
+            rows = _query_rows(query, 20)
+            for indices in _nonempty_subsets(query.k)[:6]:
+                ratio_rows = _project_ratio_rows(rows, indices)
+                for gamma in (F(0), F(1), F(rng.randint(1, 63), 64)):
+                    k = len(indices)
+                    got = lp.solve(_cone_program(ratio_rows, k, gamma))
+                    want = lp.solve(_rational_cone_program(ratio_rows, k, gamma))
+                    assert _outcome_key(got) == _outcome_key(want)
+                    seen[type(got).__name__] += 1
+        assert min(seen.values()) >= 300

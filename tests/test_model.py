@@ -51,6 +51,18 @@ class TestAttrSet:
             u.attrs("Z")
 
 
+class TestImplication:
+    def test_span_is_built_once_and_left_out_of_equality(self, u):
+        rule = pt.PartialImplication(u.attrs("A"), u.attrs("B", "C"))
+        assert rule.span == u.attrs("A", "B", "C")
+        assert rule.span is rule.span
+        fresh = pt.PartialImplication(u.attrs("A"), u.attrs("B", "C"))
+        assert fresh == rule and hash(fresh) == hash(rule)  # one cached, one not
+        assert repr(fresh) == repr(rule)
+        with pytest.raises(AttributeError):
+            rule.antecedent = u.empty()  # still frozen
+
+
 class TestCoverStatus:
     def test_three_statuses(self, u):
         rule = pt.PartialImplication(u.attrs("A"), u.attrs("B"))

@@ -1,9 +1,12 @@
 """Signature tables: the frontier enumeration against an exhaustive walk
-over every transaction type, and one table per ``decide_general`` query."""
+over every transaction type, one table per ``decide_general`` query and one
+per ``prune`` call."""
 
 import random
 import time
 from fractions import Fraction as F
+
+import pytest
 
 import pientail as pt
 from pientail import entailment, threshold
@@ -163,3 +166,109 @@ def test_projected_ratio_rows_match_a_table_per_subset(cycle_query):
             sub = query.premises.subset(indices)
             projected = threshold._project_ratio_rows(rows, indices)
             assert projected == threshold._ratio_rows(sub, x0, 20), (query, indices)
+
+
+def test_projected_table_matches_a_table_for_the_chosen_rules():
+    """``_project_rows`` onto any list of columns, repeats and reorders
+    allowed, gives the rows, order and witnesses of a table enumerated
+    for the rules at those columns alone."""
+    rng = random.Random(4471)
+    for width in [i % 13 for i in range(150)]:
+        u, implications, _ = _instance(rng, width)
+        rows = signature_rows(implications, u)
+        columns = [rng.randrange(len(implications)) for _ in range(rng.randint(1, 6))]
+        chosen = [implications[c] for c in columns]
+        projected = entailment._project_rows(rows, columns)
+        assert [(r.codes, r.witness) for r in projected] == [
+            (r.codes, r.witness) for r in signature_rows(chosen, u)
+        ], (implications, columns)
+
+
+def _prune_by_single_decides(rules, gamma, method):
+    """``prune`` as a loop of independent decides, each enumerating its own
+    table."""
+    kept = []
+    for i in range(len(rules)):
+        others = kept + list(range(i + 1, len(rules)))
+        query = pt.EntailmentQuery(rules.subset(others), rules[i], gamma)
+        if not pt.decide(query, method).holds:
+            kept.append(i)
+    return rules.subset(kept)
+
+
+def test_prune_enumerates_one_table(monkeypatch):
+    """Every decide of a 5-rule prune under ``Method.LP`` needs rows; the
+    first enumerates them and the other four project that table."""
+    rules = pt.parse_rules("A -> B C\nA -> B D\nA C D -> B\nB -> E\nC E -> D")
+    reference = _prune_by_single_decides(rules, F(3, 5), pt.Method.LP)
+    calls = _count_enumerations(monkeypatch)
+    assert pt.prune(rules, F(3, 5), pt.Method.LP) == reference
+    assert len(calls) == 1
+    assert len(calls[0][0]) == 5  # the first query's conclusion and 4 premises
+
+
+def test_prune_matches_a_decide_per_query():
+    """On seeded rule sets, ``prune`` keeps what a loop of independent
+    decides keeps, under every method."""
+    rng = random.Random(2718)
+    methods = (pt.Method.AUTO, pt.Method.LP, pt.Method.CHARACTERIZATION)
+    dropped = 0
+    for _ in range(110):
+        names = [f"a{i}" for i in range(rng.randint(2, 8))]
+        u = pt.AttributeUniverse(tuple(names))
+        rules = []
+        for _ in range(rng.randint(2, 6)):
+            if rules and rng.random() < 0.15:
+                rules.append(rng.choice(rules))
+                continue
+            rules.append(pt.PartialImplication(
+                u.attrs(*[a for a in names if rng.random() < 0.25]),
+                u.attrs(*[a for a in names if rng.random() < 0.35]),
+            ))
+        rule_set = pt.ImplicationSet(u, tuple(rules))
+        k = len(rules) - 1
+        gamma = rng.choice([F(1, 2), F(3, 5), F(k - 1, k) if k > 1 else F(2, 3), F(rng.randint(1, 19), 20)])
+        for method in methods:
+            kept = pt.prune(rule_set, gamma, method)
+            assert kept == _prune_by_single_decides(rule_set, gamma, method), (
+                rule_set, gamma, method
+            )
+            dropped += len(rules) - len(kept)
+    assert dropped >= 100
+
+
+def _wide_rule_set(first_trivial):
+    """22 attributes; rule 0 mentions 21 of them, so with it the rules
+    pass the enumeration cap of 20, and without it they mention 4."""
+    names = tuple(f"a{i}" for i in range(22))
+    u = pt.AttributeUniverse(names)
+    wide = u.attrs(*names[:21])
+    first = pt.PartialImplication(wide, u.attrs("a0" if first_trivial else "a21"))
+    others = [
+        pt.PartialImplication(u.attrs("a0"), u.attrs("a1", "a2")),
+        pt.PartialImplication(u.attrs("a1"), u.attrs("a2")),
+        pt.PartialImplication(u.attrs("a0"), u.attrs("a1", "a3")),
+        pt.PartialImplication(u.attrs("a0"), u.attrs("a1")),
+    ]
+    return pt.ImplicationSet(u, (first, *others))
+
+
+@pytest.mark.parametrize("method", [pt.Method.AUTO, pt.Method.CHARACTERIZATION])
+def test_prune_enumerates_only_when_a_decide_needs_rows(method):
+    """A trivial rule 0 is decided without rows, so no table includes it
+    and the prune succeeds.  (``Method.LP`` enumerates for every decide,
+    so there the first decide raises.)"""
+    rules = _wide_rule_set(first_trivial=True)
+    kept = pt.prune(rules, F(3, 5), method)
+    assert kept == _prune_by_single_decides(rules, F(3, 5), method)
+    assert rules[0] not in kept.implications and len(kept) >= 2
+    with pytest.raises(pt.AttributeCapError):
+        pt.prune(rules, F(3, 5), pt.Method.LP)
+
+
+@pytest.mark.parametrize("method", list(pt.Method))
+def test_prune_raises_for_a_kept_rule_past_the_cap(method):
+    """A wide rule that is kept is too wide for the first table that
+    includes it."""
+    with pytest.raises(pt.AttributeCapError):
+        pt.prune(_wide_rule_set(first_trivial=False), F(3, 5), method)
