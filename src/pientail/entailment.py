@@ -33,12 +33,16 @@ handed to ``lp.solve`` have integer cells; certificate checks put the
 multipliers over one denominator, and rays become counts through their
 numerators.
 
-Besides the LP route, this module implements direct structural tests that
-decide the same question without solving programs in the regimes where
-that is possible: at most one premise (threshold-independent), exactly two
-premises at ``gamma >= 1/2``, ``gamma < 1/k``, and ``gamma >= (k-1)/k``.
-The remaining band is handled in ``threshold`` via the critical-threshold
-characterisation.
+Besides the LP route, structural deciders answer the same question from
+the premise subsets that carry the conclusion: at most one premise
+(threshold-independent), ``gamma < 1/k`` (single premises only), and
+``gamma >= (k-1)/k`` (any subset, with a two-premise label at ``k = 2``),
+each certified by uniform multipliers over the first subset found; the
+band in between is handled in ``threshold`` by the critical-threshold
+characterisation over the same subsets.  They all read one scan,
+``_carrying_subsets``, which walks only the subsets of the premises that
+pass the per-premise containment tests, and ``decide`` picks among them
+with one ladder.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import getitem
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import lp
 from .homogeneity import ImplicationSet, enforces_homogeneity
@@ -67,8 +71,10 @@ from .model import (
     satisfies,
 )
 
-# Beyond this many premises the subset search of the critical-threshold
-# characterisation stops paying off and auto dispatch falls back to the LP.
+# Beyond this many premises ``Method.AUTO`` sends the band between ``1/k``
+# and ``(k-1)/k`` to the LP route instead of the critical-threshold scan.
+# It caps k for AUTO only: ``Method.CHARACTERIZATION`` always scans, and a
+# scan costs ``2**|E|`` over the eligible premises E (``_carrying_subsets``).
 GENERAL_PREMISE_CAP = 12
 
 
@@ -496,17 +502,13 @@ def check_certificate(
     return find_certificate_violation(query, multipliers, max_attrs) is None
 
 
-def _zeros(k: int) -> tuple[Fraction, ...]:
-    return tuple([Fraction(0)] * k)
-
-
 def _tautology_verdict(query: EntailmentQuery) -> EntailmentVerdict:
     """Verdict for queries decided without looking at the premises:
     trivial conclusions and ``gamma = 0`` always hold; with no premises,
     anything else fails on the single-transaction dataset ``{X0}``."""
     if query.gamma == 0 or query.conclusion.consequent <= query.conclusion.antecedent:
         return EntailmentVerdict(
-            holds=True, regime=Regime.TAUTOLOGY, certificate=_zeros(query.k)
+            holds=True, regime=Regime.TAUTOLOGY, certificate=(Fraction(0),) * query.k
         )
     if query.k != 0:
         raise RuntimeError("premises present for a premise-free verdict")
@@ -518,16 +520,63 @@ def _tautology_verdict(query: EntailmentQuery) -> EntailmentVerdict:
     )
 
 
-def _single_premise_entails(
-    premise: PartialImplication, conclusion: PartialImplication
-) -> bool:
-    """Threshold-independent test for entailment from one premise: the
-    premise antecedent sits inside the conclusion antecedent, and the
-    premise span covers everything the conclusion mentions."""
-    return (
-        premise.antecedent <= conclusion.antecedent
-        and conclusion.span <= premise.span
-    )
+def _carrying_subsets(
+    query: EntailmentQuery, max_size: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The premise subsets of at most ``max_size`` premises that meet the
+    combination conditions for ``X0 -> Y0``, as index tuples in increasing
+    bitmask order: the antecedents lie in ``X0``, ``Y0 \\ X0`` lies in every
+    consequent, ``X0`` lies in the union of the spans, and the subset
+    enforces homogeneity (as a single rule always does).  The first two
+    hold for a subset exactly when they hold for each member, so only the
+    submasks of the set ``E`` of premises passing them alone are walked:
+    ``2**|E|`` subsets, not ``2**k``, in the order of a walk over all."""
+    x0 = query.conclusion.antecedent.bits
+    needed = query.conclusion.consequent.bits & ~x0
+    premises = query.premises
+    eligible = 0
+    for i, premise in enumerate(premises):
+        if not premise.antecedent.bits & ~x0 and not needed & ~premise.consequent.bits:
+            eligible |= 1 << i
+    limit = len(premises) if max_size is None else max_size
+    mask = 0
+    while True:
+        mask = (mask - eligible) & eligible  # the next submask of ``eligible``
+        while mask.bit_count() > limit:
+            # Every submask up to the next carry out of the lowest set bit
+            # keeps the bits above it, so it is too large as well.
+            mask = ((mask | ~eligible) + (mask & -mask)) & eligible
+        if not mask:
+            return
+        indices = tuple(bit_positions(mask))
+        spans = 0
+        for i in indices:
+            spans |= premises[i].span.bits
+        if x0 & ~spans:
+            continue
+        if len(indices) == 1 or enforces_homogeneity(premises.subset(indices)):
+            yield indices
+
+
+def _uniform_verdict(
+    query: EntailmentQuery,
+    regime: Regime,
+    max_attrs: int,
+    max_size: int | None = None,
+) -> EntailmentVerdict:
+    """The verdict where uniform multipliers suffice: a trivial conclusion
+    holds; otherwise the first carrying subset of at most ``max_size``
+    premises, with equal multipliers over it, certifies the entailment, and
+    with none the LP route supplies the counterexample."""
+    if query.conclusion.consequent <= query.conclusion.antecedent:
+        return _tautology_verdict(query)
+    for indices in _carrying_subsets(query, max_size):
+        certificate = [Fraction(0)] * query.k
+        for i in indices:
+            certificate[i] = Fraction(1, len(indices))
+        return EntailmentVerdict(True, regime, certificate=tuple(certificate))
+    counterexample = lp_counterexample(query, max_attrs)
+    return EntailmentVerdict(False, regime, counterexample=counterexample)
 
 
 def decide_one_premise(
@@ -536,25 +585,17 @@ def decide_one_premise(
     """Decide a query with at most one premise by containment tests alone.
 
     For ``gamma`` strictly between 0 and 1 the verdict does not depend on
-    ``gamma``.  The boundary values are delegated to the LP route.
+    ``gamma``: the premise antecedent must sit inside the conclusion
+    antecedent, and the premise span must cover the conclusion's.  The
+    boundary values are delegated to the LP route.
     """
     if query.k > 1:
         raise ValueError(f"one-premise decider got {query.k} premises")
     if not 0 < query.gamma < 1:
         return decide_lp(query, max_attrs)
-    if query.conclusion.consequent <= query.conclusion.antecedent:
-        return _tautology_verdict(query)
     if query.k == 0:
         return _tautology_verdict(query)
-    if _single_premise_entails(query.premises[0], query.conclusion):
-        return EntailmentVerdict(
-            holds=True, regime=Regime.ONE_PREMISE, certificate=(Fraction(1),)
-        )
-    return EntailmentVerdict(
-        holds=False,
-        regime=Regime.ONE_PREMISE,
-        counterexample=lp_counterexample(query, max_attrs),
-    )
+    return _uniform_verdict(query, Regime.ONE_PREMISE, max_attrs, max_size=1)
 
 
 def decide_low_gamma(
@@ -568,117 +609,26 @@ def decide_low_gamma(
     if query.gamma == 0:
         return _tautology_verdict(query)
     if query.gamma * k >= 1:
-        raise ValueError(
-            f"low-gamma decider needs gamma < 1/{k}, got {query.gamma}"
-        )
-    if query.conclusion.consequent <= query.conclusion.antecedent:
-        return _tautology_verdict(query)
-    for i, premise in enumerate(query.premises):
-        if _single_premise_entails(premise, query.conclusion):
-            certificate = list(_zeros(k))
-            certificate[i] = Fraction(1)
-            return EntailmentVerdict(
-                holds=True, regime=Regime.LOW_GAMMA, certificate=tuple(certificate)
-            )
-    return EntailmentVerdict(
-        holds=False,
-        regime=Regime.LOW_GAMMA,
-        counterexample=lp_counterexample(query, max_attrs),
-    )
+        raise ValueError(f"low-gamma decider needs gamma < 1/{k}, got {query.gamma}")
+    return _uniform_verdict(query, Regime.LOW_GAMMA, max_attrs, max_size=1)
 
 
 def decide_two_premise(
     query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
 ) -> EntailmentVerdict:
-    """Decide a two-premise query at ``gamma >= 1/2`` by inclusion tests.
+    """Decide a two-premise query: the high-gamma decider at ``k = 2``,
+    under its own regime label.
 
-    Beyond the trivial and single-premise escapes, both premises combine
-    exactly when each antecedent is inside the other premise's span, both
-    antecedents are inside the conclusion antecedent, the conclusion
-    antecedent is inside the union of spans, and the conclusion consequent
-    is inside the conclusion antecedent joined with either consequent.
-    Thresholds below 1/2 are routed to the low-gamma decider; 0 and 1 to
-    their usual handlers.
+    Thresholds below 1/2 are routed to the low-gamma decider, and 1 to the
+    LP route.
     """
     if query.k != 2:
         raise ValueError(f"two-premise decider got {query.k} premises")
-    if query.gamma == 0:
-        return _tautology_verdict(query)
-    if query.gamma == 1:
-        return decide_lp(query, max_attrs)
     if query.gamma < Fraction(1, 2):
         return decide_low_gamma(query, max_attrs)
-    if query.conclusion.consequent <= query.conclusion.antecedent:
-        return _tautology_verdict(query)
-    for i, premise in enumerate(query.premises):
-        if _single_premise_entails(premise, query.conclusion):
-            certificate = list(_zeros(2))
-            certificate[i] = Fraction(1)
-            return EntailmentVerdict(
-                holds=True, regime=Regime.TWO_PREMISE, certificate=tuple(certificate)
-            )
-    first, second = query.premises
-    x0 = query.conclusion.antecedent
-    y0 = query.conclusion.consequent
-    combined = (
-        first.antecedent <= second.span
-        and second.antecedent <= first.span
-        and first.antecedent <= x0
-        and second.antecedent <= x0
-        and x0 <= first.span | second.span
-        and y0 <= x0 | first.consequent
-        and y0 <= x0 | second.consequent
-    )
-    if combined:
-        half = Fraction(1, 2)
-        return EntailmentVerdict(
-            holds=True, regime=Regime.TWO_PREMISE, certificate=(half, half)
-        )
-    return EntailmentVerdict(
-        holds=False,
-        regime=Regime.TWO_PREMISE,
-        counterexample=lp_counterexample(query, max_attrs),
-    )
-
-
-def _premise_bits(query: EntailmentQuery) -> list[tuple[int, int, int]]:
-    """The (antecedent, span, consequent) bitmasks of each premise."""
-    return [
-        (p.antecedent.bits, p.span.bits, p.consequent.bits) for p in query.premises
-    ]
-
-
-def _combination_conditions(
-    query: EntailmentQuery,
-    premise_bits: list[tuple[int, int, int]],
-    indices: Sequence[int],
-) -> bool:
-    """Structural conditions for a premise subset to carry the conclusion:
-    the subset enforces homogeneity, its antecedents sit inside the
-    conclusion antecedent, which sits inside the union of its spans, and
-    the conclusion consequent is covered by the conclusion antecedent plus
-    every consequent in the subset.  ``premise_bits`` is
-    ``_premise_bits(query)``; homogeneity is tested last, only for a subset
-    that meets the containments."""
-    x0 = query.conclusion.antecedent.bits
-    y0 = query.conclusion.consequent.bits
-    ante_union = span_union = 0
-    cons_common = -1
-    for i in indices:
-        ante, span, cons = premise_bits[i]
-        ante_union |= ante
-        span_union |= span
-        cons_common &= cons
-    if ante_union & ~x0 or x0 & ~span_union or y0 & ~(x0 | cons_common):
-        return False
-    return enforces_homogeneity(query.premises.subset(indices))
-
-
-def _nonempty_subsets(k: int) -> list[tuple[int, ...]]:
-    return [
-        tuple(i for i in range(k) if mask >> i & 1)
-        for mask in range(1, 1 << k)
-    ]
+    if query.gamma == 1:
+        return decide_lp(query, max_attrs)
+    return _uniform_verdict(query, Regime.TWO_PREMISE, max_attrs)
 
 
 def decide_high_gamma(
@@ -688,8 +638,8 @@ def decide_high_gamma(
 
     In this band a premise subset carries the conclusion exactly when the
     structural combination conditions hold for it, and uniform multipliers
-    over the subset certify the entailment.  Subsets are scanned in
-    increasing bitmask order, so the reported certificate is deterministic.
+    over the first such subset (``_carrying_subsets``) certify the
+    entailment.
     """
     k = query.k
     if k < 1:
@@ -702,23 +652,7 @@ def decide_high_gamma(
         raise ValueError(
             f"high-gamma decider needs gamma >= {k - 1}/{k}, got {query.gamma}"
         )
-    if query.conclusion.consequent <= query.conclusion.antecedent:
-        return _tautology_verdict(query)
-    premise_bits = _premise_bits(query)
-    for indices in _nonempty_subsets(k):
-        if _combination_conditions(query, premise_bits, indices):
-            share = Fraction(1, len(indices))
-            certificate = list(_zeros(k))
-            for i in indices:
-                certificate[i] = share
-            return EntailmentVerdict(
-                holds=True, regime=Regime.HIGH_GAMMA, certificate=tuple(certificate)
-            )
-    return EntailmentVerdict(
-        holds=False,
-        regime=Regime.HIGH_GAMMA,
-        counterexample=lp_counterexample(query, max_attrs),
-    )
+    return _uniform_verdict(query, Regime.HIGH_GAMMA, max_attrs)
 
 
 def decide(
@@ -733,31 +667,17 @@ def decide(
     for boundary thresholds and for premise counts where the subset search
     would explode.  ``Method.CHARACTERIZATION`` insists on a structural
     route and therefore rejects the boundary thresholds 0 and 1, which
-    only the LP route covers.
+    only the LP route covers; it also labels the high band at ``k = 2``
+    two-premise.
     """
     if method is Method.LP:
         return decide_lp(query, max_attrs)
+    structural = method is Method.CHARACTERIZATION
+    if structural and not 0 < query.gamma < 1:
+        raise ValueError(
+            "structural deciders cover only thresholds strictly between 0 and 1"
+        )
     k = query.k
-    if method is Method.CHARACTERIZATION:
-        if not 0 < query.gamma < 1:
-            raise ValueError(
-                "structural deciders cover only thresholds strictly between 0 and 1"
-            )
-        if k == 0 or query.conclusion.consequent <= query.conclusion.antecedent:
-            return _tautology_verdict(query)
-        if k == 1:
-            return decide_one_premise(query, max_attrs)
-        if query.gamma * k < 1:
-            return decide_low_gamma(query, max_attrs)
-        if k == 2:
-            return decide_two_premise(query, max_attrs)
-        if query.gamma * k >= k - 1:
-            return decide_high_gamma(query, max_attrs)
-        from .threshold import decide_general
-
-        return decide_general(query, max_attrs=max_attrs)
-
-    # AUTO
     if (
         query.gamma == 0
         or k == 0
@@ -771,8 +691,10 @@ def decide(
     if query.gamma * k < 1:
         return decide_low_gamma(query, max_attrs)
     if query.gamma * k >= k - 1:
+        if structural and k == 2:
+            return decide_two_premise(query, max_attrs)
         return decide_high_gamma(query, max_attrs)
-    if k > GENERAL_PREMISE_CAP:
+    if k > GENERAL_PREMISE_CAP and not structural:
         return decide_lp(query, max_attrs)
     from .threshold import decide_general
 

@@ -35,12 +35,10 @@ from .entailment import (
     SignatureRow,
     _NOT_COVERED,
     _WITNESSED,
+    _carrying_subsets,
     _certificate_violation,
-    _combination_conditions,
     _decide_lp_rows,
     _integer_weights,
-    _nonempty_subsets,
-    _premise_bits,
     _project_rows,
     _query_rows,
     _tautology_verdict,
@@ -265,8 +263,9 @@ def decide_general(
     nonempty premise subset satisfies the structural combination
     conditions and has critical threshold at most ``gamma``; in that case
     the feasibility multipliers of the subset, padded with zeros,
-    certify the full entailment.  Subsets are scanned in increasing
-    bitmask order and the first success is reported.  The query's
+    certify the full entailment.  Subsets come from the same scan as the
+    high-gamma decider's (``_carrying_subsets``), in increasing bitmask
+    order, and the first success is reported.  The query's
     signature table is enumerated once: each subset's ratio rows are
     projected from it, and the certificate check and the LP counterexample
     reuse it.
@@ -280,10 +279,7 @@ def decide_general(
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
     rows = _query_rows(query, max_attrs)
-    premise_bits = _premise_bits(query)
-    for indices in _nonempty_subsets(query.k):
-        if not _combination_conditions(query, premise_bits, indices):
-            continue
+    for indices in _carrying_subsets(query):
         lams = _feasible(
             _project_ratio_rows(rows, indices), len(indices), query.gamma
         )

@@ -35,6 +35,14 @@ def make_query(premises_text: str, conclusion_text: str, gamma) -> pt.Entailment
     )
 
 
+def nonempty_subsets(k: int) -> list[tuple[int, ...]]:
+    """Every nonempty subset of ``range(k)`` as an index tuple, in
+    increasing bitmask order."""
+    return [
+        tuple(i for i in range(k) if mask >> i & 1) for mask in range(1, 1 << k)
+    ]
+
+
 @pytest.fixture
 def pair_query():
     """Two rules sharing an antecedent against a recombined conclusion;

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import nonempty_subsets
 from pientail import lp
 
 
@@ -650,14 +651,14 @@ class TestIntegerCellPrograms:
         """Every probe program of every premise subset's projected ratio
         rows, at dyadic gammas: identical outcome type, point, ray, value
         and row duals."""
-        from pientail.entailment import _nonempty_subsets, _query_rows
+        from pientail.entailment import _query_rows
         from pientail.threshold import _cone_program, _project_ratio_rows
 
         rng = random.Random(1907)
         seen = {"Optimal": 0, "Unbounded": 0}
         for query in _seeded_entailment_queries(seed=1907, count=150):
             rows = _query_rows(query, 20)
-            for indices in _nonempty_subsets(query.k)[:6]:
+            for indices in nonempty_subsets(query.k)[:6]:
                 ratio_rows = _project_ratio_rows(rows, indices)
                 for gamma in (F(0), F(1), F(rng.randint(1, 63), 64)):
                     k = len(indices)

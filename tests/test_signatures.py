@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import pientail as pt
+from conftest import nonempty_subsets
 from pientail import entailment, threshold
 from pientail.entailment import signature_rows
 from pientail.model import bit_positions
@@ -162,7 +163,7 @@ def test_projected_ratio_rows_match_a_table_per_subset(cycle_query):
     for query in queries:
         rows = entailment._query_rows(query, 20)
         x0 = query.conclusion.antecedent
-        for indices in entailment._nonempty_subsets(query.k):
+        for indices in nonempty_subsets(query.k):
             sub = query.premises.subset(indices)
             projected = threshold._project_ratio_rows(rows, indices)
             assert projected == threshold._ratio_rows(sub, x0, 20), (query, indices)

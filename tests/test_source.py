@@ -1,6 +1,9 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pientail
@@ -20,3 +23,60 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _load_time_imports(tree):
+    """The import statements a module runs when it is imported: all of
+    them outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_runtime_dependency():
+    """Importing the package needs nothing outside the standard library."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _load_time_imports(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    continue
+                names = [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
+
+
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from fractions import Fraction
+import pientail as pt
+rules = pt.parse_rules("B -> A C H\\nC -> A D\\nD -> A B\\n")
+u = rules.universe
+conclusion = pt.PartialImplication(u.attrs("B", "C", "D", "H"), u.attrs("A"))
+verdict = pt.decide(pt.EntailmentQuery(rules, conclusion, Fraction(57, 100)))
+kept = pt.prune(rules, Fraction(1, 2))
+bracket = pt.critical_threshold(rules, conclusion.antecedent)
+print(verdict.holds, verdict.regime.value, len(kept), bracket.lower < bracket.upper)
+"""
+
+
+def test_decides_without_numpy():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "general-gamma-star", "3", "True"]
