@@ -15,6 +15,7 @@ Exit codes: 0 holds / true / success, 1 does not hold / false,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -368,11 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``run``, built on its first call and reused: building
+    it costs more than a parse."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if not 1 <= args.max_attrs <= HARD_ATTRIBUTE_CAP:

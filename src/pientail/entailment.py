@@ -255,23 +255,10 @@ def signature_rows(
     ]
 
 
-def _status_weights(gamma: Fraction) -> dict[CoverStatus, Fraction]:
-    """The constraint weight of each cover status at ``gamma``.
-
-    The deciders use ``_integer_weights``, these weights times the
-    denominator of ``gamma``; the tests build the rational programs from
-    these as the reference.
-    """
-    return {
-        CoverStatus.WITNESSED: 1 - gamma,
-        CoverStatus.VIOLATED: -gamma,
-        CoverStatus.NOT_COVERED: Fraction(0),
-    }
-
-
 def _integer_weights(gamma: Fraction) -> tuple[int, int, int]:
-    """The constraint weights at ``gamma = p/q`` times ``q``, indexed by
-    status code: 0 not covered, ``-p`` violated, ``q - p`` witnessed."""
+    """The constraint weights at ``gamma = p/q`` (``1 - gamma`` witnessed,
+    ``-gamma`` violated, 0 not covered) times ``q``, indexed by status code:
+    0 not covered, ``-p`` violated, ``q - p`` witnessed."""
     p, q = gamma.numerator, gamma.denominator
     return (0, -p, q - p)
 
@@ -530,14 +517,19 @@ def _carrying_subsets(
     enforces homogeneity (as a single rule always does).  The first two
     hold for a subset exactly when they hold for each member, so only the
     submasks of the set ``E`` of premises passing them alone are walked:
-    ``2**|E|`` subsets, not ``2**k``, in the order of a walk over all."""
+    ``2**|E|`` subsets, not ``2**k``, in the order of a walk over all.  The
+    third only grows with the subset, so when the spans of all of ``E``
+    miss part of ``X0`` no subset meets it and nothing is walked."""
     x0 = query.conclusion.antecedent.bits
     needed = query.conclusion.consequent.bits & ~x0
     premises = query.premises
-    eligible = 0
+    eligible = spans = 0
     for i, premise in enumerate(premises):
         if not premise.antecedent.bits & ~x0 and not needed & ~premise.consequent.bits:
             eligible |= 1 << i
+            spans |= premise.span.bits
+    if x0 & ~spans:
+        return
     limit = len(premises) if max_size is None else max_size
     mask = 0
     while True:

@@ -1,23 +1,28 @@
 """Exact linear programming over the rationals, pivoted in integers.
 
-A small dense simplex.  Each row, once put in ``>=`` form, is scaled by the
-least common multiple of its denominators, so the tableau holds only
-integers; with one positive common denominator ``D`` every entry is the
-integer ``D`` times the entry of the rational tableau, and pivots are
-fraction-free (Edmonds 1967, Bareiss 1968): a pivot on ``p`` sends
-``T[i][j]`` to ``(T[i][j] * p - T[i][c] * T[r][j]) / D``, a division that
-is always exact, and ``p`` becomes the new ``D``.  The rescaling only
-stretches each surplus variable by a positive factor, so Bland's
-smallest-index rule (which makes every run terminate) takes the pivots of
-the rational tableau, and the points, rays, values and duals read off at the
-end are those of the rational tableau.
+A small simplex over a condensed (dictionary) tableau (Chvatal 1983, ch.
+2-3).  Each row, once put in ``>=`` form, is scaled by the least common
+multiple of its denominators, so with one positive common denominator ``D``
+every entry is the integer ``D`` times the entry of the rational tableau.
+Only the nonbasic columns are stored, each labelled with its variable; each
+row is labelled with its basic variable, whose column is always ``D`` times
+a unit vector.  A pivot on ``p`` is fraction-free (Edmonds 1967, Bareiss
+1968; as in Avis's ``lrs``): it swaps the two labels, sends every other cell
+``T[i][j]`` to the exact quotient ``(T[i][j] * p - T[i][c] * T[r][j]) / D``,
+writes the leaving variable's column (``D`` in row r, ``-T[i][c]``
+elsewhere) over the entering one, and makes ``p`` the new ``D``.  Bland's
+rule reads labels (the smallest label with a negative reduced cost enters;
+ratio ties leave by the smallest basic label), so every run terminates and
+takes the pivots of the full rational tableau, and the points, rays, values
+and duals read off by label are that tableau's: the scaling only stretches
+each surplus variable by a positive factor.
 
 The simplex starts from the surplus basis and gives an artificial variable
-only to rows whose right-hand side is positive in ``>=`` form, so phase 1
-works on those rows alone and is skipped outright for homogeneous programs,
-whose origin is already feasible.  Every outcome carries a witness that is
-re-verified before it is returned, by exact substitution into the original
-constraints, each scaled to integers on its own:
+only to rows whose right-hand side is positive in ``>=`` form, so phase 1 is
+skipped outright for homogeneous programs, whose origin is feasible.  Every
+witness is re-verified on its integer numerators, before any ``Fraction`` is
+built, by exact substitution into the constraints, each scaled to integers
+on its own:
 
 * ``Optimal``    - an optimal point (and, for pure >=-row minimisation
                    programs, the dual values of the rows);
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import gt, lt, mul, ne
 
 from .model import as_rational
 
@@ -106,10 +111,11 @@ def _integers(values) -> tuple[list[int], int]:
     """Integer numerators of exact ``values`` over their least common
     denominator, and that denominator.
 
-    ``Fraction`` and ``int`` are read through ``numerator`` and
-    ``denominator``; anything else goes through ``as_rational``, which
-    refuses floats.
-    """
+    Plain ``int`` values are returned as they are, ``Fraction`` values are
+    read through ``numerator`` and ``denominator``, and anything else goes
+    through ``as_rational``, which refuses floats."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     try:
         scale = lcm(*[v.denominator for v in values])
     except AttributeError:
@@ -120,274 +126,268 @@ def _integers(values) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _eliminate(row: list[int], pivot_row: list[int], p: int, c: int, d: int) -> list[int]:
-    """``row`` after the fraction-free pivot on ``pivot_row[c] == p`` over
-    the common denominator ``d``; every division is exact."""
-    f = row[c]
-    if f:
-        if d == 1:
-            return [a * p - f * b for a, b in zip(row, pivot_row)]
-        return [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-    if p == d:
-        return row
-    return [a * p // d for a in row]
-
-
 def _pivot(
-    rows: list[list[int]], cost: list[int], basis: list[int], r: int, c: int, d: int
+    rows: list[list[int]], basic: list[int], nonbasic: list[int], r: int, c: int, d: int
 ) -> int:
-    """Pivot on ``rows[r][c]`` and return the new common denominator.
+    """Pivot on ``rows[r][c]`` (the cost row is last), swap the labels
+    ``basic[r]`` and ``nonbasic[c]``, and return the new denominator.
 
-    The pivot row keeps its numerators: over the new denominator ``p`` it
-    reads as itself divided by the pivot.  Only the drive-out of a leftover artificial can pivot on a negative
-    entry; its row is negated first, which keeps the denominator positive.
-    """
+    The pivot row keeps its numerators, which over ``p`` read as the row
+    divided by the pivot.  Only the drive-out of a leftover artificial can
+    pivot on a negative entry; its row is negated first, which keeps the
+    denominator positive."""
     pivot_row = rows[r]
     p = pivot_row[c]
+    lead = d
     if p < 0:
         pivot_row = [-v for v in pivot_row]
         rows[r] = pivot_row
-        p = -p
+        p, lead = -p, -d
     for i, row in enumerate(rows):
-        if i != r:
-            rows[i] = _eliminate(row, pivot_row, p, c, d)
-    cost[:] = _eliminate(cost, pivot_row, p, c, d)
-    basis[r] = c
+        f = row[c]
+        if i == r:
+            continue
+        if f:
+            if d == 1:
+                row = [a * p - f * b for a, b in zip(row, pivot_row)]
+            else:
+                row = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+            row[c] = -f
+            rows[i] = row
+        elif p != d:
+            rows[i] = [a * p // d for a in row]
+    pivot_row[c] = lead
+    basic[r], nonbasic[c] = nonbasic[c], basic[r]
     return p
 
 
 def _run_simplex(
-    rows: list[list[int]],
-    cost: list[int],
-    basis: list[int],
-    num_cols: int,
-    d: int,
+    rows: list[list[int]], basic: list[int], nonbasic: list[int], d: int
 ) -> tuple[int | None, int]:
-    """Minimise until optimal or unbounded.
+    """Minimise the cost row ``rows[-1]`` until optimal or unbounded.
 
-    Returns the entering column of an unbounded direction (None when
-    optimal) and the common denominator at the end.  Bland's rule both for
-    the entering column (smallest index with a negative reduced cost) and
+    Returns the column of an unbounded direction (None when optimal) and
+    the common denominator at the end.  Bland's rule on labels both for the
+    entering column (the smallest label with a negative reduced cost) and
     for the leaving row (among the minimum ratios ``rhs / coeff``, compared
-    by cross-multiplication, the one whose basic variable has the smallest
-    index).
-    """
+    by cross-multiplication, the one with the smallest basic label)."""
     while True:
-        entering = None
-        for j in range(num_cols):
-            if cost[j] < 0:
+        entering = -1
+        for j, (label, reduced) in enumerate(zip(nonbasic, rows[-1])):
+            if reduced < 0 and (entering < 0 or label < nonbasic[entering]):
                 entering = j
-                break
-        if entering is None:
+        if entering < 0:
             return None, d
         best_row = -1
-        best_num = best_coeff = 0
-        for i, row in enumerate(rows):
+        best_num = best_coeff = best_label = 0
+        for i, (label, row) in enumerate(zip(basic, rows)):
             coeff = row[entering]
             if coeff > 0:
                 num = row[-1]
                 if best_row >= 0:
-                    lhs = num * best_coeff
-                    rhs = best_num * coeff
-                    if lhs > rhs or (lhs == rhs and basis[i] > basis[best_row]):
+                    lhs, rhs = num * best_coeff, best_num * coeff
+                    if lhs > rhs or (lhs == rhs and label > best_label):
                         continue
-                best_row, best_num, best_coeff = i, num, coeff
+                best_row, best_num, best_coeff, best_label = i, num, coeff, label
         if best_row < 0:
             return entering, d
-        d = _pivot(rows, cost, basis, best_row, entering, d)
+        d = _pivot(rows, basic, nonbasic, best_row, entering, d)
 
 
 def _dot(a: list[int], b: list[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _verify(lp: LinearProgram, outcome: LpOutcome) -> None:
-    """Exact substitution check of every witness; raises on solver bugs.
+# The comparison that a left-hand side failing each relation makes true.
+_FAILS = {Relation.GE: lt, Relation.LE: gt, Relation.EQ: ne}
 
-    Each constraint of ``lp`` is scaled to integers on its own, and the
-    point and the ray are integer numerators over a common denominator, so
-    every comparison is between integers.
-    """
-    if isinstance(outcome, Infeasible):
-        return
-    rows = []
-    for row in lp.constraints:
-        ints, _ = _integers((*row.coeffs, row.rhs))
-        rows.append((ints[:-1], ints[-1], row.relation))
-    objective, obj_scale = _integers(lp.objective)
 
-    def holds(lhs: int, relation: Relation, rhs: int) -> bool:
-        if relation is Relation.GE:
-            return lhs >= rhs
-        if relation is Relation.LE:
-            return lhs <= rhs
-        return lhs == rhs
+def _check(
+    rows: list[tuple[list[int], Relation]], objective: list[int], obj_scale: int,
+    maximize: bool, point: list[int], d: int,
+    value: tuple[int, int] | None = None, ray: list[int] | None = None,
+) -> None:
+    """Exact substitution check of a witness; raises on solver bugs.
 
-    point, d = _integers(outcome.point)
+    ``rows`` are the constraints, each scaled to integers on its own with
+    its right-hand side last, and ``objective`` is the objective times
+    ``obj_scale``.  The point is ``point / d``, the value ``value[0] /
+    value[1]`` and the ray ``ray`` up to a positive factor, so every
+    comparison is between integers."""
     if any(v < 0 for v in point):
         raise RuntimeError("solver returned a negative component")
-    for coeffs, rhs, relation in rows:
-        if not holds(_dot(coeffs, point), relation, rhs * d):
+    for ints, relation in rows:
+        if _FAILS[relation](_dot(ints, point), ints[-1] * d):
             raise RuntimeError("solver returned an infeasible point")
-
-    if isinstance(outcome, Optimal):
-        value = as_rational(outcome.value)
-        if (
-            _dot(objective, point) * value.denominator
-            != value.numerator * obj_scale * d
-        ):
+    if value is not None:
+        if _dot(objective, point) * value[1] != value[0] * obj_scale * d:
             raise RuntimeError("solver value disagrees with its point")
-    elif isinstance(outcome, Unbounded):
-        ray, _ = _integers(outcome.ray)
+    if ray is not None:
         if any(v < 0 for v in ray) or not any(ray):
             raise RuntimeError("solver returned an invalid ray")
-        for coeffs, _, relation in rows:
-            if not holds(_dot(coeffs, ray), relation, 0):
+        for ints, relation in rows:
+            if _FAILS[relation](_dot(ints, ray), 0):
                 raise RuntimeError("solver ray escapes the feasible cone")
         gain = _dot(objective, ray)
-        if (gain >= 0) if not lp.maximize else (gain <= 0):
+        if (gain >= 0) if not maximize else (gain <= 0):
             raise RuntimeError("solver ray does not improve the objective")
+
+
+def _verify(lp: LinearProgram, outcome: LpOutcome) -> None:
+    """``_check`` of a finished outcome, its point, value and ray read back
+    as integer numerators."""
+    if isinstance(outcome, Infeasible):
+        return
+    rows = [
+        (_integers((*row.coeffs, row.rhs))[0], row.relation) for row in lp.constraints
+    ]
+    objective, obj_scale = _integers(lp.objective)
+    point, d = _integers(outcome.point)
+    value = ray = None
+    if isinstance(outcome, Optimal):
+        v = as_rational(outcome.value)
+        value = (v.numerator, v.denominator)
+    elif isinstance(outcome, Unbounded):
+        ray, _ = _integers(outcome.ray)
+    _check(rows, objective, obj_scale, lp.maximize, point, d, value, ray)
+
+
+def _fractions(numerators: list[int], d: int) -> tuple[Fraction, ...]:
+    zero = Fraction(0)
+    return tuple(Fraction(v, d) if v else zero for v in numerators)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` exactly and return a verified outcome."""
     n = lp.num_vars
     objective, obj_scale = _integers(lp.objective)
-    if lp.maximize:
-        objective = [-c for c in objective]
 
-    # Normalise every row to >= with the original ordering retained: <=
-    # rows are negated, = rows are split into a >= pair.  Each row is kept
-    # as integers (right-hand side last) with the positive factor that
-    # scaled it.  ``pure_ge`` keeps track of whether row r of the
-    # normalised system is row r of the input, which is what makes the
-    # dual extraction below meaningful.
-    ge_rows: list[tuple[list[int], int]] = []
+    # Each input row, scaled to integers on its own (right-hand side last),
+    # is kept for the final check.  Normalised to ``a.x >= b`` in input
+    # order (<= rows negated, = rows split into a >= pair), it enters the
+    # tableau as the row ``-a | -b`` of its surplus ``s_r = a.x - b``, with
+    # the positive factor that scaled it.  ``pure_ge`` keeps track of
+    # whether row r of the normalised system is row r of the input, which
+    # is what makes the dual extraction below meaningful.
+    inputs: list[tuple[list[int], Relation]] = []
+    rows: list[list[int]] = []
+    scales: list[int] = []
     pure_ge = not lp.maximize
     for row in lp.constraints:
         ints, scale = _integers((*row.coeffs, row.rhs))
+        inputs.append((ints, row.relation))
         if row.relation is not Relation.LE:
-            ge_rows.append((ints, scale))
+            rows.append([-v for v in ints])
+            scales.append(scale)
         if row.relation is not Relation.GE:
-            ge_rows.append(([-v for v in ints], scale))
+            rows.append(ints[:])
+            scales.append(scale)
             pure_ge = False
+    m = len(rows)
 
-    m = len(ge_rows)
-
-    # Equality form: a.x - s_r = b, where the integer row stretches the
-    # surplus s_r of the rational row by the row's scale.  A row with
-    # b <= 0 is negated, so its surplus starts basic at -b >= 0; only a row
-    # with b > 0 needs an artificial variable to start.  Column layout:
-    # x (n) | surplus (m) | artificial (one per b > 0 row) | rhs.
-    # The starting basis is the identity, so the common denominator is 1.
-    needs_art = [ints[-1] > 0 for ints, _ in ge_rows]
+    # Labels: x is 0..n-1, the surplus of row r is n + r, artificials
+    # follow from n + m.  The integer row stretches the surplus of the
+    # rational row by the row's scale.  A row with -b >= 0 starts with its
+    # surplus basic; a row with b > 0 starts with an artificial basic in
+    # ``a.x - s_r + t_r = b``, and its surplus is a nonbasic column.  The
+    # starting basis is the identity, so the common denominator is 1.
+    art_rows = [r for r, line in enumerate(rows) if line[-1] < 0]
     art_start = n + m
-    num_cols = art_start + sum(needs_art)
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    art = art_start
-    for r, (ints, _) in enumerate(ge_rows):
-        line = [0] * (num_cols + 1)
-        if needs_art[r]:
-            line[:n] = ints[:-1]
-            line[n + r] = -1
-            line[-1] = ints[-1]
-            line[art] = 1
-            basis.append(art)
-            art += 1
-        else:
-            line[:n] = [-v for v in ints[:-1]]
-            line[n + r] = 1
-            line[-1] = -ints[-1]
-            basis.append(n + r)
-        rows.append(line)
-
-    # Phase 1: minimise the sum of the rational rows' artificials.  The
-    # integer artificial of row r is the rational one times the row's
-    # scale, so the costs are weighted by lcm / scale; with no artificial,
-    # the cost row is zero and phase 1 ends at once.
-    cost = [0] * (num_cols + 1)
-    art_scales = [scale for r, (_, scale) in enumerate(ge_rows) if needs_art[r]]
-    if art_scales:
-        phase1_scale = lcm(*art_scales)
+    basic = [n + r for r in range(m)]
+    nonbasic = [*range(n), *[n + r for r in art_rows]]
+    d = 1
+    if art_rows:
+        for t, r in enumerate(art_rows):
+            basic[r] = art_start + t
+            rows[r] = [-v for v in rows[r]]
         for r, line in enumerate(rows):
-            if needs_art[r]:
-                w = phase1_scale // ge_rows[r][1]
-                for j in range(art_start):
-                    if line[j]:
-                        cost[j] -= w * line[j]
-                cost[-1] -= w * line[-1]
-    entering, d = _run_simplex(rows, cost, basis, num_cols, 1)
-    if entering is not None:
-        raise RuntimeError("phase 1 cannot be unbounded")
-    if cost[-1] < 0:
-        outcome: LpOutcome = Infeasible()
-        _verify(lp, outcome)
-        return outcome
+            line[n:n] = [-1 if s == r else 0 for s in art_rows]
 
-    # Drive leftover artificials (basic at zero) out of the basis.  Every
-    # row has its own surplus column, so the non-artificial columns have
-    # full row rank and such a row always has a nonzero entry among them.
-    for r in range(len(rows) - 1, -1, -1):
-        if basis[r] >= art_start:
-            pivot_col = next(
-                (j for j in range(art_start) if rows[r][j] != 0), None
-            )
-            if pivot_col is None:
-                raise RuntimeError("no pivot column for a leftover artificial")
-            d = _pivot(rows, cost, basis, r, pivot_col, d)
+        # Phase 1: minimise the sum of the rational rows' artificials.  The
+        # integer artificial of row r is the rational one times the row's
+        # scale, so the costs are weighted by lcm / scale.
+        phase1_scale = lcm(*[scales[r] for r in art_rows])
+        cost = [0] * (len(nonbasic) + 1)
+        for r in art_rows:
+            w = phase1_scale // scales[r]
+            cost = [a - w * v for a, v in zip(cost, rows[r])]
+        rows.append(cost)
+        entering, d = _run_simplex(rows, basic, nonbasic, d)
+        if entering is not None:
+            raise RuntimeError("phase 1 cannot be unbounded")
+        if rows.pop()[-1] < 0:
+            return Infeasible()
 
-    # Phase 2: drop artificial columns, rebuild the reduced-cost row for
-    # the real objective as numerators over d (c_j * d minus the basic
-    # costs times the column), and reoptimise.
-    rows = [line[:art_start] + line[-1:] for line in rows]
-    num_cols = art_start
-    cost = [c * d for c in objective] + [0] * (m + 1)
-    for i, b in enumerate(basis):
-        f = objective[b] if b < n else 0
+        # Drive leftover artificials (basic at zero) out of the basis: every
+        # row has its own surplus, so the non-artificial columns have full
+        # row rank, and the smallest label with a nonzero in the row enters.
+        for r in range(m - 1, -1, -1):
+            if basic[r] >= art_start:
+                row = rows[r]
+                candidates = [
+                    (label, j)
+                    for j, label in enumerate(nonbasic)
+                    if label < art_start and row[j]
+                ]
+                if not candidates:
+                    raise RuntimeError("no pivot column for a leftover artificial")
+                d = _pivot(rows, basic, nonbasic, r, min(candidates)[1], d)
+
+        # Drop the artificial columns, now all nonbasic.
+        keep = [j for j, label in enumerate(nonbasic) if label < art_start]
+        if len(keep) < len(nonbasic):
+            nonbasic = [nonbasic[j] for j in keep]
+            keep.append(-1)
+            rows = [[row[j] for j in keep] for row in rows]
+
+    # Phase 2: the reduced-cost row of the real objective as numerators
+    # over d (c_j * d minus the basic costs times the column).
+    costs = [-c for c in objective] if lp.maximize else objective
+    cost = [costs[label] * d if label < n else 0 for label in nonbasic] + [0]
+    for b, row in zip(basic, rows):
+        f = costs[b] if b < n else 0
         if f:
-            cost = [a - f * v for a, v in zip(cost, rows[i])]
+            cost = [a - f * v for a, v in zip(cost, row)]
+    rows.append(cost)
+    entering, d = _run_simplex(rows, basic, nonbasic, d)
+    cost = rows.pop()
 
-    entering, d = _run_simplex(rows, cost, basis, num_cols, d)
-
-    point_num = [0] * n
-    for i, b in enumerate(basis):
+    point = [0] * n
+    for b, row in zip(basic, rows):
         if b < n:
-            point_num[b] = rows[i][-1]
-    zero = Fraction(0)
-    point = tuple(Fraction(v, d) if v else zero for v in point_num)
+            point[b] = row[-1]
 
     if entering is not None:
         # Along the ray the entering variable grows by one unit of the
         # rational tableau; a surplus column is stretched by its row's
         # scale, so its integer column is multiplied back by that scale.
-        stretch = 1 if entering < n else ge_rows[entering - n][1]
-        ray_num = [0] * n
-        if entering < n:
-            ray_num[entering] = d
-        for i, b in enumerate(basis):
+        label = nonbasic[entering]
+        stretch = 1 if label < n else scales[label - n]
+        ray = [0] * n
+        if label < n:
+            ray[label] = d
+        for b, row in zip(basic, rows):
             if b < n:
-                ray_num[b] = -rows[i][entering] * stretch
-        outcome = Unbounded(
-            point=point, ray=tuple(Fraction(v, d) if v else zero for v in ray_num)
-        )
-        _verify(lp, outcome)
-        return outcome
+                ray[b] = -row[entering] * stretch
+        _check(inputs, objective, obj_scale, lp.maximize, point, d, ray=ray)
+        return Unbounded(point=_fractions(point, d), ray=_fractions(ray, d))
 
     # cost[-1] is minus d * obj_scale times the minimised objective.
-    value = Fraction(cost[-1] if lp.maximize else -cost[-1], d * obj_scale)
+    den = d * obj_scale
+    value = cost[-1] if lp.maximize else -cost[-1]
+    _check(inputs, objective, obj_scale, lp.maximize, point, d, value=(value, den))
     row_duals = None
     if pure_ge:
         # The dual value of row r is the reduced cost of its rational
-        # surplus column: the integer one times the row's scale, over
-        # d * obj_scale.
-        den = d * obj_scale
+        # surplus column (0 while basic): the integer one times the row's
+        # scale, over d * obj_scale.
+        reduced = dict(zip(nonbasic, cost))
         row_duals = tuple(
-            Fraction(cost[n + r] * ge_rows[r][1], den) for r in range(m)
+            Fraction(reduced.get(n + r, 0) * scales[r], den) for r in range(m)
         )
-    outcome = Optimal(point=point, value=value, row_duals=row_duals)
-    _verify(lp, outcome)
-    return outcome
+    return Optimal(
+        point=_fractions(point, d), value=Fraction(value, den), row_duals=row_duals
+    )
 
 
 def feasible(

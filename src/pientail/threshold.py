@@ -75,10 +75,17 @@ class ThresholdBracket:
 
 @dataclass(frozen=True)
 class _RatioRow:
-    """Premise index sets of one signature: who is witnessed, who is covered."""
+    """One signature over the premises: the status code of each."""
 
-    witnessed: tuple[int, ...]
-    covered: tuple[int, ...]
+    codes: tuple[int, ...]
+
+    @property
+    def witnessed(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.codes) if c == _WITNESSED)
+
+    @property
+    def covered(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.codes) if c != _NOT_COVERED)
 
 
 def _ratio_rows(
@@ -113,10 +120,7 @@ def _project_ratio_rows(
     """
     eligible = [row for row in rows if row.codes[0] == _NOT_COVERED]
     return [
-        _RatioRow(
-            witnessed=tuple(i for i, c in enumerate(row.codes) if c == _WITNESSED),
-            covered=tuple(i for i, c in enumerate(row.codes) if c != _NOT_COVERED),
-        )
+        _RatioRow(row.codes)
         for row in _project_rows(eligible, [i + 1 for i in indices])
     ]
 
@@ -125,21 +129,14 @@ def _cone_program(rows: list[_RatioRow], k: int, gamma: Fraction) -> lp.LinearPr
     """The cone program of ``_feasible``: maximise the sum of ``lambda``
     subject to ``witnessed - gamma * covered <= 0`` on every row, each row
     times the denominator of ``gamma`` so that its cells are integers."""
-    _, violated, witnessed = _integer_weights(gamma)
-    constraints = []
-    for row in rows:
-        coeffs = [0] * k
-        for i in row.covered:
-            coeffs[i] = violated
-        for i in row.witnessed:
-            coeffs[i] = witnessed
-        constraints.append(
-            lp.Constraint(coeffs=tuple(coeffs), relation=lp.Relation.LE, rhs=0)
-        )
+    weight = _integer_weights(gamma).__getitem__
     return lp.LinearProgram(
         num_vars=k,
         objective=(1,) * k,
-        constraints=tuple(constraints),
+        constraints=tuple(
+            lp.Constraint(tuple(map(weight, row.codes)), lp.Relation.LE, 0)
+            for row in rows
+        ),
         maximize=True,
     )
 

@@ -35,6 +35,17 @@ def make_query(premises_text: str, conclusion_text: str, gamma) -> pt.Entailment
     )
 
 
+def status_weights(gamma: Fraction) -> dict[pt.CoverStatus, Fraction]:
+    """The constraint weight of each cover status at ``gamma``: the rational
+    reference for the library's integer weights, which are these times the
+    denominator of ``gamma``."""
+    return {
+        pt.CoverStatus.WITNESSED: 1 - gamma,
+        pt.CoverStatus.VIOLATED: -gamma,
+        pt.CoverStatus.NOT_COVERED: Fraction(0),
+    }
+
+
 def nonempty_subsets(k: int) -> list[tuple[int, ...]]:
     """Every nonempty subset of ``range(k)`` as an index tuple, in
     increasing bitmask order."""

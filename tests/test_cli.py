@@ -317,3 +317,42 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "entailment holds" in proc.stdout
+
+
+class TestParserReuse:
+    def test_repeated_calls_give_identical_results(self, pair_file, cycle_file, capsys):
+        """``run`` builds its parser on the first call and reuses it.  One
+        call per subcommand, a usage error and two help requests, made twice
+        in a row, give the same stdout and exit codes both times, and no
+        option of one call leaks into the next."""
+        from pientail import cli
+
+        entail = ["entail", "--gamma", "1/2", "--premises", pair_file,
+                  "--conclusion", "A C D -> B"]
+        calls = [
+            [*entail, "--json"],
+            entail,
+            ["counterexample", "--gamma", "1/4", "--premises", pair_file,
+             "--conclusion", "A C D -> B", "--json"],
+            ["gamma-star", "--premises", cycle_file, "--antecedent", "B C D H",
+             "--tol", "1/1000", "--json"],
+            ["nice", "--premises", cycle_file],
+            ["prune", "--gamma", "1/2", "--rules", pair_file, "--json"],
+            [*entail, "--method", "bogus"],
+            ["--help"],
+            ["gamma-star", "--help"],
+        ]
+
+        def one_round():
+            results = []
+            for argv in calls:
+                code = run(argv)
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        first = one_round()
+        assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+        assert first[0][1].startswith("{") and not first[1][1].startswith("{")
+        assert one_round() == first
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import pientail as pt
-from conftest import make_query
+from conftest import make_query, status_weights
 
 
 def verify_verdict(query, verdict):
@@ -290,14 +290,10 @@ class TestCertificates:
         """The integer check reports the same first broken row, with the
         same ``lhs`` and ``rhs``, as a check in ``Fraction`` arithmetic over
         the rows in enumeration order."""
-        from pientail.entailment import (
-            CertificateViolation,
-            _query_rows,
-            _status_weights,
-        )
+        from pientail.entailment import CertificateViolation, _query_rows
 
         def reference(query, lams):
-            weight = _status_weights(query.gamma)
+            weight = status_weights(query.gamma)
             for row in _query_rows(query, 20):
                 rhs = weight[row.statuses[0]]
                 lhs = sum(

@@ -1,12 +1,14 @@
 """Exact simplex: outcomes, witnesses, duality, termination, and agreement
-with the Fraction tableau the integer one replaced."""
+(outcomes and pivot paths) with the full Fraction tableau that the condensed
+integer one replaced."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import nonempty_subsets
+from conftest import nonempty_subsets, status_weights
 from pientail import lp
 
 
@@ -181,10 +183,10 @@ class TestDuality:
     def test_entailment_dual_is_feasible_on_worked_example(self, pair_query):
         """The multiplier system of the shared-antecedent example admits
         (1/2, 1/2) at threshold 1/2; build its rows directly and check."""
-        from pientail.entailment import _query_rows, _status_weights
+        from pientail.entailment import _query_rows
 
         rows = _query_rows(pair_query, 20)
-        weight = _status_weights(pair_query.gamma)
+        weight = status_weights(pair_query.gamma)
         constraints = []
         for row in rows:
             coeffs = tuple(weight[s] for s in row.statuses[1:])
@@ -231,9 +233,11 @@ class TestTermination:
 
 # --- reference: the dense Fraction simplex that ``lp.solve`` replaced ------
 #
-# The same column layout, start basis and Bland's rule as ``lp.solve``, with
-# every tableau entry a ``Fraction``.  The integer tableau is the common
-# denominator times this one, so both must return identical outcomes.
+# The same labels, start basis and Bland's rule as ``lp.solve``, with every
+# column of the tableau kept (a column's index is its label) and every entry
+# a ``Fraction``.  The condensed integer tableau holds the nonbasic columns
+# of this one times the common denominator, so both must take the same
+# pivots and return identical outcomes.
 
 
 def _reference_pivot(rows, cost, basis, r, c):
@@ -468,15 +472,15 @@ class TestIntegerTableau:
         pivots = []
         real_pivot = lp._pivot
 
-        def spy(rows, cost, basis, r, c, d):
-            pivots.append((rows[r][c], basis[r]))
-            return real_pivot(rows, cost, basis, r, c, d)
+        def spy(rows, basic, nonbasic, r, c, d):
+            pivots.append((rows[r][c], basic[r]))
+            return real_pivot(rows, basic, nonbasic, r, c, d)
 
         monkeypatch.setattr(lp, "_pivot", spy)
         row = lp.Constraint((F(1),), lp.Relation.EQ, F(1))
         program = lp.LinearProgram(1, (F(1),), (row, row))
         out = lp.solve(program)
-        # four >= rows, so columns 5 and 6 are the two artificials
+        # four >= rows, so labels 5 and 6 are the two artificials
         assert any(p < 0 and basic >= 5 for p, basic in pivots)
         assert isinstance(out, lp.Optimal)
         assert out.point == (F(1),)
@@ -493,6 +497,73 @@ class TestIntegerTableau:
         ):
             with pytest.raises(TypeError):
                 lp.solve(program)
+
+
+def _pivot_paths(program, monkeypatch):
+    """The (entering label, leaving label) pivots of ``lp.solve`` and of
+    ``reference_solve`` on ``program``, whose full tableau labels each
+    column by its index."""
+    kernel, reference = [], []
+    real_pivot, real_reference = lp._pivot, _reference_pivot
+
+    def spy(rows, basic, nonbasic, r, c, d):
+        kernel.append((nonbasic[c], basic[r]))
+        return real_pivot(rows, basic, nonbasic, r, c, d)
+
+    def reference_spy(rows, cost, basis, r, c):
+        reference.append((c, basis[r]))
+        return real_reference(rows, cost, basis, r, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_pivot", spy)
+        patch.setattr(sys.modules[__name__], "_reference_pivot", reference_spy)
+        lp.solve(program)
+        reference_solve(program)
+    return kernel, reference
+
+
+class TestPivotPath:
+    """The condensed tableau takes exactly the pivots of the full one, not
+    only the same outcome."""
+
+    def test_seeded_programs(self, monkeypatch):
+        pivots = 0
+        for program in _seeded_programs(seed=2024, count=600):
+            kernel, reference = _pivot_paths(program, monkeypatch)
+            assert kernel == reference
+            pivots += len(kernel)
+        assert pivots >= 1000
+
+    def test_cycle_probes(self, monkeypatch, cycle_premises, cycle_antecedent):
+        """Every bisection probe of a tolerance 1e-6 bracket, on the paper's
+        cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5."""
+        import pientail as pt
+
+        cases = [(cycle_premises, cycle_antecedent)]
+        for length in (3, 4, 5):
+            rules = pt.parse_rules(
+                "\n".join(f"x{i} -> A x{(i + 1) % length}" for i in range(length))
+            )
+            names = [f"x{i}" for i in range(length)]
+            cases.append((rules, rules.universe.attrs(*names)))
+        for premises, antecedent in cases:
+            programs = []
+            real_solve = lp.solve
+
+            def record(program):
+                programs.append(program)
+                return real_solve(program)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "solve", record)
+                pt.critical_threshold(premises, antecedent, tolerance=F(1, 10**6))
+            assert len(programs) == 22
+            pivots = 0
+            for program in programs:
+                kernel, reference = _pivot_paths(program, monkeypatch)
+                assert kernel == reference
+                pivots += len(kernel)
+            assert pivots >= 22
 
 
 class TestVerification:
@@ -539,9 +610,7 @@ class TestVerification:
 def _rational_decide_program(rows, gamma, k):
     """The ``decide_lp`` program in rational weights ``1 - g``, ``-g`` and
     0, as it was built before its cells became integers."""
-    from pientail.entailment import _status_weights
-
-    weight = _status_weights(gamma)
+    weight = status_weights(gamma)
     weights = [[weight[s] for s in row.statuses] for row in rows]
     return lp.LinearProgram(
         num_vars=len(rows),

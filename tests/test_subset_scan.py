@@ -252,3 +252,19 @@ def test_single_premise_scan_is_linear_in_the_eligible_premises():
     verdict = pt.decide_low_gamma(query)
     assert (verdict.holds, verdict.regime) == (False, pt.Regime.LOW_GAMMA)
     assert time.perf_counter() - start < SCAN_BUDGET_S
+
+
+def test_scan_ends_when_no_subset_can_cover_the_antecedent():
+    """24 copies of ``A -> C`` against ``A B -> C`` at ``(k-1)/k``: every
+    premise is eligible and no span covers ``B``, so no subset can carry the
+    conclusion.  The scan must see that from the union of all spans instead
+    of walking the ``2**24`` submasks, and AUTO must give the LP verdict."""
+    k = 24
+    query = make_query("A -> C\n" * k, "A B -> C", F(k - 1, k))
+    start = time.perf_counter()
+    assert list(_carrying_subsets(query)) == []
+    auto = pt.decide(query)
+    assert time.perf_counter() - start < 2.0
+    lp = pt.decide(query, pt.Method.LP)
+    assert auto.regime is pt.Regime.HIGH_GAMMA and not auto.holds
+    assert (auto.holds, auto.counterexample) == (lp.holds, lp.counterexample)
