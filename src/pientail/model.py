@@ -40,8 +40,10 @@ def as_rational(value: Fraction | int | str) -> Fraction:
 
     Floats are rejected rather than converted: a binary float that "looks
     like" 0.57 is not 57/100, and silently accepting it would poison every
-    exact comparison downstream.
+    exact comparison downstream.  A ``Fraction`` is returned as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}; pass a Fraction, int, or string "
@@ -370,7 +372,8 @@ def satisfies(
 
     True when the antecedent never occurs, or when the fraction of
     antecedent-carrying transactions that also carry the consequent is at
-    least ``gamma``.  Computed with exact arithmetic.
+    least ``gamma``.  Computed in integers: with ``gamma = p/q``, the
+    fraction ``both / ante`` is compared as ``both * q >= p * ante``.
     """
     g = as_rational(gamma)
     if not 0 <= g <= 1:
@@ -381,4 +384,4 @@ def satisfies(
     if ante == 0:
         return True
     both = support(dataset, implication.span)
-    return Fraction(both, ante) >= g
+    return both * g.denominator >= g.numerator * ante

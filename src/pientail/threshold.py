@@ -151,13 +151,9 @@ def _feasible(rows: list[_RatioRow], k: int, gamma: Fraction) -> tuple[Fraction,
     """
     outcome = lp.solve(_cone_program(rows, k, gamma))
     if isinstance(outcome, lp.Optimal):
-        if outcome.value != 0:
-            raise RuntimeError("cone program with a nonzero optimum")
         return None
-    if not isinstance(outcome, lp.Unbounded):
-        raise RuntimeError("the cone program always has the origin")
     total = sum(outcome.ray)
-    return tuple(v / total for v in outcome.ray)
+    return tuple(v / total if v else v for v in outcome.ray)
 
 
 def feasible_at(

@@ -1,19 +1,27 @@
-"""Exact simplex: outcomes, witnesses, duality, termination, and agreement
-(outcomes and pivot paths) with the full Fraction tableau that the condensed
-integer one replaced."""
+"""Exact simplex: the homogeneous integer kernel ``lp.solve`` and the
+general two-phase simplex kept in ``general_simplex`` as the reference for
+mixed programs.  Outcomes, witnesses, duality, termination, agreement
+(outcomes and pivot paths) with the full Fraction tableau, and the seam the
+benchmark tracer binds."""
 
+import math
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import general_simplex as general
 from conftest import nonempty_subsets, status_weights
 from pientail import lp
 
 
 def ge(coeffs, rhs=0):
     return lp.Constraint(tuple(F(c) for c in coeffs), lp.Relation.GE, F(rhs))
+
+
+def int_ge(coeffs):
+    return lp.Constraint(tuple(coeffs), lp.Relation.GE, 0)
 
 
 class TestOutcomes:
@@ -24,7 +32,7 @@ class TestOutcomes:
             objective=(F(1), F(1)),
             constraints=(ge([1, 1], 2), ge([1, -1], 0)),
         )
-        out = lp.solve(prog)
+        out = general.solve(prog)
         assert isinstance(out, lp.Optimal)
         assert out.value == 2
         assert sum(out.point) == 2
@@ -32,12 +40,13 @@ class TestOutcomes:
     def test_unbounded_with_ray(self):
         # min -x  s.t.  x - y >= 0 is unbounded along (1, 1) or (1, 0)
         prog = lp.LinearProgram(
-            num_vars=2, objective=(F(-1), F(0)), constraints=(ge([1, -1]),)
+            num_vars=2, objective=(-1, 0), constraints=(int_ge([1, -1]),)
         )
-        out = lp.solve(prog)
-        assert isinstance(out, lp.Unbounded)
-        assert out.ray[0] > 0
-        assert out.ray[0] - out.ray[1] >= 0
+        for solve in (lp.solve, general.solve):
+            out = solve(prog)
+            assert isinstance(out, lp.Unbounded)
+            assert out.ray[0] > 0
+            assert out.ray[0] - out.ray[1] >= 0
 
     def test_infeasible(self):
         # x >= 1 and -x >= 0 cannot both hold with x >= 0
@@ -46,7 +55,7 @@ class TestOutcomes:
             objective=(F(0),),
             constraints=(ge([1], 1), ge([-1], 0)),
         )
-        assert isinstance(lp.solve(prog), lp.Infeasible)
+        assert isinstance(general.solve(prog), general.Infeasible)
 
     def test_equality_and_le_rows(self):
         # max x + y  s.t.  x + y = 1, x <= 1/3
@@ -59,15 +68,15 @@ class TestOutcomes:
             ),
             maximize=True,
         )
-        out = lp.solve(prog)
+        out = general.solve(prog)
         assert isinstance(out, lp.Optimal)
         assert out.value == 1
 
     def test_zero_variable_edge_cases(self):
         sat = lp.LinearProgram(0, (), (lp.Constraint((), lp.Relation.GE, F(-1)),))
-        assert isinstance(lp.solve(sat), lp.Optimal)
+        assert isinstance(general.solve(sat), lp.Optimal)
         unsat = lp.LinearProgram(0, (), (lp.Constraint((), lp.Relation.GE, F(1)),))
-        assert isinstance(lp.solve(unsat), lp.Infeasible)
+        assert isinstance(general.solve(unsat), general.Infeasible)
 
     def test_mixed_sign_right_hand_sides(self):
         # min x + 2y  s.t.  x + y >= 2 (needs an artificial),
@@ -77,7 +86,7 @@ class TestOutcomes:
             objective=(F(1), F(2)),
             constraints=(ge([1, 1], 2), ge([-1, 1], -1), ge([1, -1], 0)),
         )
-        out = lp.solve(prog)
+        out = general.solve(prog)
         assert isinstance(out, lp.Optimal)
         assert out.point == (F(3, 2), F(1, 2))
         assert out.value == F(5, 2)
@@ -90,12 +99,12 @@ class TestOutcomes:
             objective=(F(1), F(1)),
             constraints=(ge([1, 1], 3), ge([-1, 0], 0), ge([0, -1], -1)),
         )
-        assert isinstance(lp.solve(prog), lp.Infeasible)
+        assert isinstance(general.solve(prog), general.Infeasible)
 
     def test_feasible_helper(self):
-        point = lp.feasible([lp.Constraint((F(1),), lp.Relation.EQ, F(1))], 1)
+        point = general.feasible([lp.Constraint((F(1),), lp.Relation.EQ, F(1))], 1)
         assert point == (F(1),)
-        assert lp.feasible([ge([-1], 1)], 1) is None
+        assert general.feasible([ge([-1], 1)], 1) is None
 
 
 class TestDuality:
@@ -130,8 +139,8 @@ class TestDuality:
                 ),
                 maximize=True,
             )
-            pout = lp.solve(primal)
-            dout = lp.solve(dual)
+            pout = general.solve(primal)
+            dout = general.solve(dual)
             if isinstance(pout, lp.Optimal):
                 assert isinstance(dout, lp.Optimal)
                 assert pout.value == dout.value
@@ -142,17 +151,15 @@ class TestDuality:
                 assert sum(bi * yi for bi, yi in zip(b, y)) == pout.value
                 both_optimal += 1
             elif isinstance(pout, lp.Unbounded):
-                assert isinstance(dout, lp.Infeasible)
+                assert isinstance(dout, general.Infeasible)
         assert both_optimal >= 40  # the sample is not degenerate
 
     def test_homogeneous_optimum_has_feasible_duals(self):
-        """Homogeneous programs start from the surplus basis with no phase 1;
-        a bounded one has optimum 0 at the origin's value, and its row
+        """The kernel starts from the surplus basis with no phase 1; a
+        bounded program has optimum 0 at the origin's value, and its row
         duals must still solve the dual system A^T y <= c, y >= 0."""
         # min x - y  s.t.  x - y >= 0: the single dual value is forced to 1
-        out = lp.solve(
-            lp.LinearProgram(2, (F(1), F(-1)), (ge([1, -1]),))
-        )
+        out = lp.solve(lp.LinearProgram(2, (1, -1), (int_ge([1, -1]),)))
         assert isinstance(out, lp.Optimal)
         assert out.value == 0
         assert out.row_duals == (F(1),)
@@ -161,16 +168,16 @@ class TestDuality:
         optimal = 0
         for _ in range(200):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
-            A = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-            c = [F(rng.randint(-2, 3)) for _ in range(n)]
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            c = [rng.randint(-2, 3) for _ in range(n)]
             out = lp.solve(
                 lp.LinearProgram(
                     num_vars=n,
                     objective=tuple(c),
-                    constraints=tuple(ge(row) for row in A),
+                    constraints=tuple(int_ge(row) for row in A),
                 )
             )
-            assert not isinstance(out, lp.Infeasible)
+            assert isinstance(out, (lp.Optimal, lp.Unbounded))
             if isinstance(out, lp.Optimal):
                 assert out.value == 0
                 y = out.row_duals
@@ -192,7 +199,7 @@ class TestDuality:
             coeffs = tuple(weight[s] for s in row.statuses[1:])
             rhs = weight[row.statuses[0]]
             constraints.append(lp.Constraint(coeffs, lp.Relation.LE, rhs))
-        point = lp.feasible(constraints, 2)
+        point = general.feasible(constraints, 2)
         assert point is not None
 
 
@@ -200,7 +207,10 @@ class TestTermination:
     def test_degenerate_programs_terminate_and_verify(self):
         """Duplicated rows and zero right-hand sides force degenerate
         pivots; Bland's rule must still terminate, and the built-in
-        substitution check validates every witness."""
+        substitution check validates every witness.  The general solver
+        takes every program; the kernel takes the homogeneous >= and <=
+        rows of each, times 2 so that its cells are integers, and must
+        return the outcome of the Fraction reference."""
         rng = random.Random(7)
 
         def coef():
@@ -222,7 +232,20 @@ class TestTermination:
                 constraints=tuple(constraints),
                 maximize=rng.random() < 0.5,
             )
-            lp.solve(prog)  # raises if any witness fails re-verification
+            general.solve(prog)  # raises if any witness fails re-verification
+            homogeneous = lp.LinearProgram(
+                num_vars=n,
+                objective=tuple(int(2 * c) for c in prog.objective),
+                constraints=tuple(
+                    lp.Constraint(tuple(int(2 * c) for c in row.coeffs), row.relation, 0)
+                    for row in constraints
+                    if row.relation is not lp.Relation.EQ
+                ),
+                maximize=prog.maximize,
+            )
+            assert _outcome_key(lp.solve(homogeneous)) == _outcome_key(
+                reference_solve(homogeneous)
+            )
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -231,13 +254,14 @@ class TestTermination:
             lp.LinearProgram(1, (F(1),), (ge([1, 2], 0),))
 
 
-# --- reference: the dense Fraction simplex that ``lp.solve`` replaced ------
+# --- reference: the dense Fraction simplex ---------------------------------
 #
-# The same labels, start basis and Bland's rule as ``lp.solve``, with every
-# column of the tableau kept (a column's index is its label) and every entry
-# a ``Fraction``.  The condensed integer tableau holds the nonbasic columns
-# of this one times the common denominator, so both must take the same
-# pivots and return identical outcomes.
+# The same labels, start basis and Bland's rule as ``lp.solve`` and
+# ``general_simplex.solve``, with every column of the tableau kept (a
+# column's index is its label) and every entry a ``Fraction``.  The condensed
+# integer tableaux hold the nonbasic columns of this one times the common
+# denominator, so all three must take the same pivots and return identical
+# outcomes.
 
 
 def _reference_pivot(rows, cost, basis, r, c):
@@ -324,7 +348,7 @@ def reference_solve(program):
     if _reference_run_simplex(rows, cost, basis, num_cols) is not None:
         raise RuntimeError("phase 1 cannot be unbounded")
     if -cost[-1] > 0:
-        return lp.Infeasible()
+        return general.Infeasible()
     for r in range(len(rows) - 1, -1, -1):
         if basis[r] >= art_start:
             pivot_col = next(j for j in range(art_start) if rows[r][j] != 0)
@@ -361,8 +385,37 @@ def _outcome_key(outcome):
     return fields
 
 
+def _integer_cells(program):
+    """``program`` with each row, and the objective, times the least common
+    multiple of its denominators: the same pivots, with ``int`` cells."""
+
+    def scaled(values):
+        values = [F(v) for v in values]
+        scale = math.lcm(*[v.denominator for v in values])
+        return tuple(int(v * scale) for v in values)
+
+    constraints = []
+    for row in program.constraints:
+        *coeffs, rhs = scaled((*row.coeffs, row.rhs))
+        constraints.append(lp.Constraint(tuple(coeffs), row.relation, rhs))
+    return lp.LinearProgram(
+        program.num_vars,
+        scaled(program.objective),
+        tuple(constraints),
+        program.maximize,
+    )
+
+
+def _homogeneous_shapes(programs):
+    """The programs of shapes 0 and 1 of ``_seeded_programs`` (the shapes
+    the library builds) with ``int`` cells, the kernel's input."""
+    for index, program in enumerate(programs):
+        if index % 5 < 2:
+            yield _integer_cells(program)
+
+
 def _seeded_programs(seed, count):
-    """Programs of every shape ``lp.solve`` meets, in turn: the homogeneous
+    """Programs of every shape the solvers meet, in turn: the homogeneous
     ``decide_lp`` shape (weights ``1 - g``, ``-g``, 0 in >= rows,
     minimised), the cone shape of critical-threshold probes (``<= 0`` rows,
     sum maximised), zero-objective feasibility over rows through a known
@@ -456,30 +509,37 @@ def _seeded_programs(seed, count):
 
 class TestIntegerTableau:
     def test_matches_the_fraction_reference(self):
-        """The integer tableau is the common denominator times the Fraction
-        one, so on every program the outcome type, point, ray, value and
-        row duals are identical."""
+        """The integer tableaux are the common denominator times the
+        Fraction one, so the outcome type, point, ray, value and row duals
+        are identical: the general solver's on every program, the kernel's
+        on every homogeneous one."""
         seen = {"Optimal": 0, "Unbounded": 0, "Infeasible": 0}
         for program in _seeded_programs(seed=2024, count=600):
-            out = lp.solve(program)
+            out = general.solve(program)
             assert _outcome_key(out) == _outcome_key(reference_solve(program))
             seen[type(out).__name__] += 1
         assert min(seen.values()) >= 100  # every outcome is well represented
+        seen = {"Optimal": 0, "Unbounded": 0}
+        for program in _homogeneous_shapes(_seeded_programs(seed=2024, count=600)):
+            out = lp.solve(program)
+            assert _outcome_key(out) == _outcome_key(reference_solve(program))
+            seen[type(out).__name__] += 1
+        assert min(seen.values()) >= 80
 
     def test_negative_pivot_drives_out_a_leftover_artificial(self, monkeypatch):
         """``x1 = 1`` stated twice leaves an artificial basic at zero after
         phase 1, and driving it out pivots on a negative entry."""
         pivots = []
-        real_pivot = lp._pivot
+        real_pivot = general._pivot
 
         def spy(rows, basic, nonbasic, r, c, d):
             pivots.append((rows[r][c], basic[r]))
             return real_pivot(rows, basic, nonbasic, r, c, d)
 
-        monkeypatch.setattr(lp, "_pivot", spy)
+        monkeypatch.setattr(general, "_pivot", spy)
         row = lp.Constraint((F(1),), lp.Relation.EQ, F(1))
         program = lp.LinearProgram(1, (F(1),), (row, row))
-        out = lp.solve(program)
+        out = general.solve(program)
         # four >= rows, so labels 5 and 6 are the two artificials
         assert any(p < 0 and basic >= 5 for p, basic in pivots)
         assert isinstance(out, lp.Optimal)
@@ -495,16 +555,93 @@ class TestIntegerTableau:
             lp.LinearProgram(1, one, (lp.Constraint(one, lp.Relation.LE, 0.5),)),
             lp.LinearProgram(1, (1.0,), (lp.Constraint(one, lp.Relation.GE, F(0)),)),
         ):
-            with pytest.raises(TypeError):
+            for solve in (lp.solve, general.solve):
+                with pytest.raises(TypeError):
+                    solve(program)
+
+
+class TestKernelContract:
+    """``lp.solve`` takes homogeneous >= and <= rows with ``int`` cells, and
+    checks each ray it returns on its own."""
+
+    def test_nonzero_right_hand_side_or_equality_row_is_refused(self):
+        for row in (
+            lp.Constraint((1, 1), lp.Relation.GE, 1),
+            lp.Constraint((1, 1), lp.Relation.LE, -2),
+            lp.Constraint((1, -1), lp.Relation.EQ, 0),
+        ):
+            program = lp.LinearProgram(2, (1, 1), (int_ge([1, 0]), row))
+            with pytest.raises(ValueError):
                 lp.solve(program)
 
+    def test_non_int_cells_are_refused(self):
+        for cell in (0.5, 1.0, F(1, 2), F(1)):
+            for program in (
+                lp.LinearProgram(2, (1, cell), (int_ge([1, 1]),)),
+                lp.LinearProgram(2, (1, 1), (int_ge([1, cell]),)),
+                lp.LinearProgram(2, (1, 1), (lp.Constraint((1, 1), lp.Relation.LE, cell),)),
+            ):
+                with pytest.raises(TypeError):
+                    lp.solve(program)
 
-def _pivot_paths(program, monkeypatch):
-    """The (entering label, leaving label) pivots of ``lp.solve`` and of
-    ``reference_solve`` on ``program``, whose full tableau labels each
-    column by its index."""
+    def test_every_returned_ray_is_checked(self, monkeypatch):
+        checked = []
+        real_check = lp._check_ray
+
+        def spy(program, ray):
+            checked.append((program, dict(ray)))
+            return real_check(program, ray)
+
+        monkeypatch.setattr(lp, "_check_ray", spy)
+        rays = []
+        for program in _homogeneous_shapes(_seeded_programs(seed=2024, count=100)):
+            out = lp.solve(program)
+            if isinstance(out, lp.Unbounded):
+                rays.append((program, out.ray))
+        assert len(rays) >= 10
+        assert [p for p, _ in checked] == [p for p, _ in rays]
+        for (_, numerators), (_, ray) in zip(checked, rays):
+            # the checked numerators are the returned ray up to a positive factor
+            total, scale = sum(ray), sum(numerators.values())
+            assert {j: v / total for j, v in enumerate(ray) if v} == {
+                j: F(v, scale) for j, v in numerators.items() if v
+            }
+
+    def test_corrupted_rays_are_caught(self):
+        # min -x - y  s.t.  x - y >= 0, and max x + y  s.t.  y - x <= 0
+        for program in (
+            lp.LinearProgram(2, (-1, -1), (int_ge([1, -1]),)),
+            lp.LinearProgram(
+                2, (1, 1), (lp.Constraint((-1, 1), lp.Relation.LE, 0),), maximize=True
+            ),
+        ):
+            out = lp.solve(program)
+            assert isinstance(out, lp.Unbounded)
+            ray = {j: v for j, v in enumerate(out.ray) if v}
+            lp._check_ray(program, ray)
+            for bad, message in (
+                ({0: 1, 1: -1}, "invalid ray"),
+                ({}, "invalid ray"),
+                ({0: 0, 1: 0}, "invalid ray"),
+                ({0: 1, 1: 2}, "escapes the feasible cone"),
+                ({1: 1}, "escapes the feasible cone"),
+            ):
+                with pytest.raises(RuntimeError, match=message):
+                    lp._check_ray(program, bad)
+        # min x - y  s.t.  x >= 0 and y >= 0 rows: (1, 0) stays in the cone
+        # and does not improve
+        program = lp.LinearProgram(2, (1, -1), (int_ge([1, 0]), int_ge([0, 1])))
+        with pytest.raises(RuntimeError, match="does not improve"):
+            lp._check_ray(program, {0: 1})
+        lp._check_ray(program, {1: 3})
+
+
+def _pivot_paths(program, monkeypatch, solver=lp):
+    """The (entering label, leaving label) pivots of ``solver.solve`` (the
+    kernel or the general solver) and of ``reference_solve`` on
+    ``program``, whose full tableau labels each column by its index."""
     kernel, reference = [], []
-    real_pivot, real_reference = lp._pivot, _reference_pivot
+    real_pivot, real_reference = solver._pivot, _reference_pivot
 
     def spy(rows, basic, nonbasic, r, c, d):
         kernel.append((nonbasic[c], basic[r]))
@@ -515,24 +652,30 @@ def _pivot_paths(program, monkeypatch):
         return real_reference(rows, cost, basis, r, c)
 
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_pivot", spy)
+        patch.setattr(solver, "_pivot", spy)
         patch.setattr(sys.modules[__name__], "_reference_pivot", reference_spy)
-        lp.solve(program)
+        solver.solve(program)
         reference_solve(program)
     return kernel, reference
 
 
 class TestPivotPath:
-    """The condensed tableau takes exactly the pivots of the full one, not
+    """The condensed tableaux take exactly the pivots of the full one, not
     only the same outcome."""
 
     def test_seeded_programs(self, monkeypatch):
         pivots = 0
         for program in _seeded_programs(seed=2024, count=600):
+            path, reference = _pivot_paths(program, monkeypatch, general)
+            assert path == reference
+            pivots += len(path)
+        assert pivots >= 1000
+        pivots = 0
+        for program in _homogeneous_shapes(_seeded_programs(seed=2024, count=600)):
             kernel, reference = _pivot_paths(program, monkeypatch)
             assert kernel == reference
             pivots += len(kernel)
-        assert pivots >= 1000
+        assert pivots >= 300
 
     def test_cycle_probes(self, monkeypatch, cycle_premises, cycle_antecedent):
         """Every bisection probe of a tolerance 1e-6 bracket, on the paper's
@@ -567,44 +710,44 @@ class TestPivotPath:
 
 
 class TestVerification:
-    """``_verify`` checks witnesses in integers; each corrupted witness below
-    must still be caught."""
+    """``general_simplex._verify`` checks witnesses in integers; each
+    corrupted witness below must still be caught."""
 
     def test_point_off_by_one_part_in_its_denominator(self):
         # min x + y  s.t.  7x + 7y >= 3: optimum 3/7
         program = lp.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
-        out = lp.solve(program)
+        out = general.solve(program)
         assert isinstance(out, lp.Optimal) and out.value == F(3, 7)
-        lp._verify(program, out)
+        general._verify(program, out)
         x, y = out.point
         short = (x - F(1, 7), y) if x else (x, y - F(1, 7))
         bad = lp.Optimal(point=short, value=sum(short))
         with pytest.raises(RuntimeError, match="infeasible point"):
-            lp._verify(program, bad)
+            general._verify(program, bad)
 
     def test_optimal_value_off(self):
         program = lp.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
-        out = lp.solve(program)
+        out = general.solve(program)
         bad = lp.Optimal(point=out.point, value=out.value + F(1, 7))
         with pytest.raises(RuntimeError, match="value disagrees"):
-            lp._verify(program, bad)
+            general._verify(program, bad)
 
     def test_ray_with_a_negative_component(self):
         # min -x - y  s.t.  x - y >= 0
         program = lp.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
-        out = lp.solve(program)
+        out = general.solve(program)
         assert isinstance(out, lp.Unbounded)
         bad = lp.Unbounded(point=out.point, ray=(F(1), F(-1)))
         with pytest.raises(RuntimeError, match="invalid ray"):
-            lp._verify(program, bad)
+            general._verify(program, bad)
 
     def test_ray_leaving_the_cone(self):
         program = lp.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
-        out = lp.solve(program)
+        out = general.solve(program)
         # (1, 2) improves the objective but breaks x - y >= 0
         bad = lp.Unbounded(point=out.point, ray=(F(1), F(2)))
         with pytest.raises(RuntimeError, match="escapes the feasible cone"):
-            lp._verify(program, bad)
+            general._verify(program, bad)
 
 
 def _rational_decide_program(rows, gamma, k):
@@ -695,7 +838,7 @@ class TestIntegerCellPrograms:
             rows = _query_rows(query, 20)
             for gamma in _boundary_gammas(query.k):
                 got = lp.solve(_lp_program(rows, gamma))
-                want = lp.solve(_rational_decide_program(rows, gamma, query.k))
+                want = general.solve(_rational_decide_program(rows, gamma, query.k))
                 if isinstance(got, lp.Unbounded):
                     assert isinstance(want, lp.Unbounded)
                     assert got.point == want.point
@@ -732,7 +875,55 @@ class TestIntegerCellPrograms:
                 for gamma in (F(0), F(1), F(rng.randint(1, 63), 64)):
                     k = len(indices)
                     got = lp.solve(_cone_program(ratio_rows, k, gamma))
-                    want = lp.solve(_rational_cone_program(ratio_rows, k, gamma))
+                    want = general.solve(_rational_cone_program(ratio_rows, k, gamma))
                     assert _outcome_key(got) == _outcome_key(want)
                     seen[type(got).__name__] += 1
         assert min(seen.values()) >= 300
+
+
+class TestTracerSeam:
+    """The benchmark tracer rebinds ``pientail.lp.solve`` and reads each
+    program's ``constraints`` and ``num_vars`` and the outcome's class name.
+    Every program the library builds must reach the solver through that
+    module attribute and come back as ``lp.Optimal`` or ``lp.Unbounded``."""
+
+    def test_every_library_program_goes_through_the_module_attribute(
+        self, monkeypatch, pair_query, cycle_query
+    ):
+        import pientail as pt
+
+        built, solved = [], []
+
+        class Recorded(lp.LinearProgram):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        real_solve = lp.solve
+
+        def spy(program):
+            solved.append(program)
+            cells = len(program.constraints) * program.num_vars  # as the tracer counts
+            assert isinstance(cells, int)
+            result = real_solve(program)
+            assert type(result) in (lp.Optimal, lp.Unbounded)
+            return result
+
+        monkeypatch.setattr(lp, "LinearProgram", Recorded)
+        monkeypatch.setattr(lp, "solve", spy)
+        routes = {
+            "lp-direct": lambda: pt.decide(pair_query, pt.Method.LP),
+            "general-gamma-star": lambda: pt.decide(cycle_query),
+            "prune": lambda: pt.prune(cycle_query.premises, F(1, 2)),
+            "critical_threshold": lambda: pt.critical_threshold(
+                cycle_query.premises, cycle_query.conclusion.antecedent
+            ),
+        }
+        for name, route in routes.items():
+            built.clear()
+            solved.clear()
+            result = route()
+            if name in ("lp-direct", "general-gamma-star"):
+                assert result.regime.value == name
+            assert solved, name
+            assert [id(p) for p in solved] == [id(p) for p in built], name

@@ -160,6 +160,38 @@ class TestSatisfies:
             total = sum(weight(t, imp, gamma) * m for t, m in d.items())
             assert pt.satisfies(d, imp, gamma) == (total >= 0)
 
+    def test_integer_comparison_equals_the_fraction_formula(self):
+        """``satisfies`` compares ``both * q >= p * ante`` in integers; it
+        must agree with ``Fraction(both, ante) >= gamma``, vacuously true at
+        ``ante == 0``, on seeded datasets at gamma 0, 1 and in between."""
+        rng = random.Random(20261018)
+        vacuous = 0
+        for _ in range(1000):
+            n = rng.randint(1, 6)
+            spec = pt.RandomInstanceSpec(
+                num_attrs=n, num_premises=1, seed=rng.randrange(10**9)
+            )
+            imp = pt.random_implication_set(spec)[0]
+            universe = imp.universe
+            counts = {}
+            for _ in range(rng.randint(0, 5)):
+                t = pt.AttrSet(universe, rng.randrange(1 << n))
+                counts[t] = counts.get(t, 0) + rng.randint(1, 10)
+            d = pt.Dataset(universe, counts)
+            ante = pt.support(d, imp.antecedent)
+            both = pt.support(d, imp.span)
+            vacuous += ante == 0
+            for gamma in (
+                Fraction(0),
+                Fraction(1),
+                Fraction(rng.randint(0, 12), 12),
+                Fraction(rng.randint(1, 99), rng.randint(100, 200)),
+            ):
+                want = ante == 0 or Fraction(both, ante) >= gamma
+                assert pt.satisfies(d, imp, gamma) == want
+                assert pt.satisfies(d, imp, str(gamma)) == want
+        assert vacuous >= 50
+
 
 class TestRationalBoundary:
     def test_floats_refused(self):
@@ -169,6 +201,17 @@ class TestRationalBoundary:
     def test_strings_and_ints_accepted(self):
         assert pt.as_rational("57/100") == Fraction(57, 100)
         assert pt.as_rational(1) == 1
+        assert type(pt.as_rational(1)) is Fraction
+
+    def test_fraction_is_passed_through(self):
+        g = Fraction(57, 100)
+        assert pt.as_rational(g) is g
+
+        class Ratio(Fraction):
+            pass
+
+        converted = pt.as_rational(Ratio(1, 3))
+        assert type(converted) is Fraction and converted == Fraction(1, 3)
 
     def test_implication_str_round_trips_through_parser(self, u):
         rule = pt.PartialImplication(u.attrs("A", "C"), u.attrs("B"))

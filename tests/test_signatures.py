@@ -122,6 +122,24 @@ def test_frontier_without_rules_or_attributes():
     assert [r.statuses for r in rows] == [(pt.CoverStatus.WITNESSED,) * 2]
 
 
+def test_signature_row_reads_its_fields_and_leaves_the_universe_out_of_repr():
+    u = pt.AttributeUniverse(("A", "B"))
+    rule = pt.PartialImplication(u.attrs("A"), u.attrs("B"))
+    rows = signature_rows([rule, rule], u)
+    assert [repr(row) for row in rows] == [
+        "SignatureRow(codes=(0, 0), bits=0)",
+        "SignatureRow(codes=(1, 1), bits=1)",
+        "SignatureRow(codes=(2, 2), bits=3)",
+    ]
+    violator, witness = rows[1], rows[2]
+    assert witness.universe == u and witness.witness == u.attrs("A", "B")
+    assert witness.statuses == (pt.CoverStatus.WITNESSED,) * 2
+    assert violator.signature() == entailment.ConstraintSignature(
+        witnessed=frozenset(), violated=frozenset({0, 1})
+    )
+    assert witness == entailment.SignatureRow((2, 2), 3, u)
+
+
 def _count_enumerations(monkeypatch):
     calls = []
     original = entailment.signature_rows

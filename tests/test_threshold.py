@@ -68,11 +68,13 @@ class TestFeasibleAt:
     def test_cone_form_matches_simplex_form(self):
         """``feasible_at`` poses each probe as a cone program with no
         equality row.  Cross-check it against the direct form, a sum-to-one
-        row plus the ratio rows through ``lp.feasible``, on the exact
+        row plus the ratio rows through the general simplex's ``feasible``
+        (``general_simplex``, the kernel takes no equality row), on the exact
         critical values 1/2, 2/3 and 3/4 of fans ``A -> B x_i`` with 2, 3
         and 4 premises and of cycles ``x_i -> x_{i+1}`` of length 3, 4
         and 5, 1/1000 either side of each, and on seeded random instances.
         The length-5 cycle, the slowest, is only checked at its own value."""
+        import general_simplex as general
         from pientail import lp
         from pientail.threshold import _ratio_rows
 
@@ -88,7 +90,7 @@ class TestFeasibleAt:
                 constraints.append(
                     lp.Constraint(tuple(coeffs), lp.Relation.LE, F(0))
                 )
-            return lp.feasible(constraints, k)
+            return general.feasible(constraints, k)
 
         critical = [F(1, 2), F(2, 3), F(3, 4)]
         grid = sorted(
