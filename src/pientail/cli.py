@@ -101,9 +101,13 @@ def build_universe(token_groups: Iterable[Iterable[str]]) -> AttributeUniverse:
     return AttributeUniverse(tuple(names))
 
 
-def _materialize(
-    parsed: Sequence[ParsedRule], universe: AttributeUniverse
-) -> ImplicationSet:
+def _rule_set(text: str, *extra: Sequence[str]) -> ImplicationSet:
+    """Parse a rule file into an implication set over the universe of its
+    tokens followed by the ``extra`` token groups."""
+    parsed = scan_rules(text)
+    universe = build_universe(
+        [*(group for rule in parsed for group in (rule.lhs, rule.rhs)), *extra]
+    )
     return ImplicationSet(
         universe,
         tuple(
@@ -115,29 +119,26 @@ def _materialize(
 
 def parse_rules(text: str) -> ImplicationSet:
     """Parse a rule file into an implication set over its own universe."""
-    parsed = scan_rules(text)
-    universe = build_universe(
-        group for rule in parsed for group in (rule.lhs, rule.rhs)
-    )
-    return _materialize(parsed, universe)
+    return _rule_set(text)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise RuleParseError(f"cannot parse {text!r} as a rational") from exc
 
 
 def parse_gamma(text: str) -> Fraction:
     """Parse a threshold given as ``p/q`` or as an exact decimal literal."""
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RuleParseError(f"cannot parse {text!r} as a rational") from exc
+    value = _rational(text)
     if not 0 <= value <= 1:
         raise RuleParseError(f"gamma must lie in [0, 1], got {text}")
     return value
 
 
 def _parse_tolerance(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RuleParseError(f"cannot parse {text!r} as a rational") from exc
+    value = _rational(text)
     if value <= 0:
         raise RuleParseError("tolerance must be positive")
     return value
@@ -147,7 +148,9 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _dataset_map(dataset: Dataset) -> dict[str, int]:
+def _dataset_map(dataset: Dataset | None) -> dict[str, int] | None:
+    if dataset is None:
+        return None
     return {str(transaction): count for transaction, count in dataset.items()}
 
 
@@ -157,19 +160,13 @@ def _print_dataset(dataset: Dataset) -> None:
         print(f"  {label}  x{count}")
 
 
-def _load_query(args: argparse.Namespace, rules_flag: str) -> EntailmentQuery:
-    text = Path(getattr(args, rules_flag)).read_text()
-    parsed = scan_rules(text)
+def _load_query(args: argparse.Namespace) -> EntailmentQuery:
+    text = Path(args.premises).read_text()
     conclusion = scan_rule(args.conclusion)
-    universe = build_universe(
-        [
-            *(group for rule in parsed for group in (rule.lhs, rule.rhs)),
-            conclusion.lhs,
-            conclusion.rhs,
-        ]
-    )
+    premises = _rule_set(text, conclusion.lhs, conclusion.rhs)
+    universe = premises.universe
     return EntailmentQuery(
-        premises=_materialize(parsed, universe),
+        premises=premises,
         conclusion=PartialImplication(
             universe.attrs(*conclusion.lhs), universe.attrs(*conclusion.rhs)
         ),
@@ -188,11 +185,7 @@ def _emit_verdict(verdict: EntailmentVerdict, gamma: Fraction, as_json: bool) ->
                 if verdict.certificate is not None
                 else None
             ),
-            "counterexample": (
-                _dataset_map(verdict.counterexample)
-                if verdict.counterexample is not None
-                else None
-            ),
+            "counterexample": _dataset_map(verdict.counterexample),
         }
         print(json.dumps(payload, indent=2))
     elif verdict.holds:
@@ -211,23 +204,19 @@ def _emit_verdict(verdict: EntailmentVerdict, gamma: Fraction, as_json: bool) ->
 
 
 def _cmd_entail(args: argparse.Namespace) -> int:
-    query = _load_query(args, "premises")
+    query = _load_query(args)
     verdict = decide(query, Method(args.method), max_attrs=args.max_attrs)
     return _emit_verdict(verdict, query.gamma, args.json)
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    query = _load_query(args, "premises")
+    query = _load_query(args)
     verdict = decide(query, Method.AUTO, max_attrs=args.max_attrs)
     if args.json:
         payload = {
             "holds": verdict.holds,
             "regime": verdict.regime.value,
-            "counterexample": (
-                _dataset_map(verdict.counterexample)
-                if verdict.counterexample is not None
-                else None
-            ),
+            "counterexample": _dataset_map(verdict.counterexample),
         }
         print(json.dumps(payload, indent=2))
     elif verdict.holds:
@@ -241,16 +230,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 def _cmd_gamma_star(args: argparse.Namespace) -> int:
     text = Path(args.premises).read_text()
-    parsed = scan_rules(text)
     antecedent_tokens = _scan_attrs(args.antecedent)
-    universe = build_universe(
-        [
-            *(group for rule in parsed for group in (rule.lhs, rule.rhs)),
-            antecedent_tokens,
-        ]
-    )
-    premises = _materialize(parsed, universe)
-    antecedent = universe.attrs(*antecedent_tokens)
+    premises = _rule_set(text, antecedent_tokens)
+    antecedent = premises.universe.attrs(*antecedent_tokens)
     bracket = critical_threshold(
         premises, antecedent, _parse_tolerance(args.tol), max_attrs=args.max_attrs
     )

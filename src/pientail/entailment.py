@@ -348,17 +348,12 @@ def _lp_program(rows: list[SignatureRow], gamma: Fraction) -> lp.LinearProgram:
     Its cells are the integer weights of ``_integer_weights``: every
     nonzero row of the program in rational weights is this row divided by
     the denominator of ``gamma``, and so is its objective, so the simplex
-    takes the same pivots and reads off the same point and row duals.
+    takes the same pivots and reads off the same row duals.
     """
     weight = _integer_weights(gamma).__getitem__
     conclusion, *premises = zip(*[map(weight, row.codes) for row in rows])
     return lp.LinearProgram(
-        num_vars=len(rows),
-        objective=conclusion,
-        constraints=tuple(
-            lp.Constraint(coeffs=coeffs, relation=lp.Relation.GE, rhs=0)
-            for coeffs in premises
-        ),
+        num_vars=len(rows), objective=conclusion, constraints=tuple(premises)
     )
 
 
@@ -371,7 +366,7 @@ def _decide_lp_rows(
     outcome = lp.solve(_lp_program(rows, gamma))
     if isinstance(outcome, lp.Optimal):
         certificate = outcome.row_duals
-        if certificate is None or len(certificate) != k:
+        if len(certificate) != k:
             raise RuntimeError("solver returned no dual value per premise")
         violation = _certificate_violation(rows, gamma, certificate)
         if violation is not None:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .entailment import EntailmentQuery, _integer_weights, _query_rows
+from .entailment import (
+    EntailmentQuery, _NOT_COVERED, _WITNESSED, _integer_weights, _query_rows
+)
 from .homogeneity import ImplicationSet
 from .model import (
     AttrSet,
@@ -128,8 +130,11 @@ def grid_min_max(
         raise ValueError("grid estimate is meant for up to four premises")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rows = _ratio_rows(premises, antecedent, max_attrs)
-    patterns = [(row.witnessed, row.covered) for row in rows]
+    patterns = [
+        ([i for i, c in enumerate(row.codes) if c == _WITNESSED],
+         [i for i, c in enumerate(row.codes) if c != _NOT_COVERED])
+        for row in _ratio_rows(premises, antecedent, max_attrs)
+    ]
     best_num, best_den = 1, 1  # the worst-case ratio never exceeds 1
     for lams in _compositions(steps, k):
         worst_num, worst_den = 0, 1

@@ -58,9 +58,10 @@ from .model import (
 class ThresholdBracket:
     """An enclosing interval for the critical threshold.
 
-    ``multipliers`` is a simplex point feasible at ``upper``; ``lower`` is
-    0 exactly when the critical threshold is 0, and otherwise a value at
-    which no multipliers exist.
+    ``multipliers`` is a simplex point feasible at ``upper``.  ``lower ==
+    upper == 0`` exactly when the critical threshold is 0; otherwise
+    ``lower`` is a value at which no multipliers exist, which at a coarse
+    tolerance may be 0 itself.
     """
 
     lower: Fraction
@@ -73,26 +74,12 @@ class ThresholdBracket:
         return (self.lower + self.upper) / 2
 
 
-@dataclass(frozen=True)
-class _RatioRow:
-    """One signature over the premises: the status code of each."""
-
-    codes: tuple[int, ...]
-
-    @property
-    def witnessed(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.codes) if c == _WITNESSED)
-
-    @property
-    def covered(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.codes) if c != _NOT_COVERED)
-
-
 def _ratio_rows(
     premises: ImplicationSet, antecedent: AttrSet, max_attrs: int
-) -> list[_RatioRow]:
-    """Distinct (witnessed, covered) premise patterns over transaction
-    types that do not contain all of ``antecedent``."""
+) -> list[SignatureRow]:
+    """Distinct premise status patterns over transaction types that do not
+    contain all of ``antecedent``: the ratio of a row has the premises it
+    witnesses over those it covers."""
     if premises.universe != antecedent.universe:
         raise UniverseMismatchError("premises and antecedent universes differ")
     if len(premises) < 1:
@@ -109,7 +96,7 @@ def _ratio_rows(
 
 def _project_ratio_rows(
     rows: list[SignatureRow], indices: Sequence[int]
-) -> list[_RatioRow]:
+) -> list[SignatureRow]:
     """Ratio rows of the premises at ``indices`` from a signature table
     whose column 0 has the antecedent ``X0`` and column ``i + 1`` premise i.
 
@@ -119,29 +106,24 @@ def _project_ratio_rows(
     for the subset alone.
     """
     eligible = [row for row in rows if row.codes[0] == _NOT_COVERED]
-    return [
-        _RatioRow(row.codes)
-        for row in _project_rows(eligible, [i + 1 for i in indices])
-    ]
+    return _project_rows(eligible, [i + 1 for i in indices])
 
 
-def _cone_program(rows: list[_RatioRow], k: int, gamma: Fraction) -> lp.LinearProgram:
-    """The cone program of ``_feasible``: maximise the sum of ``lambda``
-    subject to ``witnessed - gamma * covered <= 0`` on every row, each row
-    times the denominator of ``gamma`` so that its cells are integers."""
-    weight = _integer_weights(gamma).__getitem__
+def _cone_program(rows: list[SignatureRow], k: int, gamma: Fraction) -> lp.LinearProgram:
+    """The cone program of ``_feasible``: minimise minus the sum of
+    ``lambda`` subject to ``gamma * covered - witnessed >= 0`` on every row,
+    each row times the denominator ``q`` of ``gamma = p/q`` so that its
+    cells are integers: by status code, 0 not covered, ``p`` violated and
+    ``p - q`` witnessed."""
+    weight = tuple(-w for w in _integer_weights(gamma)).__getitem__
     return lp.LinearProgram(
         num_vars=k,
-        objective=(1,) * k,
-        constraints=tuple(
-            lp.Constraint(tuple(map(weight, row.codes)), lp.Relation.LE, 0)
-            for row in rows
-        ),
-        maximize=True,
+        objective=(-1,) * k,
+        constraints=tuple([tuple(map(weight, row.codes)) for row in rows]),
     )
 
 
-def _feasible(rows: list[_RatioRow], k: int, gamma: Fraction) -> tuple[Fraction, ...] | None:
+def _feasible(rows: list[SignatureRow], k: int, gamma: Fraction) -> tuple[Fraction, ...] | None:
     """Simplex multipliers whose worst ratio over ``rows`` is at most ``gamma``.
 
     The ratio rows are homogeneous, so the question is posed as a cone
@@ -197,10 +179,10 @@ def max_ratio(
         raise ValueError("multipliers must sum to 1")
     best = Fraction(0)
     for row in _ratio_rows(premises, antecedent, max_attrs):
-        den = sum(lams[i] for i in row.covered)
+        den = sum(lam for lam, c in zip(lams, row.codes) if c != _NOT_COVERED)
         if den == 0:
             continue
-        num = sum(lams[i] for i in row.witnessed)
+        num = sum(lam for lam, c in zip(lams, row.codes) if c == _WITNESSED)
         ratio = num / den
         if ratio > best:
             best = ratio

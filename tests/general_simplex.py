@@ -26,17 +26,68 @@ into the constraints, each scaled to integers on its own:
 * ``Infeasible`` - no witness to carry.
 
 A float cell is refused with ``TypeError``.
+
+Its input and outcome types are its own: the library's ``LinearProgram``
+has ``>=`` rows with right-hand side 0 and is always minimised, and its
+outcomes carry no point or value, since both are always the origin and 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import gt, lt, mul, ne
+from typing import NamedTuple
 
-from pientail.lp import Constraint, LinearProgram, Optimal, Relation, Unbounded
 from pientail.model import as_rational
+
+
+class Relation(Enum):
+    GE = ">="
+    LE = "<="
+    EQ = "="
+
+
+class Constraint(NamedTuple):
+    """A single row ``coeffs . x  (rel)  rhs``."""
+
+    coeffs: tuple
+    relation: Relation
+    rhs: Fraction | int
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """Optimise ``objective . x`` over ``x >= 0`` subject to ``constraints``."""
+
+    num_vars: int
+    objective: tuple
+    constraints: tuple[Constraint, ...]
+    maximize: bool = False
+
+    def __post_init__(self) -> None:
+        if len(self.objective) != self.num_vars:
+            raise ValueError("objective length does not match num_vars")
+        for row in self.constraints:
+            if len(row.coeffs) != self.num_vars:
+                raise ValueError("constraint length does not match num_vars")
+
+
+@dataclass(frozen=True)
+class Optimal:
+    point: tuple[Fraction, ...]
+    value: Fraction
+    # Dual value per constraint row, populated only for minimisation
+    # programs whose rows are all >=; None otherwise.
+    row_duals: tuple[Fraction, ...] | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class Unbounded:
+    point: tuple[Fraction, ...]
+    ray: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)

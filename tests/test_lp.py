@@ -1,6 +1,7 @@
-"""Exact simplex: the homogeneous integer kernel ``lp.solve`` and the
-general two-phase simplex kept in ``general_simplex`` as the reference for
-mixed programs.  Outcomes, witnesses, duality, termination, agreement
+"""Exact simplex: the homogeneous integer kernel ``lp.solve`` (minimise
+``c.x`` subject to ``Ax >= 0``) and the general two-phase simplex kept in
+``general_simplex`` as the reference for mixed programs, with its own
+program types.  Outcomes, witnesses, duality, termination, agreement
 (outcomes and pivot paths) with the full Fraction tableau, and the seam the
 benchmark tracer binds."""
 
@@ -16,41 +17,69 @@ from conftest import nonempty_subsets, status_weights
 from pientail import lp
 
 
+GE, LE, EQ = general.Relation.GE, general.Relation.LE, general.Relation.EQ
+
+
 def ge(coeffs, rhs=0):
-    return lp.Constraint(tuple(F(c) for c in coeffs), lp.Relation.GE, F(rhs))
+    return general.Constraint(tuple(F(c) for c in coeffs), GE, F(rhs))
 
 
-def int_ge(coeffs):
-    return lp.Constraint(tuple(coeffs), lp.Relation.GE, 0)
+def _kernel_form(program):
+    """A homogeneous general program with ``int`` cells in the kernel's
+    shape: ``<=`` rows and a maximised objective negated.  The tableau is
+    the same, so the pivots are too."""
+    return lp.LinearProgram(
+        program.num_vars,
+        tuple(-c for c in program.objective) if program.maximize else program.objective,
+        tuple(
+            row.coeffs if row.relation is GE else tuple(-c for c in row.coeffs)
+            for row in program.constraints
+        ),
+    )
+
+
+def _cone_form(program):
+    """A kernel program in the form critical-threshold probes had before
+    the kernel took one shape: maximise minus the objective subject to
+    minus each row ``<= 0``."""
+    return general.LinearProgram(
+        program.num_vars,
+        tuple(-c for c in program.objective),
+        tuple(
+            general.Constraint(tuple(-c for c in row), LE, 0)
+            for row in program.constraints
+        ),
+        maximize=True,
+    )
 
 
 class TestOutcomes:
     def test_optimal_with_point(self):
         # min x + y  s.t.  x + y >= 2, x - y >= 0
-        prog = lp.LinearProgram(
+        prog = general.LinearProgram(
             num_vars=2,
             objective=(F(1), F(1)),
             constraints=(ge([1, 1], 2), ge([1, -1], 0)),
         )
         out = general.solve(prog)
-        assert isinstance(out, lp.Optimal)
+        assert isinstance(out, general.Optimal)
         assert out.value == 2
         assert sum(out.point) == 2
 
     def test_unbounded_with_ray(self):
         # min -x  s.t.  x - y >= 0 is unbounded along (1, 1) or (1, 0)
-        prog = lp.LinearProgram(
-            num_vars=2, objective=(-1, 0), constraints=(int_ge([1, -1]),)
+        prog = general.LinearProgram(
+            num_vars=2, objective=(-1, 0), constraints=(general.Constraint((1, -1), GE, 0),)
         )
-        for solve in (lp.solve, general.solve):
-            out = solve(prog)
-            assert isinstance(out, lp.Unbounded)
+        for solver, program in ((lp, _kernel_form(prog)), (general, prog)):
+            out = solver.solve(program)
+            assert isinstance(out, solver.Unbounded)
             assert out.ray[0] > 0
             assert out.ray[0] - out.ray[1] >= 0
 
     def test_infeasible(self):
         # x >= 1 and -x >= 0 cannot both hold with x >= 0
-        prog = lp.LinearProgram(
+        prog = general.LinearProgram(
             num_vars=1,
             objective=(F(0),),
             constraints=(ge([1], 1), ge([-1], 0)),
@@ -59,42 +88,42 @@ class TestOutcomes:
 
     def test_equality_and_le_rows(self):
         # max x + y  s.t.  x + y = 1, x <= 1/3
-        prog = lp.LinearProgram(
+        prog = general.LinearProgram(
             num_vars=2,
             objective=(F(1), F(1)),
             constraints=(
-                lp.Constraint((F(1), F(1)), lp.Relation.EQ, F(1)),
-                lp.Constraint((F(1), F(0)), lp.Relation.LE, F(1, 3)),
+                general.Constraint((F(1), F(1)), EQ, F(1)),
+                general.Constraint((F(1), F(0)), LE, F(1, 3)),
             ),
             maximize=True,
         )
         out = general.solve(prog)
-        assert isinstance(out, lp.Optimal)
+        assert isinstance(out, general.Optimal)
         assert out.value == 1
 
     def test_zero_variable_edge_cases(self):
-        sat = lp.LinearProgram(0, (), (lp.Constraint((), lp.Relation.GE, F(-1)),))
-        assert isinstance(general.solve(sat), lp.Optimal)
-        unsat = lp.LinearProgram(0, (), (lp.Constraint((), lp.Relation.GE, F(1)),))
+        sat = general.LinearProgram(0, (), (general.Constraint((), GE, F(-1)),))
+        assert isinstance(general.solve(sat), general.Optimal)
+        unsat = general.LinearProgram(0, (), (general.Constraint((), GE, F(1)),))
         assert isinstance(general.solve(unsat), general.Infeasible)
 
     def test_mixed_sign_right_hand_sides(self):
         # min x + 2y  s.t.  x + y >= 2 (needs an artificial),
         # -x + y >= -1 and x - y >= 0 (surplus starts basic)
-        prog = lp.LinearProgram(
+        prog = general.LinearProgram(
             num_vars=2,
             objective=(F(1), F(2)),
             constraints=(ge([1, 1], 2), ge([-1, 1], -1), ge([1, -1], 0)),
         )
         out = general.solve(prog)
-        assert isinstance(out, lp.Optimal)
+        assert isinstance(out, general.Optimal)
         assert out.point == (F(3, 2), F(1, 2))
         assert out.value == F(5, 2)
         assert out.row_duals == (F(3, 2), F(1, 2), F(0))
 
     def test_infeasible_through_an_artificial(self):
         # x + y >= 3 needs an artificial; -x >= 0 and -y >= -1 do not
-        prog = lp.LinearProgram(
+        prog = general.LinearProgram(
             num_vars=2,
             objective=(F(1), F(1)),
             constraints=(ge([1, 1], 3), ge([-1, 0], 0), ge([0, -1], -1)),
@@ -102,7 +131,7 @@ class TestOutcomes:
         assert isinstance(general.solve(prog), general.Infeasible)
 
     def test_feasible_helper(self):
-        point = general.feasible([lp.Constraint((F(1),), lp.Relation.EQ, F(1))], 1)
+        point = general.feasible([general.Constraint((F(1),), EQ, F(1))], 1)
         assert point == (F(1),)
         assert general.feasible([ge([-1], 1)], 1) is None
 
@@ -123,26 +152,24 @@ class TestDuality:
             A = [[coef() for _ in range(n)] for _ in range(m)]
             b = [coef() for _ in range(m)]
             c = [coef() for _ in range(n)]
-            primal = lp.LinearProgram(
+            primal = general.LinearProgram(
                 num_vars=n,
                 objective=tuple(c),
                 constraints=tuple(ge(row, rhs) for row, rhs in zip(A, b)),
             )
-            dual = lp.LinearProgram(
+            dual = general.LinearProgram(
                 num_vars=m,
                 objective=tuple(b),
                 constraints=tuple(
-                    lp.Constraint(
-                        tuple(A[i][j] for i in range(m)), lp.Relation.LE, c[j]
-                    )
+                    general.Constraint(tuple(A[i][j] for i in range(m)), LE, c[j])
                     for j in range(n)
                 ),
                 maximize=True,
             )
             pout = general.solve(primal)
             dout = general.solve(dual)
-            if isinstance(pout, lp.Optimal):
-                assert isinstance(dout, lp.Optimal)
+            if isinstance(pout, general.Optimal):
+                assert isinstance(dout, general.Optimal)
                 assert pout.value == dout.value
                 y = pout.row_duals
                 assert y is not None and all(v >= 0 for v in y)
@@ -150,18 +177,17 @@ class TestDuality:
                     assert sum(A[i][j] * y[i] for i in range(m)) <= c[j]
                 assert sum(bi * yi for bi, yi in zip(b, y)) == pout.value
                 both_optimal += 1
-            elif isinstance(pout, lp.Unbounded):
+            elif isinstance(pout, general.Unbounded):
                 assert isinstance(dout, general.Infeasible)
         assert both_optimal >= 40  # the sample is not degenerate
 
     def test_homogeneous_optimum_has_feasible_duals(self):
         """The kernel starts from the surplus basis with no phase 1; a
-        bounded program has optimum 0 at the origin's value, and its row
-        duals must still solve the dual system A^T y <= c, y >= 0."""
+        bounded program has optimum 0 at the origin, and its row duals must
+        still solve the dual system A^T y <= c, y >= 0."""
         # min x - y  s.t.  x - y >= 0: the single dual value is forced to 1
-        out = lp.solve(lp.LinearProgram(2, (1, -1), (int_ge([1, -1]),)))
+        out = lp.solve(lp.LinearProgram(2, (1, -1), ((1, -1),)))
         assert isinstance(out, lp.Optimal)
-        assert out.value == 0
         assert out.row_duals == (F(1),)
 
         rng = random.Random(11)
@@ -174,12 +200,11 @@ class TestDuality:
                 lp.LinearProgram(
                     num_vars=n,
                     objective=tuple(c),
-                    constraints=tuple(int_ge(row) for row in A),
+                    constraints=tuple(map(tuple, A)),
                 )
             )
             assert isinstance(out, (lp.Optimal, lp.Unbounded))
             if isinstance(out, lp.Optimal):
-                assert out.value == 0
                 y = out.row_duals
                 assert y is not None and all(v >= 0 for v in y)
                 for j in range(n):
@@ -198,7 +223,7 @@ class TestDuality:
         for row in rows:
             coeffs = tuple(weight[s] for s in row.statuses[1:])
             rhs = weight[row.statuses[0]]
-            constraints.append(lp.Constraint(coeffs, lp.Relation.LE, rhs))
+            constraints.append(general.Constraint(coeffs, LE, rhs))
         point = general.feasible(constraints, 2)
         assert point is not None
 
@@ -209,8 +234,9 @@ class TestTermination:
         pivots; Bland's rule must still terminate, and the built-in
         substitution check validates every witness.  The general solver
         takes every program; the kernel takes the homogeneous >= and <=
-        rows of each, times 2 so that its cells are integers, and must
-        return the outcome of the Fraction reference."""
+        rows of each, times 2 so that its cells are integers, in its own
+        shape, and must return the outcome of the Fraction reference on
+        the general form."""
         rng = random.Random(7)
 
         def coef():
@@ -221,47 +247,51 @@ class TestTermination:
             constraints = []
             for _ in range(m):
                 coeffs = tuple(coef() for _ in range(n))
-                rel = rng.choice(list(lp.Relation))
+                rel = rng.choice(list(general.Relation))
                 rhs = rng.choice([F(0), F(0), coef()])
-                constraints.append(lp.Constraint(coeffs, rel, rhs))
+                constraints.append(general.Constraint(coeffs, rel, rhs))
                 if rng.random() < 0.3:
-                    constraints.append(lp.Constraint(coeffs, rel, rhs))
-            prog = lp.LinearProgram(
+                    constraints.append(general.Constraint(coeffs, rel, rhs))
+            prog = general.LinearProgram(
                 num_vars=n,
                 objective=tuple(coef() for _ in range(n)),
                 constraints=tuple(constraints),
                 maximize=rng.random() < 0.5,
             )
             general.solve(prog)  # raises if any witness fails re-verification
-            homogeneous = lp.LinearProgram(
+            homogeneous = general.LinearProgram(
                 num_vars=n,
                 objective=tuple(int(2 * c) for c in prog.objective),
                 constraints=tuple(
-                    lp.Constraint(tuple(int(2 * c) for c in row.coeffs), row.relation, 0)
+                    general.Constraint(
+                        tuple(int(2 * c) for c in row.coeffs), row.relation, 0
+                    )
                     for row in constraints
-                    if row.relation is not lp.Relation.EQ
+                    if row.relation is not EQ
                 ),
                 maximize=prog.maximize,
             )
-            assert _outcome_key(lp.solve(homogeneous)) == _outcome_key(
-                reference_solve(homogeneous)
+            _assert_same_outcome(
+                _kernel_form(homogeneous),
+                lp.solve(_kernel_form(homogeneous)),
+                reference_solve(homogeneous),
             )
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            lp.LinearProgram(2, (F(1),), ())
+            lp.LinearProgram(2, (1,), ())
         with pytest.raises(ValueError):
-            lp.LinearProgram(1, (F(1),), (ge([1, 2], 0),))
+            lp.LinearProgram(1, (1,), ((1, 2),))
 
 
 # --- reference: the dense Fraction simplex ---------------------------------
 #
 # The same labels, start basis and Bland's rule as ``lp.solve`` and
 # ``general_simplex.solve``, with every column of the tableau kept (a
-# column's index is its label) and every entry a ``Fraction``.  The condensed
-# integer tableaux hold the nonbasic columns of this one times the common
-# denominator, so all three must take the same pivots and return identical
-# outcomes.
+# column's index is its label) and every entry a ``Fraction``, over the
+# general program types.  The condensed integer tableaux hold the nonbasic
+# columns of this one times the common denominator, so all three must take
+# the same pivots and return identical outcomes.
 
 
 def _reference_pivot(rows, cost, basis, r, c):
@@ -309,9 +339,9 @@ def reference_solve(program):
     for row in program.constraints:
         coeffs = [F(c) for c in row.coeffs]
         rhs = F(row.rhs)
-        if row.relation is lp.Relation.GE:
+        if row.relation is GE:
             ge_rows.append((coeffs, rhs))
-        elif row.relation is lp.Relation.LE:
+        elif row.relation is LE:
             ge_rows.append(([-c for c in coeffs], -rhs))
             pure_ge = False
         else:
@@ -370,10 +400,10 @@ def reference_solve(program):
         ray_full[entering] = one
         for i, b in enumerate(basis):
             ray_full[b] = -rows[i][entering]
-        return lp.Unbounded(point=point, ray=tuple(ray_full[:n]))
+        return general.Unbounded(point=point, ray=tuple(ray_full[:n]))
     value = sum((F(c) * v for c, v in zip(program.objective, point)), zero)
     row_duals = tuple(cost[n + r] for r in range(m)) if pure_ge else None
-    return lp.Optimal(point=point, value=value, row_duals=row_duals)
+    return general.Optimal(point=point, value=value, row_duals=row_duals)
 
 
 def _outcome_key(outcome):
@@ -383,6 +413,26 @@ def _outcome_key(outcome):
     for name in ("point", "ray", "value", "row_duals"):
         fields += (getattr(outcome, name, None),)
     return fields
+
+
+def _assert_same_outcome(program, got, want):
+    """The kernel's outcome ``got`` on ``program`` against a general
+    solver's ``want`` on the same program in general form: the same outcome
+    type, the origin with value 0 and the same ray.  The row duals equal
+    the reference's wherever it reads them off (``>=`` rows, minimised), and
+    always solve the dual system ``A^T y <= c``, ``y >= 0``."""
+    assert type(got).__name__ == type(want).__name__
+    assert not any(want.point)
+    if isinstance(got, lp.Unbounded):
+        assert got.ray == want.ray
+        return
+    assert want.value == 0
+    if want.row_duals is not None:
+        assert got.row_duals == want.row_duals
+    y = got.row_duals
+    assert len(y) == len(program.constraints) and all(v >= 0 for v in y)
+    for j, c in enumerate(program.objective):
+        assert sum(v * row[j] for v, row in zip(y, program.constraints)) <= c
 
 
 def _integer_cells(program):
@@ -397,8 +447,8 @@ def _integer_cells(program):
     constraints = []
     for row in program.constraints:
         *coeffs, rhs = scaled((*row.coeffs, row.rhs))
-        constraints.append(lp.Constraint(tuple(coeffs), row.relation, rhs))
-    return lp.LinearProgram(
+        constraints.append(general.Constraint(tuple(coeffs), row.relation, rhs))
+    return general.LinearProgram(
         program.num_vars,
         scaled(program.objective),
         tuple(constraints),
@@ -408,10 +458,12 @@ def _integer_cells(program):
 
 def _homogeneous_shapes(programs):
     """The programs of shapes 0 and 1 of ``_seeded_programs`` (the shapes
-    the library builds) with ``int`` cells, the kernel's input."""
+    the library builds) with ``int`` cells, each as the kernel's input and
+    in the general form it was generated in."""
     for index, program in enumerate(programs):
         if index % 5 < 2:
-            yield _integer_cells(program)
+            program = _integer_cells(program)
+            yield _kernel_form(program), program
 
 
 def _seeded_programs(seed, count):
@@ -439,11 +491,11 @@ def _seeded_programs(seed, count):
             weight = (1 - g, -g, F(0))
             k, cols = rng.randint(1, 5), rng.randint(1, 14)
             table = [[rng.choice(weight) for _ in range(k + 1)] for _ in range(cols)]
-            yield lp.LinearProgram(
+            yield general.LinearProgram(
                 num_vars=cols,
                 objective=tuple(w[0] for w in table),
                 constraints=tuple(
-                    lp.Constraint(tuple(w[i] for w in table), lp.Relation.GE, F(0))
+                    general.Constraint(tuple(w[i] for w in table), GE, F(0))
                     for i in range(1, k + 1)
                 ),
             )
@@ -457,9 +509,9 @@ def _seeded_programs(seed, count):
                     status = rng.randrange(3)
                     coeffs.append((1 - g, -g, F(0))[status])
                 constraints.append(
-                    lp.Constraint(tuple(coeffs), lp.Relation.LE, F(0))
+                    general.Constraint(tuple(coeffs), LE, F(0))
                 )
-            yield lp.LinearProgram(
+            yield general.LinearProgram(
                 num_vars=k,
                 objective=tuple([F(1)] * k),
                 constraints=tuple(constraints),
@@ -473,10 +525,10 @@ def _seeded_programs(seed, count):
                 coeffs = tuple(coef() for _ in range(n))
                 lhs = sum(c * v for c, v in zip(coeffs, x0))
                 slack = F(rng.randint(0, 2), rng.randint(1, 5))
-                rel = rng.choice([lp.Relation.GE, lp.Relation.GE, lp.Relation.LE])
-                rhs = lhs - slack if rel is lp.Relation.GE else lhs + slack
-                constraints.append(lp.Constraint(coeffs, rel, rhs))
-            yield lp.LinearProgram(
+                rel = rng.choice([GE, GE, LE])
+                rhs = lhs - slack if rel is GE else lhs + slack
+                constraints.append(general.Constraint(coeffs, rel, rhs))
+            yield general.LinearProgram(
                 num_vars=n,
                 objective=tuple([F(0)] * n),
                 constraints=tuple(constraints),
@@ -486,20 +538,20 @@ def _seeded_programs(seed, count):
             constraints = []
             for _ in range(m):
                 coeffs = tuple(coef() for _ in range(n))
-                rel = rng.choice(list(lp.Relation))
+                rel = rng.choice(list(general.Relation))
                 rhs = rng.choice([F(0), coef(), abs(coef()) + 1, -abs(coef())])
-                constraints.append(lp.Constraint(coeffs, rel, rhs))
+                constraints.append(general.Constraint(coeffs, rel, rhs))
                 if shape == 4 and rng.random() < 0.4:
-                    constraints.append(lp.Constraint(coeffs, rel, rhs))
+                    constraints.append(general.Constraint(coeffs, rel, rhs))
             if shape == 4 and rng.random() < 0.5:
                 for j in range(n):
                     box = [F(0)] * n
                     box[j] = F(1)
                     constraints.append(
-                        lp.Constraint(tuple(box), lp.Relation.LE, F(rng.randint(1, 6), 2))
+                        general.Constraint(tuple(box), LE, F(rng.randint(1, 6), 2))
                     )
             zero_objective = rng.random() < 0.25  # the ``lp.feasible`` shape
-            yield lp.LinearProgram(
+            yield general.LinearProgram(
                 num_vars=n,
                 objective=tuple(F(0) if zero_objective else coef() for _ in range(n)),
                 constraints=tuple(constraints),
@@ -512,7 +564,8 @@ class TestIntegerTableau:
         """The integer tableaux are the common denominator times the
         Fraction one, so the outcome type, point, ray, value and row duals
         are identical: the general solver's on every program, the kernel's
-        on every homogeneous one."""
+        on every homogeneous one in its own shape against the reference's
+        on the general form."""
         seen = {"Optimal": 0, "Unbounded": 0, "Infeasible": 0}
         for program in _seeded_programs(seed=2024, count=600):
             out = general.solve(program)
@@ -520,9 +573,11 @@ class TestIntegerTableau:
             seen[type(out).__name__] += 1
         assert min(seen.values()) >= 100  # every outcome is well represented
         seen = {"Optimal": 0, "Unbounded": 0}
-        for program in _homogeneous_shapes(_seeded_programs(seed=2024, count=600)):
+        for program, general_form in _homogeneous_shapes(
+            _seeded_programs(seed=2024, count=600)
+        ):
             out = lp.solve(program)
-            assert _outcome_key(out) == _outcome_key(reference_solve(program))
+            _assert_same_outcome(program, out, reference_solve(general_form))
             seen[type(out).__name__] += 1
         assert min(seen.values()) >= 80
 
@@ -537,12 +592,12 @@ class TestIntegerTableau:
             return real_pivot(rows, basic, nonbasic, r, c, d)
 
         monkeypatch.setattr(general, "_pivot", spy)
-        row = lp.Constraint((F(1),), lp.Relation.EQ, F(1))
-        program = lp.LinearProgram(1, (F(1),), (row, row))
+        row = general.Constraint((F(1),), EQ, F(1))
+        program = general.LinearProgram(1, (F(1),), (row, row))
         out = general.solve(program)
         # four >= rows, so labels 5 and 6 are the two artificials
         assert any(p < 0 and basic >= 5 for p, basic in pivots)
-        assert isinstance(out, lp.Optimal)
+        assert isinstance(out, general.Optimal)
         assert out.point == (F(1),)
         assert out.value == 1
         assert out.row_duals is None
@@ -551,35 +606,31 @@ class TestIntegerTableau:
     def test_float_cells_are_refused(self):
         one = (F(1),)
         for program in (
-            lp.LinearProgram(1, one, (lp.Constraint((0.5,), lp.Relation.GE, F(0)),)),
-            lp.LinearProgram(1, one, (lp.Constraint(one, lp.Relation.LE, 0.5),)),
-            lp.LinearProgram(1, (1.0,), (lp.Constraint(one, lp.Relation.GE, F(0)),)),
+            general.LinearProgram(1, one, (general.Constraint((0.5,), GE, F(0)),)),
+            general.LinearProgram(1, one, (general.Constraint(one, LE, 0.5),)),
+            general.LinearProgram(1, (1.0,), (general.Constraint(one, GE, F(0)),)),
         ):
-            for solve in (lp.solve, general.solve):
-                with pytest.raises(TypeError):
-                    solve(program)
+            with pytest.raises(TypeError):
+                general.solve(program)
+        for program in (
+            lp.LinearProgram(1, (1,), ((0.5,),)),
+            lp.LinearProgram(1, (1,), ((1,), (-0.5,))),
+            lp.LinearProgram(1, (1.0,), ((1,),)),
+        ):
+            with pytest.raises(TypeError):
+                lp.solve(program)
 
 
 class TestKernelContract:
-    """``lp.solve`` takes homogeneous >= and <= rows with ``int`` cells, and
-    checks each ray it returns on its own."""
-
-    def test_nonzero_right_hand_side_or_equality_row_is_refused(self):
-        for row in (
-            lp.Constraint((1, 1), lp.Relation.GE, 1),
-            lp.Constraint((1, 1), lp.Relation.LE, -2),
-            lp.Constraint((1, -1), lp.Relation.EQ, 0),
-        ):
-            program = lp.LinearProgram(2, (1, 1), (int_ge([1, 0]), row))
-            with pytest.raises(ValueError):
-                lp.solve(program)
+    """``lp.solve`` takes homogeneous >= rows with ``int`` cells, and checks
+    each ray it returns on its own."""
 
     def test_non_int_cells_are_refused(self):
         for cell in (0.5, 1.0, F(1, 2), F(1)):
             for program in (
-                lp.LinearProgram(2, (1, cell), (int_ge([1, 1]),)),
-                lp.LinearProgram(2, (1, 1), (int_ge([1, cell]),)),
-                lp.LinearProgram(2, (1, 1), (lp.Constraint((1, 1), lp.Relation.LE, cell),)),
+                lp.LinearProgram(2, (1, cell), ((1, 1),)),
+                lp.LinearProgram(2, (1, 1), ((1, cell),)),
+                lp.LinearProgram(2, (1, 1), ((1, 1), (-1, cell))),
             ):
                 with pytest.raises(TypeError):
                     lp.solve(program)
@@ -594,7 +645,7 @@ class TestKernelContract:
 
         monkeypatch.setattr(lp, "_check_ray", spy)
         rays = []
-        for program in _homogeneous_shapes(_seeded_programs(seed=2024, count=100)):
+        for program, _ in _homogeneous_shapes(_seeded_programs(seed=2024, count=100)):
             out = lp.solve(program)
             if isinstance(out, lp.Unbounded):
                 rays.append((program, out.ray))
@@ -608,11 +659,14 @@ class TestKernelContract:
             }
 
     def test_corrupted_rays_are_caught(self):
-        # min -x - y  s.t.  x - y >= 0, and max x + y  s.t.  y - x <= 0
+        # min -x - y  s.t.  x - y >= 0, and max x + y  s.t.  y - x <= 0 in
+        # the kernel's shape
         for program in (
-            lp.LinearProgram(2, (-1, -1), (int_ge([1, -1]),)),
-            lp.LinearProgram(
-                2, (1, 1), (lp.Constraint((-1, 1), lp.Relation.LE, 0),), maximize=True
+            lp.LinearProgram(2, (-1, -1), ((1, -1),)),
+            _kernel_form(
+                general.LinearProgram(
+                    2, (1, 1), (general.Constraint((-1, 1), LE, 0),), maximize=True
+                )
             ),
         ):
             out = lp.solve(program)
@@ -630,16 +684,17 @@ class TestKernelContract:
                     lp._check_ray(program, bad)
         # min x - y  s.t.  x >= 0 and y >= 0 rows: (1, 0) stays in the cone
         # and does not improve
-        program = lp.LinearProgram(2, (1, -1), (int_ge([1, 0]), int_ge([0, 1])))
+        program = lp.LinearProgram(2, (1, -1), ((1, 0), (0, 1)))
         with pytest.raises(RuntimeError, match="does not improve"):
             lp._check_ray(program, {0: 1})
         lp._check_ray(program, {1: 3})
 
 
-def _pivot_paths(program, monkeypatch, solver=lp):
+def _pivot_paths(program, general_form, monkeypatch, solver=lp):
     """The (entering label, leaving label) pivots of ``solver.solve`` (the
-    kernel or the general solver) and of ``reference_solve`` on
-    ``program``, whose full tableau labels each column by its index."""
+    kernel or the general solver) on ``program`` and of ``reference_solve``
+    on ``general_form``, whose full tableau labels each column by its
+    index, followed by the two outcomes."""
     kernel, reference = [], []
     real_pivot, real_reference = solver._pivot, _reference_pivot
 
@@ -654,9 +709,9 @@ def _pivot_paths(program, monkeypatch, solver=lp):
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_pivot", spy)
         patch.setattr(sys.modules[__name__], "_reference_pivot", reference_spy)
-        solver.solve(program)
-        reference_solve(program)
-    return kernel, reference
+        outcome = solver.solve(program)
+        reference_outcome = reference_solve(general_form)
+    return kernel, reference, outcome, reference_outcome
 
 
 class TestPivotPath:
@@ -666,20 +721,24 @@ class TestPivotPath:
     def test_seeded_programs(self, monkeypatch):
         pivots = 0
         for program in _seeded_programs(seed=2024, count=600):
-            path, reference = _pivot_paths(program, monkeypatch, general)
+            path, reference, _, _ = _pivot_paths(program, program, monkeypatch, general)
             assert path == reference
             pivots += len(path)
         assert pivots >= 1000
         pivots = 0
-        for program in _homogeneous_shapes(_seeded_programs(seed=2024, count=600)):
-            kernel, reference = _pivot_paths(program, monkeypatch)
+        for program, general_form in _homogeneous_shapes(
+            _seeded_programs(seed=2024, count=600)
+        ):
+            kernel, reference, _, _ = _pivot_paths(program, general_form, monkeypatch)
             assert kernel == reference
             pivots += len(kernel)
         assert pivots >= 300
 
     def test_cycle_probes(self, monkeypatch, cycle_premises, cycle_antecedent):
         """Every bisection probe of a tolerance 1e-6 bracket, on the paper's
-        cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5."""
+        cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5: the kernel
+        on the ``>=`` rows it is handed, the reference on the ``<=`` rows
+        and maximised sum that the probes were posed as before."""
         import pientail as pt
 
         cases = [(cycle_premises, cycle_antecedent)]
@@ -703,9 +762,12 @@ class TestPivotPath:
             assert len(programs) == 22
             pivots = 0
             for program in programs:
-                kernel, reference = _pivot_paths(program, monkeypatch)
+                kernel, reference, got, want = _pivot_paths(
+                    program, _cone_form(program), monkeypatch
+                )
                 assert kernel == reference
                 pivots += len(kernel)
+                _assert_same_outcome(program, got, want)
             assert pivots >= 22
 
 
@@ -715,37 +777,37 @@ class TestVerification:
 
     def test_point_off_by_one_part_in_its_denominator(self):
         # min x + y  s.t.  7x + 7y >= 3: optimum 3/7
-        program = lp.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
+        program = general.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
         out = general.solve(program)
-        assert isinstance(out, lp.Optimal) and out.value == F(3, 7)
+        assert isinstance(out, general.Optimal) and out.value == F(3, 7)
         general._verify(program, out)
         x, y = out.point
         short = (x - F(1, 7), y) if x else (x, y - F(1, 7))
-        bad = lp.Optimal(point=short, value=sum(short))
+        bad = general.Optimal(point=short, value=sum(short))
         with pytest.raises(RuntimeError, match="infeasible point"):
             general._verify(program, bad)
 
     def test_optimal_value_off(self):
-        program = lp.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
+        program = general.LinearProgram(2, (F(1), F(1)), (ge([7, 7], 3),))
         out = general.solve(program)
-        bad = lp.Optimal(point=out.point, value=out.value + F(1, 7))
+        bad = general.Optimal(point=out.point, value=out.value + F(1, 7))
         with pytest.raises(RuntimeError, match="value disagrees"):
             general._verify(program, bad)
 
     def test_ray_with_a_negative_component(self):
         # min -x - y  s.t.  x - y >= 0
-        program = lp.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
+        program = general.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
         out = general.solve(program)
-        assert isinstance(out, lp.Unbounded)
-        bad = lp.Unbounded(point=out.point, ray=(F(1), F(-1)))
+        assert isinstance(out, general.Unbounded)
+        bad = general.Unbounded(point=out.point, ray=(F(1), F(-1)))
         with pytest.raises(RuntimeError, match="invalid ray"):
             general._verify(program, bad)
 
     def test_ray_leaving_the_cone(self):
-        program = lp.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
+        program = general.LinearProgram(2, (F(-1), F(-1)), (ge([1, -1]),))
         out = general.solve(program)
         # (1, 2) improves the objective but breaks x - y >= 0
-        bad = lp.Unbounded(point=out.point, ray=(F(1), F(2)))
+        bad = general.Unbounded(point=out.point, ray=(F(1), F(2)))
         with pytest.raises(RuntimeError, match="escapes the feasible cone"):
             general._verify(program, bad)
 
@@ -755,28 +817,28 @@ def _rational_decide_program(rows, gamma, k):
     0, as it was built before its cells became integers."""
     weight = status_weights(gamma)
     weights = [[weight[s] for s in row.statuses] for row in rows]
-    return lp.LinearProgram(
+    return general.LinearProgram(
         num_vars=len(rows),
         objective=tuple(w[0] for w in weights),
         constraints=tuple(
-            lp.Constraint(tuple(w[i] for w in weights), lp.Relation.GE, F(0))
+            general.Constraint(tuple(w[i] for w in weights), GE, F(0))
             for i in range(1, k + 1)
         ),
     )
 
 
 def _rational_cone_program(ratio_rows, k, gamma):
-    """The critical-threshold cone program in rational weights."""
-    zero, violated, witnessed = F(0), -gamma, 1 - gamma
-    constraints = []
-    for row in ratio_rows:
-        coeffs = [zero] * k
-        for i in row.covered:
-            coeffs[i] = violated
-        for i in row.witnessed:
-            coeffs[i] = witnessed
-        constraints.append(lp.Constraint(tuple(coeffs), lp.Relation.LE, F(0)))
-    return lp.LinearProgram(k, tuple([F(1)] * k), tuple(constraints), maximize=True)
+    """The critical-threshold cone program in rational weights, in the form
+    it was built in before the kernel took one shape: maximise the sum of
+    ``lambda`` subject to ``witnessed - gamma * covered <= 0``."""
+    weight = status_weights(gamma)
+    constraints = [
+        general.Constraint(tuple(weight[s] for s in row.statuses), LE, F(0))
+        for row in ratio_rows
+    ]
+    return general.LinearProgram(
+        k, tuple([F(1)] * k), tuple(constraints), maximize=True
+    )
 
 
 def _seeded_entailment_queries(seed, count):
@@ -815,8 +877,8 @@ class TestIntegerCellPrograms:
     Solved, they give what the programs in rational weights give."""
 
     def test_decide_program_matches_the_rational_one(self):
-        """Identical outcome type, point, value and row duals on every
-        program.  The ray is identical too, except where the simplex leaves
+        """Identical outcome type, the origin with value 0 and identical
+        row duals on every program.  The ray is identical too, except where the simplex leaves
         along a surplus column: the rational program stretches that surplus
         by its row's scale, the denominator ``q`` of ``gamma``, so its ray
         is ``q`` times the integer program's.  Both scale to the same
@@ -837,11 +899,12 @@ class TestIntegerCellPrograms:
             shapes["width"].add(query.universe.size)
             rows = _query_rows(query, 20)
             for gamma in _boundary_gammas(query.k):
-                got = lp.solve(_lp_program(rows, gamma))
+                program = _lp_program(rows, gamma)
+                got = lp.solve(program)
                 want = general.solve(_rational_decide_program(rows, gamma, query.k))
                 if isinstance(got, lp.Unbounded):
-                    assert isinstance(want, lp.Unbounded)
-                    assert got.point == want.point
+                    assert isinstance(want, general.Unbounded)
+                    assert not any(want.point)
                     if got.ray == want.ray:
                         same_ray += 1
                         continue
@@ -852,7 +915,7 @@ class TestIntegerCellPrograms:
                         at, rows, want.ray
                     )
                 else:
-                    assert _outcome_key(got) == _outcome_key(want)
+                    _assert_same_outcome(program, got, want)
                     optimal += 1
         assert shapes["k"] == set(range(1, 7)) and shapes["width"] == set(range(1, 11))
         assert shapes["duplicate"] >= 30 and shapes["empty side"] >= 100
@@ -861,8 +924,9 @@ class TestIntegerCellPrograms:
 
     def test_cone_program_matches_the_rational_one(self):
         """Every probe program of every premise subset's projected ratio
-        rows, at dyadic gammas: identical outcome type, point, ray, value
-        and row duals."""
+        rows, at dyadic gammas, against the rational program in its earlier
+        ``<=`` form: identical outcome type and ray, the origin with value 0,
+        and row duals that solve the dual system."""
         from pientail.entailment import _query_rows
         from pientail.threshold import _cone_program, _project_ratio_rows
 
@@ -874,9 +938,10 @@ class TestIntegerCellPrograms:
                 ratio_rows = _project_ratio_rows(rows, indices)
                 for gamma in (F(0), F(1), F(rng.randint(1, 63), 64)):
                     k = len(indices)
-                    got = lp.solve(_cone_program(ratio_rows, k, gamma))
+                    program = _cone_program(ratio_rows, k, gamma)
+                    got = lp.solve(program)
                     want = general.solve(_rational_cone_program(ratio_rows, k, gamma))
-                    assert _outcome_key(got) == _outcome_key(want)
+                    _assert_same_outcome(program, got, want)
                     seen[type(got).__name__] += 1
         assert min(seen.values()) >= 300
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import pientail as pt
-from conftest import make_query
+from conftest import make_query, status_weights
 
 
 class TestFeasibleAt:
@@ -75,21 +75,20 @@ class TestFeasibleAt:
         and 5, 1/1000 either side of each, and on seeded random instances.
         The length-5 cycle, the slowest, is only checked at its own value."""
         import general_simplex as general
-        from pientail import lp
         from pientail.threshold import _ratio_rows
 
         def simplex_form(gamma, premises, antecedent):
             k = len(premises)
-            constraints = [lp.Constraint((F(1),) * k, lp.Relation.EQ, F(1))]
+            Constraint, Relation = general.Constraint, general.Relation
+            constraints = [Constraint((F(1),) * k, Relation.EQ, F(1))]
             for row in _ratio_rows(premises, antecedent, 20):
                 coeffs = [F(0)] * k
-                for i in row.covered:
-                    coeffs[i] -= gamma
-                for i in row.witnessed:
-                    coeffs[i] += 1
-                constraints.append(
-                    lp.Constraint(tuple(coeffs), lp.Relation.LE, F(0))
-                )
+                for i, status in enumerate(row.statuses):
+                    if status is not pt.CoverStatus.NOT_COVERED:
+                        coeffs[i] -= gamma
+                    if status is pt.CoverStatus.WITNESSED:
+                        coeffs[i] += 1
+                constraints.append(Constraint(tuple(coeffs), Relation.LE, F(0)))
             return general.feasible(constraints, k)
 
         critical = [F(1, 2), F(2, 3), F(3, 4)]
@@ -178,6 +177,76 @@ class TestCriticalThreshold:
             )
             assert bracket.upper - bracket.lower <= tol
             assert bracket.tolerance == tol
+
+    def test_coarse_brackets_keep_no_multipliers_at_lower(self):
+        """At a coarse tolerance bisection can stop with ``lower`` 0 though
+        the threshold is 1/2: ``lower == upper == 0`` only when the
+        threshold is 0, and otherwise no multipliers exist at ``lower``."""
+        rules = pt.parse_rules("A -> B C\nA -> B D")
+        x = rules.universe.attrs("A", "C", "D")
+        for tol in (F(1, 2), F(1)):
+            bracket = pt.critical_threshold(rules, x, tolerance=tol)
+            assert (bracket.lower, bracket.upper) == (0, tol)
+            assert pt.feasible_at(bracket.lower, rules, x) is None
+        assert pt.feasible_at(F(1, 2), rules, x) is not None
+        assert pt.feasible_at(F(1, 2) - F(1, 10**6), rules, x) is None
+
+    def test_bounded_probes_carry_a_farkas_witness(
+        self, monkeypatch, cycle_premises, cycle_antecedent
+    ):
+        """Every probe that finds no multipliers comes back ``Optimal``, and
+        its row duals ``y >= 0`` satisfy ``sum_r y_r q (W - gamma C)_{r,i}
+        >= 1`` for every premise ``i`` (``W`` witnessed, ``C`` covered,
+        ``q`` the denominator of ``gamma``): no nonzero ``lambda >= 0``
+        keeps every row's ``(W - gamma C) lambda`` at most 0.  Checked in
+        Fractions from each row's statuses and ``gamma``, on every probe of
+        the tolerance 1e-6 brackets of the paper's cycle and of
+        ``x_i -> A x_{i+1}`` cycles of length 3 to 5."""
+        from pientail import lp, threshold
+
+        cases = [(cycle_premises, cycle_antecedent)]
+        for length in (3, 4, 5):
+            rules = pt.parse_rules(
+                "\n".join(f"x{i} -> A x{(i + 1) % length}" for i in range(length))
+            )
+            cases.append((rules, rules.universe.attrs(*[f"x{i}" for i in range(length)])))
+        probes = []
+        real_feasible, real_solve = threshold._feasible, lp.solve
+
+        def feasible(rows, k, gamma):
+            probes.append([rows, k, gamma])
+            return real_feasible(rows, k, gamma)
+
+        def solve(program):
+            outcome = real_solve(program)
+            probes[-1].append(outcome)
+            return outcome
+
+        counts = []
+        for premises, antecedent in cases:
+            probes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "_feasible", feasible)
+                patch.setattr(lp, "solve", solve)
+                pt.critical_threshold(premises, antecedent, tolerance=F(1, 10**6))
+            bounded = 0
+            for rows, k, gamma, outcome in probes:
+                if isinstance(outcome, lp.Unbounded):
+                    continue
+                bounded += 1
+                y = outcome.row_duals
+                assert len(y) == len(rows) and all(v >= 0 for v in y)
+                weight = status_weights(gamma)
+                for i in range(k):
+                    total = sum(
+                        v * gamma.denominator * weight[row.statuses[i]]
+                        for v, row in zip(y, rows)
+                    )
+                    assert total >= 1
+            assert len(probes) == 22
+            counts.append(bounded)
+        # the probes below each threshold, gamma = 0 first among them
+        assert counts == [8, 20, 11, 20]
 
     def test_pinned_cycle_bracket(self):
         """The paper's cycle at tolerance 1/1000000, pinned to the last
