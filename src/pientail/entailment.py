@@ -27,11 +27,13 @@ table per call: every later decide projects the first decide's table onto
 its own rules.
 
 From the table to the verified witness the work is in integers.  A row
-holds one status code per rule, and with ``gamma = p/q`` in lowest terms
-the weights times ``q`` are ``(0, -p, q - p)`` by code, so the programs
-handed to ``lp.solve`` have integer cells; certificate checks put the
-multipliers over one denominator, and rays become counts through their
-numerators.
+holds one status code per rule and the bitmask of a transaction, and with
+``gamma = p/q`` in lowest terms the weights times ``q`` are
+``(0, -p, q - p)`` by code, so the programs handed to ``lp.solve`` have
+integer cells.  It returns integer numerators over one denominator:
+certificates are checked as integer multipliers over one scale, and a ray
+divided by the gcd of its entries is a counterexample's counts.
+``Fraction``, ``AttrSet`` and ``Dataset`` are built once, for the result.
 
 Besides the LP route, structural deciders answer the same question from
 the premise subsets that carry the conclusion: at most one premise
@@ -174,14 +176,6 @@ class SignatureRow(NamedTuple):
 
     codes: tuple[int, ...]
     bits: int
-    universe: AttributeUniverse
-
-    def __repr__(self) -> str:
-        return f"SignatureRow(codes={self.codes!r}, bits={self.bits!r})"
-
-    @property
-    def witness(self) -> AttrSet:
-        return AttrSet(self.universe, self.bits)
 
     @property
     def statuses(self) -> tuple[CoverStatus, ...]:
@@ -201,14 +195,13 @@ class SignatureRow(NamedTuple):
 def signature_rows(
     implications: Sequence[PartialImplication],
     universe: AttributeUniverse,
-    extra: AttrSet | None = None,
     max_attrs: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[SignatureRow]:
     """Distinct cover patterns over all transaction types, with witnesses.
 
-    Only subsets of the attributes occurring in ``implications`` (plus
-    ``extra``) matter; any other transaction realises the same pattern as
-    its restriction to those attributes.  Each row's witness is the
+    Only subsets of the attributes occurring in ``implications`` matter;
+    any other transaction realises the same pattern as its restriction to
+    those attributes.  Each row's witness is the
     smallest transaction bitmask realising its pattern, and rows appear in
     the order their first witness arises when transaction bitmasks are
     enumerated in increasing order, which keeps every downstream "first
@@ -226,7 +219,7 @@ def signature_rows(
     classes times the number of states, at most ``3**len(implications)``,
     instead of ``2**width``.
     """
-    occ, pairs = rule_bitmasks(implications, universe, extra, max_attrs)
+    occ, pairs = rule_bitmasks(implications, universe, max_attrs)
     classes: dict[int, int] = {}
     for p in bit_positions(occ):
         bit = 1 << p
@@ -251,9 +244,7 @@ def signature_rows(
     code_by_bits = (_WITNESSED, None, _VIOLATED, _NOT_COVERED)
     shifts = range(0, 2 * len(pairs), 2)
     return [
-        SignatureRow(
-            tuple([code_by_bits[broken >> s & 3] for s in shifts]), z, universe
-        )
+        SignatureRow(tuple([code_by_bits[broken >> s & 3] for s in shifts]), z)
         for z, broken in sorted((z, broken) for broken, z in frontier.items())
     ]
 
@@ -323,7 +314,7 @@ def _project_rows(rows: list[SignatureRow], columns: list[int]) -> list[Signatur
         key = tuple([codes[c] for c in columns])
         if key not in seen:
             seen.add(key)
-            out.append(SignatureRow(key, row.bits, row.universe))
+            out.append(SignatureRow(key, row.bits))
     return out
 
 
@@ -336,7 +327,7 @@ def decide_lp(
     conclusion weight subject to nonnegative premise weights is bounded
     (at zero) exactly when the entailment holds.  Boundedness hands back
     the premise multipliers through the row duals; unboundedness hands
-    back a rational ray that integer scaling turns into a counterexample
+    back an integer ray whose primitive vector is a counterexample
     dataset.  Both witnesses are re-verified before being returned.
     """
     return _decide_lp_rows(query, _query_rows(query, max_attrs))
@@ -361,18 +352,17 @@ def _decide_lp_rows(
     query: EntailmentQuery, rows: list[SignatureRow]
 ) -> EntailmentVerdict:
     """``decide_lp`` over the already enumerated signature rows of ``query``."""
-    gamma = query.gamma
-    k = query.k
-    outcome = lp.solve(_lp_program(rows, gamma))
+    outcome = lp.solve(_lp_program(rows, query.gamma))
     if isinstance(outcome, lp.Optimal):
-        certificate = outcome.row_duals
-        if len(certificate) != k:
+        duals, d = outcome.row_duals, outcome.denominator
+        if len(duals) != query.k:
             raise RuntimeError("solver returned no dual value per premise")
-        violation = _certificate_violation(rows, gamma, certificate)
-        if violation is not None:
+        if _certificate_violation(query, rows, duals, d) is not None:
             raise RuntimeError("extracted multipliers fail their own constraints")
         return EntailmentVerdict(
-            holds=True, regime=Regime.LP_DIRECT, certificate=certificate
+            holds=True,
+            regime=Regime.LP_DIRECT,
+            certificate=tuple([Fraction(v, d) for v in duals]),
         )
     counterexample = _dataset_from_ray(query, rows, outcome.ray)
     return EntailmentVerdict(
@@ -381,22 +371,18 @@ def _decide_lp_rows(
 
 
 def _dataset_from_ray(
-    query: EntailmentQuery,
-    rows: list[SignatureRow],
-    ray: tuple[Fraction, ...],
+    query: EntailmentQuery, rows: list[SignatureRow], ray: Sequence[int]
 ) -> Dataset:
-    """Scale a rational recession ray to the smallest integer multiple and
+    """Divide an integer recession ray by the gcd of its entries and
     re-verify that the resulting dataset is a genuine counterexample.
 
-    Only the nonzero components matter: a zero adds nothing to the least
-    common denominator or to the greatest common divisor."""
+    Only the nonzero components matter: a zero adds nothing to the greatest
+    common divisor."""
     nonzero = [(row, c) for row, c in zip(rows, ray) if c]
-    scale = math.lcm(*[c.denominator for _, c in nonzero])
-    counts = [c.numerator * (scale // c.denominator) for _, c in nonzero]
-    shrink = math.gcd(*counts)
+    shrink = math.gcd(*[c for _, c in nonzero])
+    universe = query.universe
     data = Dataset(
-        query.universe,
-        {row.witness: count // shrink for (row, _), count in zip(nonzero, counts)},
+        universe, {AttrSet(universe, row.bits): c // shrink for row, c in nonzero}
     )
     for premise in query.premises:
         if not satisfies(data, premise, query.gamma):
@@ -404,18 +390,6 @@ def _dataset_from_ray(
     if satisfies(data, query.conclusion, query.gamma):
         raise RuntimeError("counterexample satisfies the conclusion")
     return data
-
-
-def lp_counterexample(
-    query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> Dataset:
-    """Counterexample dataset for a non-entailment (raises if it holds)."""
-    verdict = decide_lp(query, max_attrs)
-    if verdict.holds:
-        raise RuntimeError("no counterexample: the entailment holds")
-    if verdict.counterexample is None:
-        raise RuntimeError("failing verdict without a counterexample")
-    return verdict.counterexample
 
 
 @dataclass(frozen=True)
@@ -429,19 +403,18 @@ class CertificateViolation:
 
 
 def _certificate_violation(
+    query: EntailmentQuery,
     rows: list[SignatureRow],
-    gamma: Fraction,
-    multipliers: Sequence[Fraction],
+    numerators: Sequence[int],
+    scale: int,
 ) -> CertificateViolation | None:
-    # Everything is over ``scale * q``: ``scale`` puts the multipliers over
-    # one denominator, ``q`` is that of ``gamma``.  ``terms[i][code]`` is
+    # The multipliers are ``numerators`` over ``scale``, and everything is
+    # over ``scale * q``, ``q`` that of ``gamma``.  ``terms[i][code]`` is
     # rule i's integer weight times its multiplier, the conclusion's
     # negated, so a row is broken exactly when its terms sum above 0.
-    p, q = gamma.numerator, gamma.denominator
-    scale = math.lcm(*[lam.denominator for lam in multipliers])
+    p, q = query.gamma.numerator, query.gamma.denominator
     terms = [(0, p * scale, (p - q) * scale)]
-    for lam in multipliers:
-        m = lam.numerator * (scale // lam.denominator)
+    for m in numerators:
         terms.append((0, -p * m, (q - p) * m))
     for row in rows:
         total = sum(map(getitem, terms, row.codes))
@@ -449,7 +422,7 @@ def _certificate_violation(
             rhs_num = -terms[0][row.codes[0]]
             return CertificateViolation(
                 signature=row.signature(),
-                witness=row.witness,
+                witness=AttrSet(query.universe, row.bits),
                 lhs=Fraction(total + rhs_num, scale * q),
                 rhs=Fraction(rhs_num, scale * q),
             )
@@ -469,7 +442,9 @@ def find_certificate_violation(
     if any(lam < 0 for lam in lams):
         raise ValueError("multipliers must be nonnegative")
     rows = _query_rows(query, max_attrs)
-    return _certificate_violation(rows, query.gamma, lams)
+    scale = math.lcm(*[lam.denominator for lam in lams])
+    numerators = [lam.numerator * (scale // lam.denominator) for lam in lams]
+    return _certificate_violation(query, rows, numerators, scale)
 
 
 def check_certificate(
@@ -559,8 +534,15 @@ def _uniform_verdict(
         for i in indices:
             certificate[i] = Fraction(1, len(indices))
         return EntailmentVerdict(True, regime, certificate=tuple(certificate))
-    counterexample = lp_counterexample(query, max_attrs)
-    return EntailmentVerdict(False, regime, counterexample=counterexample)
+    return _lp_failure(decide_lp(query, max_attrs), regime)
+
+
+def _lp_failure(verdict: EntailmentVerdict, regime: Regime) -> EntailmentVerdict:
+    """The LP's failing ``verdict`` on a query no premise subset carries,
+    under the structural route's ``regime``; one that holds is a bug."""
+    if verdict.holds:
+        raise RuntimeError("the LP certifies a query no premise subset carries")
+    return EntailmentVerdict(False, regime, counterexample=verdict.counterexample)
 
 
 def decide_one_premise(

@@ -38,14 +38,6 @@ class ImplicationSet:
                     "implication belongs to a different universe"
                 )
 
-    @staticmethod
-    def of(implications: Sequence[PartialImplication], universe: AttributeUniverse | None = None) -> ImplicationSet:
-        if universe is None:
-            if not implications:
-                raise ValueError("universe required for an empty implication set")
-            universe = implications[0].universe
-        return ImplicationSet(universe, tuple(implications))
-
     def __len__(self) -> int:
         return len(self.implications)
 

@@ -24,15 +24,16 @@ entering column, which is the row Bland's ratio test picks.  Every run
 terminates and takes the pivots of the full rational tableau, and what it
 reads off by label is that tableau's:
 
-* ``Optimal``   - the optimum is 0, at the origin; ``row_duals`` holds the
-                  dual value ``y_r >= 0`` of each row, with ``A^T y <= c``;
-* ``Unbounded`` - a recession ray along which the objective decreases
-                  forever.
+* ``Optimal``   - the optimum is 0, at the origin; ``row_duals[r]`` over
+                  ``denominator`` is the dual ``y_r >= 0``, ``A^T y <= c``;
+* ``Unbounded`` - ``ray`` over ``denominator`` is a recession ray along
+                  which the objective decreases forever.
 
-Before any ``Fraction`` is built, the ray is re-verified on its integer
-numerators: it must be nonnegative, nonzero and strictly improving, and it
-is substituted into every row, summed over its nonzero entries only.  A cell
-that is not an ``int`` (a float or a ``Fraction``) raises ``TypeError``.
+Both hold the final tableau's integer numerators over its ``D``: no
+``Fraction`` is built here.  The ray is re-verified first: it must be
+nonnegative, nonzero and strictly improving, and it is substituted into
+every row, summed over its nonzero entries only.  A cell that is not an
+``int`` (a float or a ``Fraction``) raises ``TypeError``.
 The general two-phase simplex over rational cells, with equality rows and
 any right-hand side, is kept with the tests as the reference this kernel is
 compared with.
@@ -41,7 +42,6 @@ compared with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 
@@ -64,16 +64,17 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Optimal:
-    row_duals: tuple[Fraction, ...]
+    row_duals: tuple[int, ...]
+    denominator: int
 
 
 @dataclass(frozen=True)
 class Unbounded:
-    ray: tuple[Fraction, ...]
+    ray: tuple[int, ...]
+    denominator: int
 
 
 _INT = {int}
-_ZERO = Fraction(0)
 
 
 def _pivot(
@@ -150,17 +151,10 @@ def solve(lp: LinearProgram) -> Optimal | Unbounded:
                 if b < n and row[entering]:
                     ray[b] = -row[entering]
             _check_ray(lp, ray)
-            components = [_ZERO] * n
-            for j, v in ray.items():
-                components[j] = Fraction(v, d)
-            return Unbounded(ray=tuple(components))
+            return Unbounded(tuple([ray.get(j, 0) for j in range(n)]), d)
         d = _pivot(rows, basic, nonbasic, basic.index(min(blocking)), entering, d)
 
     # The dual value of row r is the reduced cost of its surplus column over
     # d (0 while the surplus is basic).
     reduced = dict(zip(nonbasic, rows[-1]))
-    return Optimal(
-        row_duals=tuple(
-            Fraction(v, d) if (v := reduced.get(n + r, 0)) else _ZERO for r in range(m)
-        )
-    )
+    return Optimal(tuple([reduced.get(n + r, 0) for r in range(m)]), d)

@@ -223,16 +223,15 @@ class PartialImplication:
 def rule_bitmasks(
     implications: Iterable[PartialImplication],
     universe: AttributeUniverse,
-    extra: AttrSet | None = None,
     max_attrs: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Occurring attributes and the ``(antecedent, span)`` bitmasks of each rule.
 
-    The occurring attributes are every span plus ``extra``: the attributes
-    an enumeration of transaction types has to look at.  More than
+    The occurring attributes are the union of the spans: the attributes an
+    enumeration of transaction types has to look at.  More than
     ``max_attrs`` of them raise ``AttributeCapError``.
     """
-    occ = extra.bits if extra is not None else 0
+    occ = 0
     pairs = []
     for imp in implications:
         if imp.universe != universe:

@@ -56,7 +56,7 @@ def search_counterexample(
     for row in _query_rows(query, max_attrs):
         vec = [weights[c] for c in row.codes]
         if any(vec):
-            weighted.append((row.witness, vec))
+            weighted.append((AttrSet(query.universe, row.bits), vec))
     if not weighted:
         return None
     bound = query.gamma.denominator * max_mult * max_support

@@ -39,6 +39,7 @@ from .entailment import (
     _certificate_violation,
     _decide_lp_rows,
     _integer_weights,
+    _lp_failure,
     _project_rows,
     _query_rows,
     _tautology_verdict,
@@ -85,12 +86,7 @@ def _ratio_rows(
     if len(premises) < 1:
         raise ValueError("critical threshold needs at least one premise")
     probe = PartialImplication(antecedent, antecedent.universe.empty())
-    rows = signature_rows(
-        [probe, *premises],
-        premises.universe,
-        extra=antecedent,
-        max_attrs=max_attrs,
-    )
+    rows = signature_rows([probe, *premises], premises.universe, max_attrs=max_attrs)
     return _project_ratio_rows(rows, range(len(premises)))
 
 
@@ -123,19 +119,25 @@ def _cone_program(rows: list[SignatureRow], k: int, gamma: Fraction) -> lp.Linea
     )
 
 
-def _feasible(rows: list[SignatureRow], k: int, gamma: Fraction) -> tuple[Fraction, ...] | None:
-    """Simplex multipliers whose worst ratio over ``rows`` is at most ``gamma``.
+def _feasible(rows: list[SignatureRow], k: int, gamma: Fraction) -> tuple[int, ...] | None:
+    """A ray of multipliers whose worst ratio over ``rows`` is at most ``gamma``.
 
     The ratio rows are homogeneous, so the question is posed as a cone
     program (``_cone_program``): it is unbounded exactly when a nonzero
-    ``lambda`` exists, and its verified ray, divided by its sum, is a
-    simplex point.  Otherwise its optimum is 0 and there is none.
+    ``lambda`` exists, and its verified ray's integer entries, divided by
+    their sum (``_simplex_point``), are a simplex point.  Otherwise its
+    optimum is 0 and there is none.
     """
     outcome = lp.solve(_cone_program(rows, k, gamma))
     if isinstance(outcome, lp.Optimal):
         return None
-    total = sum(outcome.ray)
-    return tuple(v / total if v else v for v in outcome.ray)
+    return outcome.ray
+
+
+def _simplex_point(ray: Sequence[int]) -> tuple[Fraction, ...]:
+    """The nonnegative, nonzero integer ``ray`` divided by its sum."""
+    total = sum(ray)
+    return tuple([Fraction(v, total) for v in ray])
 
 
 def feasible_at(
@@ -154,8 +156,8 @@ def feasible_at(
     g = as_rational(gamma)
     if not 0 <= g <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {g}")
-    rows = _ratio_rows(premises, antecedent, max_attrs)
-    return _feasible(rows, len(premises), g)
+    ray = _feasible(_ratio_rows(premises, antecedent, max_attrs), len(premises), g)
+    return None if ray is None else _simplex_point(ray)
 
 
 def max_ratio(
@@ -206,16 +208,13 @@ def critical_threshold(
         raise ValueError("tolerance must be positive")
     rows = _ratio_rows(premises, antecedent, max_attrs)
     k = len(premises)
-    at_zero = _feasible(rows, k, Fraction(0))
-    if at_zero is not None:
-        return ThresholdBracket(
-            lower=Fraction(0), upper=Fraction(0), tolerance=tol, multipliers=at_zero
-        )
-    lower = Fraction(0)
-    upper = Fraction(1)
+    lower = upper = Fraction(0)
     at_upper = _feasible(rows, k, upper)
-    if at_upper is None:
-        raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
+    if at_upper is None:  # the threshold is above 0: bisect [0, 1]
+        upper = Fraction(1)
+        at_upper = _feasible(rows, k, upper)
+        if at_upper is None:
+            raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
     while upper - lower > tol:
         mid = (lower + upper) / 2
         at_mid = _feasible(rows, k, mid)
@@ -225,7 +224,7 @@ def critical_threshold(
             upper = mid
             at_upper = at_mid
     return ThresholdBracket(
-        lower=lower, upper=upper, tolerance=tol, multipliers=at_upper
+        lower=lower, upper=upper, tolerance=tol, multipliers=_simplex_point(at_upper)
     )
 
 
@@ -255,26 +254,17 @@ def decide_general(
         return _tautology_verdict(query)
     rows = _query_rows(query, max_attrs)
     for indices in _carrying_subsets(query):
-        lams = _feasible(
-            _project_ratio_rows(rows, indices), len(indices), query.gamma
-        )
-        if lams is None:
+        ray = _feasible(_project_ratio_rows(rows, indices), len(indices), query.gamma)
+        if ray is None:
             continue
-        certificate = [Fraction(0)] * query.k
-        for lam, i in zip(lams, indices):
-            certificate[i] = lam
-        if _certificate_violation(rows, query.gamma, certificate) is not None:
+        numerators = [0] * query.k
+        for v, i in zip(ray, indices):
+            numerators[i] = v
+        if _certificate_violation(query, rows, numerators, sum(ray)) is not None:
             raise RuntimeError("subset multipliers fail the full constraint system")
         return EntailmentVerdict(
             holds=True,
             regime=Regime.GENERAL_GAMMA_STAR,
-            certificate=tuple(certificate),
+            certificate=_simplex_point(numerators),
         )
-    verdict = _decide_lp_rows(query, rows)
-    if verdict.holds:
-        raise RuntimeError("the LP certifies a query no premise subset carries")
-    return EntailmentVerdict(
-        holds=False,
-        regime=Regime.GENERAL_GAMMA_STAR,
-        counterexample=verdict.counterexample,
-    )
+    return _lp_failure(_decide_lp_rows(query, rows), Regime.GENERAL_GAMMA_STAR)

@@ -301,7 +301,8 @@ class TestCertificates:
                     F(0),
                 )
                 if lhs > rhs:
-                    return CertificateViolation(row.signature(), row.witness, lhs, rhs)
+                    witness = pt.AttrSet(query.universe, row.bits)
+                    return CertificateViolation(row.signature(), witness, lhs, rhs)
             return None
 
         rng = random.Random(2610)

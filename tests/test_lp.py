@@ -38,6 +38,12 @@ def _kernel_form(program):
     )
 
 
+def _over_denominator(values, outcome):
+    """The kernel's integer ``values`` (a ray or row duals) as ``Fraction``s,
+    each over the outcome's denominator: the rational tableau's entries."""
+    return tuple(F(v, outcome.denominator) for v in values)
+
+
 def _cone_form(program):
     """A kernel program in the form critical-threshold probes had before
     the kernel took one shape: maximise minus the objective subject to
@@ -188,7 +194,7 @@ class TestDuality:
         # min x - y  s.t.  x - y >= 0: the single dual value is forced to 1
         out = lp.solve(lp.LinearProgram(2, (1, -1), ((1, -1),)))
         assert isinstance(out, lp.Optimal)
-        assert out.row_duals == (F(1),)
+        assert _over_denominator(out.row_duals, out) == (F(1),)
 
         rng = random.Random(11)
         optimal = 0
@@ -205,8 +211,8 @@ class TestDuality:
             )
             assert isinstance(out, (lp.Optimal, lp.Unbounded))
             if isinstance(out, lp.Optimal):
-                y = out.row_duals
-                assert y is not None and all(v >= 0 for v in y)
+                y = _over_denominator(out.row_duals, out)
+                assert all(v >= 0 for v in y)
                 for j in range(n):
                     assert sum(A[i][j] * y[i] for i in range(m)) <= c[j]
                 optimal += 1
@@ -424,12 +430,12 @@ def _assert_same_outcome(program, got, want):
     assert type(got).__name__ == type(want).__name__
     assert not any(want.point)
     if isinstance(got, lp.Unbounded):
-        assert got.ray == want.ray
+        assert _over_denominator(got.ray, got) == want.ray
         return
     assert want.value == 0
+    y = _over_denominator(got.row_duals, got)
     if want.row_duals is not None:
-        assert got.row_duals == want.row_duals
-    y = got.row_duals
+        assert y == want.row_duals
     assert len(y) == len(program.constraints) and all(v >= 0 for v in y)
     for j, c in enumerate(program.objective):
         assert sum(v * row[j] for v, row in zip(y, program.constraints)) <= c
@@ -652,10 +658,9 @@ class TestKernelContract:
         assert len(rays) >= 10
         assert [p for p, _ in checked] == [p for p, _ in rays]
         for (_, numerators), (_, ray) in zip(checked, rays):
-            # the checked numerators are the returned ray up to a positive factor
-            total, scale = sum(ray), sum(numerators.values())
-            assert {j: v / total for j, v in enumerate(ray) if v} == {
-                j: F(v, scale) for j, v in numerators.items() if v
+            # the checked numerators are the returned ray's
+            assert {j: v for j, v in enumerate(ray) if v} == {
+                j: v for j, v in numerators.items() if v
             }
 
     def test_corrupted_rays_are_caught(self):
@@ -905,14 +910,17 @@ class TestIntegerCellPrograms:
                 if isinstance(got, lp.Unbounded):
                     assert isinstance(want, general.Unbounded)
                     assert not any(want.point)
-                    if got.ray == want.ray:
+                    ray = _over_denominator(got.ray, got)
+                    if ray == want.ray:
                         same_ray += 1
                         continue
-                    assert want.ray == tuple(gamma.denominator * v for v in got.ray)
+                    assert want.ray == tuple(gamma.denominator * v for v in ray)
                     scaled_ray += 1
                     at = pt.EntailmentQuery(query.premises, query.conclusion, gamma)
+                    scale = math.lcm(*[v.denominator for v in want.ray])
+                    want_counts = [int(v * scale) for v in want.ray]
                     assert _dataset_from_ray(at, rows, got.ray) == _dataset_from_ray(
-                        at, rows, want.ray
+                        at, rows, want_counts
                     )
                 else:
                     _assert_same_outcome(program, got, want)

@@ -17,11 +17,11 @@ from pientail.model import bit_positions
 CORPUS_BUDGET_S = 10.0  # about 3 s on a 2-core machine, nearly all reference
 
 
-def reference_rows(implications, extra=None):
+def reference_rows(implications):
     """Every subset of the occurring attributes in increasing bitmask order,
     keeping each cover pattern's first transaction: ``(codes, witness)``
     with code 0 not covered, 1 violated, 2 witnessed."""
-    occ = extra.bits if extra is not None else 0
+    occ = 0
     for imp in implications:
         occ |= imp.span.bits
     positions = bit_positions(occ)
@@ -56,9 +56,8 @@ def reference_rows(implications, extra=None):
 
 
 def _instance(rng, width):
-    """1 to 9 rules whose spans, plus ``extra`` when there is one, mention
-    exactly ``width`` of ``width + 2`` attributes; sides may be empty and
-    rules may repeat."""
+    """1 to 9 rules whose spans mention exactly ``width`` of ``width + 2``
+    attributes; sides may be empty and rules may repeat."""
     names = [f"a{i}" for i in range(width + 2)]
     u = pt.AttributeUniverse(tuple(names))
     pool = rng.sample(names, width)
@@ -74,15 +73,12 @@ def _instance(rng, width):
             [a for a in pool if rng.random() < cons_density],
         ))
     missing = [a for a in pool if not any(a in r[0] or a in r[1] for r in rules)]
-    extra = None
-    if rng.random() < 0.5:
-        extra = u.attrs(*missing, *[a for a in pool if rng.random() < 0.2])
-    elif missing:
+    if missing:
         rules[-1] = (rules[-1][0], rules[-1][1] + missing)
     implications = [
         pt.PartialImplication(u.attrs(*a), u.attrs(*c)) for a, c in rules
     ]
-    return u, implications, extra
+    return u, implications
 
 
 def test_frontier_matches_exhaustive_walk():
@@ -90,19 +86,16 @@ def test_frontier_matches_exhaustive_walk():
     widths = [i % 15 for i in range(394)] + [15, 16, 17, 18, 19, 20]
     start = time.perf_counter()
     seen_widths = set()
-    shapes = {"extra": 0, "empty side": 0, "duplicate": 0}
+    shapes = {"empty side": 0, "duplicate": 0}
     for width in widths:
-        u, implications, extra = _instance(rng, width)
-        rows = signature_rows(implications, u, extra=extra)
-        got = [
-            (tuple(s.value for s in row.statuses), row.witness.bits) for row in rows
-        ]
-        assert got == reference_rows(implications, extra), (implications, extra)
-        occ = extra.bits if extra is not None else 0
+        u, implications = _instance(rng, width)
+        rows = signature_rows(implications, u)
+        got = [(tuple(s.value for s in row.statuses), row.bits) for row in rows]
+        assert got == reference_rows(implications), implications
+        occ = 0
         for imp in implications:
             occ |= imp.span.bits
         seen_widths.add(occ.bit_count())
-        shapes["extra"] += extra is not None
         shapes["empty side"] += any(
             not imp.antecedent.bits or not imp.consequent.bits for imp in implications
         )
@@ -114,9 +107,7 @@ def test_frontier_matches_exhaustive_walk():
 
 def test_frontier_without_rules_or_attributes():
     u = pt.AttributeUniverse(("A", "B"))
-    assert [(r.statuses, r.witness) for r in signature_rows([], u)] == [((), u.empty())]
-    extra_only = signature_rows([], u, extra=u.attrs("B"))
-    assert [(r.statuses, r.witness) for r in extra_only] == [((), u.empty())]
+    assert [(r.statuses, r.bits) for r in signature_rows([], u)] == [((), 0)]
     empty_rule = pt.PartialImplication(u.empty(), u.empty())
     rows = signature_rows([empty_rule, empty_rule], u)
     assert [r.statuses for r in rows] == [(pt.CoverStatus.WITNESSED,) * 2]
@@ -132,12 +123,13 @@ def test_signature_row_reads_its_fields_and_leaves_the_universe_out_of_repr():
         "SignatureRow(codes=(2, 2), bits=3)",
     ]
     violator, witness = rows[1], rows[2]
-    assert witness.universe == u and witness.witness == u.attrs("A", "B")
+    assert witness.bits == u.attrs("A", "B").bits
     assert witness.statuses == (pt.CoverStatus.WITNESSED,) * 2
     assert violator.signature() == entailment.ConstraintSignature(
         witnessed=frozenset(), violated=frozenset({0, 1})
     )
-    assert witness == entailment.SignatureRow((2, 2), 3, u)
+    assert witness == entailment.SignatureRow((2, 2), 3)
+    assert entailment.SignatureRow._fields == ("codes", "bits")
 
 
 def _count_enumerations(monkeypatch):
@@ -193,14 +185,12 @@ def test_projected_table_matches_a_table_for_the_chosen_rules():
     for the rules at those columns alone."""
     rng = random.Random(4471)
     for width in [i % 13 for i in range(150)]:
-        u, implications, _ = _instance(rng, width)
+        u, implications = _instance(rng, width)
         rows = signature_rows(implications, u)
         columns = [rng.randrange(len(implications)) for _ in range(rng.randint(1, 6))]
         chosen = [implications[c] for c in columns]
         projected = entailment._project_rows(rows, columns)
-        assert [(r.codes, r.witness) for r in projected] == [
-            (r.codes, r.witness) for r in signature_rows(chosen, u)
-        ], (implications, columns)
+        assert projected == signature_rows(chosen, u), (implications, columns)
 
 
 def _prune_by_single_decides(rules, gamma, method):

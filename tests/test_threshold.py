@@ -234,7 +234,9 @@ class TestCriticalThreshold:
                 if isinstance(outcome, lp.Unbounded):
                     continue
                 bounded += 1
-                y = outcome.row_duals
+                # numerators over the denominator: raw numerators would
+                # clear ``>= 1`` more easily
+                y = [F(v, outcome.denominator) for v in outcome.row_duals]
                 assert len(y) == len(rows) and all(v >= 0 for v in y)
                 weight = status_weights(gamma)
                 for i in range(k):
