@@ -33,7 +33,6 @@ from .entailment import (
 )
 from .homogeneity import ImplicationSet, enforces_homogeneity
 from .model import (
-    AttrSet,
     AttributeCapError,
     AttributeUniverse,
     DEFAULT_ENUMERATION_CAP,

@@ -23,6 +23,7 @@ reports a bracket for the value itself, which is in general irrational.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -119,19 +120,49 @@ def _cone_program(rows: list[SignatureRow], k: int, gamma: Fraction) -> lp.Linea
     )
 
 
-def _feasible(rows: list[SignatureRow], k: int, gamma: Fraction) -> tuple[int, ...] | None:
-    """A ray of multipliers whose worst ratio over ``rows`` is at most ``gamma``.
+def _feasible(
+    rows: list[SignatureRow], k: int, gamma: Fraction
+) -> lp.Optimal | lp.Unbounded:
+    """Whether multipliers with worst ratio over ``rows`` at most ``gamma`` exist.
 
     The ratio rows are homogeneous, so the question is posed as a cone
-    program (``_cone_program``): it is unbounded exactly when a nonzero
+    program (``_cone_program``): it is ``Unbounded`` exactly when a nonzero
     ``lambda`` exists, and its verified ray's integer entries, divided by
-    their sum (``_simplex_point``), are a simplex point.  Otherwise its
-    optimum is 0 and there is none.
+    their sum (``_simplex_point``), are a simplex point.  Otherwise it is
+    ``Optimal`` at 0, and its row duals are a Farkas certificate that there
+    is none (``_farkas_bound``).
     """
-    outcome = lp.solve(_cone_program(rows, k, gamma))
-    if isinstance(outcome, lp.Optimal):
-        return None
-    return outcome.ray
+    return lp.solve(_cone_program(rows, k, gamma))
+
+
+def _worst_ratio(rows: list[SignatureRow], numerators: Sequence[int]) -> Fraction:
+    """Worst witnessed/covered ratio over ``rows`` of the nonnegative
+    multipliers ``numerators`` (over any common denominator), with 0/0 read
+    as 0 and 0 when no row is covered."""
+    num, den = 0, 1
+    for row in rows:
+        witnessed = sum([m for m, c in zip(numerators, row.codes) if c == _WITNESSED])
+        covered = sum([m for m, c in zip(numerators, row.codes) if c != _NOT_COVERED])
+        if witnessed * den > num * covered:
+            num, den = witnessed, covered
+    return Fraction(num, den)
+
+
+def _farkas_bound(
+    rows: list[SignatureRow], gamma: Fraction, y: Sequence[int]
+) -> Fraction:
+    """The value below which the row duals ``y`` of a bounded probe at
+    ``gamma`` prove that no multipliers exist: ``y >= 0`` with ``y.(W -
+    gamma C)_i > 0`` for every premise ``i`` (``W`` witnessed, ``C``
+    covered) leaves no nonzero ``lambda >= 0`` with ``(W - gamma C) lambda
+    <= 0``, and the sums only grow as ``gamma`` falls."""
+    cols = list(zip(*[row.codes for row in rows]))
+    witnessed = [sum([v for v, c in zip(y, col) if c == _WITNESSED]) for col in cols]
+    covered = [sum([v for v, c in zip(y, col) if c != _NOT_COVERED]) for col in cols]
+    p, q = gamma.numerator, gamma.denominator
+    if min(y) < 0 or any(q * w <= p * c for w, c in zip(witnessed, covered)):
+        raise RuntimeError("probe duals are no Farkas certificate")
+    return min(map(Fraction, witnessed, covered))
 
 
 def _simplex_point(ray: Sequence[int]) -> tuple[Fraction, ...]:
@@ -156,8 +187,8 @@ def feasible_at(
     g = as_rational(gamma)
     if not 0 <= g <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {g}")
-    ray = _feasible(_ratio_rows(premises, antecedent, max_attrs), len(premises), g)
-    return None if ray is None else _simplex_point(ray)
+    outcome = _feasible(_ratio_rows(premises, antecedent, max_attrs), len(premises), g)
+    return _simplex_point(outcome.ray) if isinstance(outcome, lp.Unbounded) else None
 
 
 def max_ratio(
@@ -179,16 +210,9 @@ def max_ratio(
         raise ValueError("multipliers must be nonnegative")
     if sum(lams) != 1:
         raise ValueError("multipliers must sum to 1")
-    best = Fraction(0)
-    for row in _ratio_rows(premises, antecedent, max_attrs):
-        den = sum(lam for lam, c in zip(lams, row.codes) if c != _NOT_COVERED)
-        if den == 0:
-            continue
-        num = sum(lam for lam, c in zip(lams, row.codes) if c == _WITNESSED)
-        ratio = num / den
-        if ratio > best:
-            best = ratio
-    return best
+    scale = math.lcm(*[lam.denominator for lam in lams])
+    numerators = [lam.numerator * (scale // lam.denominator) for lam in lams]
+    return _worst_ratio(_ratio_rows(premises, antecedent, max_attrs), numerators)
 
 
 def critical_threshold(
@@ -201,28 +225,51 @@ def critical_threshold(
 
     Every probe is an exact feasibility test, so the bracket is certain:
     multipliers exist at ``upper`` and (unless the value is exactly 0,
-    which is detected exactly) none exist at ``lower``.
+    which is detected exactly) none exist at ``lower``.  A midpoint that an
+    earlier probe's ray (at or above its worst ratio) or Farkas vector
+    (below its ``_farkas_bound``) settles is not solved; the bracket and the
+    ray at ``upper`` are still those of plain bisection.
     """
     tol = as_rational(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     rows = _ratio_rows(premises, antecedent, max_attrs)
     k = len(premises)
+    # Every midpoint lies strictly inside (0, 1), so these settle none.
+    infeasible_below, feasible_from = Fraction(0), Fraction(1)
+
+    def probe(gamma: Fraction) -> tuple[int, ...] | None:
+        nonlocal infeasible_below, feasible_from
+        outcome = _feasible(rows, k, gamma)
+        if isinstance(outcome, lp.Optimal):
+            bound = _farkas_bound(rows, gamma, outcome.row_duals)
+            infeasible_below = max(infeasible_below, bound)
+            return None
+        rho = _worst_ratio(rows, outcome.ray)
+        if rho > gamma:
+            raise RuntimeError("probe ray exceeds its threshold")
+        feasible_from = min(feasible_from, rho)
+        return outcome.ray
+
     lower = upper = Fraction(0)
-    at_upper = _feasible(rows, k, upper)
+    at_upper = probe(upper)
     if at_upper is None:  # the threshold is above 0: bisect [0, 1]
         upper = Fraction(1)
-        at_upper = _feasible(rows, k, upper)
+        at_upper = probe(upper)
         if at_upper is None:
             raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
     while upper - lower > tol:
         mid = (lower + upper) / 2
-        at_mid = _feasible(rows, k, mid)
-        if at_mid is None:
+        if mid < infeasible_below:
+            lower = mid
+        elif mid >= feasible_from:
+            upper, at_upper = mid, None
+        elif (at_mid := probe(mid)) is None:
             lower = mid
         else:
-            upper = mid
-            at_upper = at_mid
+            upper, at_upper = mid, at_mid
+    if at_upper is None and (at_upper := probe(upper)) is None:
+        raise RuntimeError("a witness settled an infeasible upper end")
     return ThresholdBracket(
         lower=lower, upper=upper, tolerance=tol, multipliers=_simplex_point(at_upper)
     )
@@ -254,9 +301,10 @@ def decide_general(
         return _tautology_verdict(query)
     rows = _query_rows(query, max_attrs)
     for indices in _carrying_subsets(query):
-        ray = _feasible(_project_ratio_rows(rows, indices), len(indices), query.gamma)
-        if ray is None:
+        probe = _feasible(_project_ratio_rows(rows, indices), len(indices), query.gamma)
+        if isinstance(probe, lp.Optimal):
             continue
+        ray = probe.ray
         numerators = [0] * query.k
         for v, i in zip(ray, indices):
             numerators[i] = v

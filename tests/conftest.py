@@ -46,6 +46,40 @@ def status_weights(gamma: Fraction) -> dict[pt.CoverStatus, Fraction]:
     }
 
 
+def plain_bisection(premises, antecedent, tolerance) -> pt.ThresholdBracket:
+    """The reference for ``critical_threshold``: bisection of [0, 1] that
+    solves a probe at every midpoint and keeps no witness but the ray at
+    ``upper``.  Its solves go through ``threshold._feasible`` too."""
+    from pientail import lp, threshold
+
+    tol = Fraction(tolerance)
+    rows = threshold._ratio_rows(premises, antecedent, 20)
+
+    def ray(gamma):
+        outcome = threshold._feasible(rows, len(premises), gamma)
+        return outcome.ray if isinstance(outcome, lp.Unbounded) else None
+
+    lower = upper = Fraction(0)
+    at_upper = ray(upper)
+    if at_upper is None:
+        upper = Fraction(1)
+        at_upper = ray(upper)
+    while upper - lower > tol:
+        mid = (lower + upper) / 2
+        at_mid = ray(mid)
+        if at_mid is None:
+            lower = mid
+        else:
+            upper, at_upper = mid, at_mid
+    total = sum(at_upper)
+    return pt.ThresholdBracket(
+        lower=lower,
+        upper=upper,
+        tolerance=tol,
+        multipliers=tuple(Fraction(v, total) for v in at_upper),
+    )
+
+
 def nonempty_subsets(k: int) -> list[tuple[int, ...]]:
     """Every nonempty subset of ``range(k)`` as an index tuple, in
     increasing bitmask order."""

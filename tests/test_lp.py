@@ -740,8 +740,10 @@ class TestPivotPath:
         assert pivots >= 300
 
     def test_cycle_probes(self, monkeypatch, cycle_premises, cycle_antecedent):
-        """Every bisection probe of a tolerance 1e-6 bracket, on the paper's
-        cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5: the kernel
+        """Every bisection probe solved for a tolerance 1e-6 bracket, on the
+        paper's cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5
+        (20, 3, 15 and 9 of them; earlier witnesses settle the other
+        midpoints of the 22 bisection steps): the kernel
         on the ``>=`` rows it is handed, the reference on the ``<=`` rows
         and maximised sum that the probes were posed as before."""
         import pientail as pt
@@ -753,7 +755,7 @@ class TestPivotPath:
             )
             names = [f"x{i}" for i in range(length)]
             cases.append((rules, rules.universe.attrs(*names)))
-        for premises, antecedent in cases:
+        for (premises, antecedent), solved in zip(cases, (20, 3, 15, 9)):
             programs = []
             real_solve = lp.solve
 
@@ -764,7 +766,7 @@ class TestPivotPath:
             with monkeypatch.context() as patch:
                 patch.setattr(lp, "solve", record)
                 pt.critical_threshold(premises, antecedent, tolerance=F(1, 10**6))
-            assert len(programs) == 22
+            assert len(programs) == solved
             pivots = 0
             for program in programs:
                 kernel, reference, got, want = _pivot_paths(
@@ -773,7 +775,7 @@ class TestPivotPath:
                 assert kernel == reference
                 pivots += len(kernel)
                 _assert_same_outcome(program, got, want)
-            assert pivots >= 22
+            assert pivots >= solved
 
 
 class TestVerification:

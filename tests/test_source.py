@@ -25,6 +25,35 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_unused_imports():
+    """Every name a module imports is read somewhere in it, or re-exported
+    through its ``__all__``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in read
+        ]
+    assert found == []
+
+
 def _load_time_imports(tree):
     """The import statements a module runs when it is imported: all of
     them outside function bodies."""

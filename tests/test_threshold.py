@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import pientail as pt
-from conftest import make_query, status_weights
+from conftest import make_query, plain_bisection, status_weights
 
 
 class TestFeasibleAt:
@@ -199,9 +199,11 @@ class TestCriticalThreshold:
         >= 1`` for every premise ``i`` (``W`` witnessed, ``C`` covered,
         ``q`` the denominator of ``gamma``): no nonzero ``lambda >= 0``
         keeps every row's ``(W - gamma C) lambda`` at most 0.  Checked in
-        Fractions from each row's statuses and ``gamma``, on every probe of
-        the tolerance 1e-6 brackets of the paper's cycle and of
-        ``x_i -> A x_{i+1}`` cycles of length 3 to 5."""
+        Fractions from each row's statuses and ``gamma``, on every probe
+        solved for the tolerance 1e-6 brackets of the paper's cycle and of
+        ``x_i -> A x_{i+1}`` cycles of length 3 to 5.  Earlier witnesses
+        settle the other midpoints, so fewer than the 22 bisection steps
+        are solved."""
         from pientail import lp, threshold
 
         cases = [(cycle_premises, cycle_antecedent)]
@@ -245,10 +247,9 @@ class TestCriticalThreshold:
                         for v, row in zip(y, rows)
                     )
                     assert total >= 1
-            assert len(probes) == 22
-            counts.append(bounded)
-        # the probes below each threshold, gamma = 0 first among them
-        assert counts == [8, 20, 11, 20]
+            counts.append((len(probes), bounded))
+        # (probes solved, those below the threshold, gamma = 0 first among them)
+        assert counts == [(20, 6), (3, 1), (15, 4), (9, 7)]
 
     def test_pinned_cycle_bracket(self):
         """The paper's cycle at tolerance 1/1000000, pinned to the last
@@ -318,6 +319,157 @@ class TestMaxRatio:
             ratio = pt.max_ratio(lams, q.premises, x)
             if 0 < ratio <= 1:
                 assert pt.feasible_at(ratio, q.premises, x) is not None
+
+
+TOLERANCES = (F(1, 10), F(1, 10**3), F(1, 10**6), F(1, 10**12))
+
+
+def _cycle(length):
+    rules = pt.parse_rules(
+        "\n".join(f"x{i} -> A x{(i + 1) % length}" for i in range(length))
+    )
+    return rules, rules.universe.attrs(*[f"x{i}" for i in range(length)])
+
+
+def _fan(width):
+    rules = pt.parse_rules("\n".join(f"A -> B x{i}" for i in range(width)))
+    return rules, rules.universe.attrs("A", *[f"x{i}" for i in range(width)])
+
+
+class TestWitnessPrunedBisection:
+    """``critical_threshold`` skips the midpoints that an earlier probe's
+    ray or Farkas vector settles; its bracket, multipliers included, must
+    be plain bisection's."""
+
+    def _solves(self, monkeypatch, premises, antecedent, tolerance):
+        from pientail import threshold
+
+        calls = []
+        real = threshold._feasible
+
+        def feasible(rows, k, gamma):
+            calls.append(gamma)
+            return real(rows, k, gamma)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threshold, "_feasible", feasible)
+            bracket = pt.critical_threshold(premises, antecedent, tolerance=tolerance)
+        return bracket, len(calls)
+
+    def test_structured_cases_match_plain_bisection(
+        self, monkeypatch, cycle_premises, cycle_antecedent
+    ):
+        cases = {"paper cycle": (cycle_premises, cycle_antecedent)}
+        cases.update({f"cycle {n}": _cycle(n) for n in (3, 4, 5, 6)})
+        cases.update({f"fan {n}": _fan(n) for n in (2, 3, 4)})
+        solves = {}
+        for name, (premises, antecedent) in cases.items():
+            for tol in TOLERANCES:
+                bracket, solves[name, tol] = self._solves(
+                    monkeypatch, premises, antecedent, tol
+                )
+                want = plain_bisection(premises, antecedent, tol)
+                assert bracket == want, (name, tol)
+        # rational values (1/2 for the 3-cycle, 3/4 for the 5-cycle and the
+        # 4-fan) are settled by witnesses: a finer tolerance costs no more
+        # solves
+        for name in ("cycle 3", "cycle 5", "fan 4"):
+            assert solves[name, F(1, 10**12)] == solves[name, F(1, 10**6)], name
+        assert solves["paper cycle", F(1, 10**6)] == 20
+
+    def test_random_premise_sets_match_plain_bisection(self):
+        rng = random.Random(110011)
+        for _ in range(200):
+            spec = pt.RandomInstanceSpec(
+                num_attrs=rng.randint(2, 6),
+                num_premises=rng.randint(1, 4),
+                seed=rng.randrange(10**9),
+                density=rng.choice([0.3, 0.4, 0.5]),
+            )
+            q = pt.random_query(spec, F(1, 2))
+            x = q.conclusion.antecedent
+            for tol in TOLERANCES:
+                bracket = pt.critical_threshold(q.premises, x, tolerance=tol)
+                assert bracket == plain_bisection(q.premises, x, tol), (spec, tol)
+
+    def test_random_graphs_match_plain_bisection(self, monkeypatch):
+        """Most random premise sets have threshold 0 or 1.  Rules
+        ``x_i ... -> A x_f(i) ...`` over a random map ``f`` (cycles and fans
+        among them) reach values strictly inside, where Farkas vectors
+        settle midpoints: 60 of those, drawn from a seeded stream.  No run
+        solves more than plain bisection's steps."""
+        rng = random.Random(515151)
+        cases = 0
+        while cases < 60:
+            k = rng.randint(2, 4)
+            names = [f"x{i}" for i in range(k)]
+            lines = []
+            for i in range(k):
+                ante = [names[i]] + [v for v in names if rng.random() < 0.2]
+                cons = ["A", rng.choice(names)]
+                cons += [v for v in names if rng.random() < 0.2]
+                lines.append(" ".join(ante) + " -> " + " ".join(cons))
+            rules = pt.parse_rules("\n".join(lines))
+            x = rules.universe.attrs(*names)
+            coarse = plain_bisection(rules, x, F(1, 1024))
+            if coarse.upper == 0 or coarse.lower == 1 - F(1, 1024):
+                continue
+            cases += 1
+            for tol in TOLERANCES:
+                bracket, solves = self._solves(monkeypatch, rules, x, tol)
+                assert bracket == plain_bisection(rules, x, tol), (lines, tol)
+                assert solves <= 2 + (tol.denominator - 1).bit_length(), (lines, tol)
+
+    def test_a_ray_below_its_probe_settles_upper_midpoints(
+        self, monkeypatch, cycle_premises, cycle_antecedent
+    ):
+        """The rays the kernel returns have worst ratio equal to the probed
+        value, so on the corpora above only Farkas vectors settle midpoints.
+        Here the probe at 1 answers with the ray found at 3/5, also valid at
+        1: 3/4 and 5/8 are settled without a solve, and 5/8, the final
+        ``upper``, is solved once at the end for plain bisection's ray."""
+        from pientail import threshold
+
+        real = threshold._feasible
+        probed = []
+
+        def feasible(rows, k, gamma):
+            probed.append(gamma)
+            return real(rows, k, F(3, 5) if gamma == 1 else gamma)
+
+        for tol in (F(1, 10**6), F(1, 16)):
+            want = plain_bisection(cycle_premises, cycle_antecedent, tol)
+            probed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "_feasible", feasible)
+                got = pt.critical_threshold(cycle_premises, cycle_antecedent, tol)
+            assert got == want
+            assert F(3, 4) not in probed and F(5, 8) not in probed[:-1]
+        assert probed == [0, 1, F(1, 2), F(9, 16), F(5, 8)]
+
+    def test_witnesses_are_rechecked(
+        self, monkeypatch, cycle_premises, cycle_antecedent
+    ):
+        """A probe outcome that does not prove its side raises instead of
+        settling midpoints: a ray whose worst ratio exceeds the probed
+        value, and row duals that are no Farkas certificate."""
+        from pientail import lp, threshold
+
+        real = threshold._feasible
+        at_one = real(
+            threshold._ratio_rows(cycle_premises, cycle_antecedent, 20), 3, F(1)
+        )
+        forged = {
+            "exceeds its threshold": lambda rows, k, gamma: at_one,
+            "no Farkas certificate": lambda rows, k, gamma: lp.Optimal(
+                (0,) * len(rows), 1
+            ),
+        }
+        for message, feasible in forged.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "_feasible", feasible)
+                with pytest.raises(RuntimeError, match=message):
+                    pt.critical_threshold(cycle_premises, cycle_antecedent)
 
 
 class TestDecideGeneral:
