@@ -41,10 +41,9 @@ the premise subsets that carry the conclusion: at most one premise
 ``gamma >= (k-1)/k`` (any subset, with a two-premise label at ``k = 2``),
 each certified by uniform multipliers over the first subset found; the
 band in between is handled in ``threshold`` by the critical-threshold
-characterisation over the same subsets.  They all read one scan,
-``_carrying_subsets``, which walks only the subsets of the premises that
-pass the per-premise containment tests, and ``decide`` picks among them
-with one ladder.
+characterisation over the same subsets.  All of them take the first
+carrying subset from ``_first_carrying``, at any k, and ``decide`` picks
+among them with one ladder.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import getitem
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import lp
-from .homogeneity import ImplicationSet, enforces_homogeneity
+from .homogeneity import ImplicationSet, _closure, enforces_homogeneity
 from .model import (
     AttrSet,
     AttributeUniverse,
@@ -72,13 +71,6 @@ from .model import (
     rule_bitmasks,
     satisfies,
 )
-
-# Beyond this many premises ``Method.AUTO`` sends the band between ``1/k``
-# and ``(k-1)/k`` to the LP route instead of the critical-threshold scan.
-# It caps k for AUTO only: ``Method.CHARACTERIZATION`` always scans, and a
-# scan costs ``2**|E|`` over the eligible premises E (``_carrying_subsets``).
-GENERAL_PREMISE_CAP = 12
-
 
 class Regime(Enum):
     """Which decision route produced a verdict."""
@@ -474,67 +466,78 @@ def _tautology_verdict(query: EntailmentQuery) -> EntailmentVerdict:
     )
 
 
-def _carrying_subsets(
-    query: EntailmentQuery, max_size: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The premise subsets of at most ``max_size`` premises that meet the
-    combination conditions for ``X0 -> Y0``, as index tuples in increasing
-    bitmask order: the antecedents lie in ``X0``, ``Y0 \\ X0`` lies in every
-    consequent, ``X0`` lies in the union of the spans, and the subset
-    enforces homogeneity (as a single rule always does).  The first two
-    hold for a subset exactly when they hold for each member, so only the
-    submasks of the set ``E`` of premises passing them alone are walked:
-    ``2**|E|`` subsets, not ``2**k``, in the order of a walk over all.  The
-    third only grows with the subset, so when the spans of all of ``E``
-    miss part of ``X0`` no subset meets it and nothing is walked."""
+def _first_carrying(
+    query: EntailmentQuery, accept: Callable[[tuple[int, ...]], bool]
+) -> tuple[int, ...] | None:
+    """The first premise subset in increasing bitmask order that carries
+    the conclusion and that ``accept`` takes, or None.  A subset carries it
+    when its antecedents lie in ``X0``, its consequents hold ``Y0 \\ X0``,
+    its spans cover ``X0`` and it enforces homogeneity.
+
+    The homogeneous subsets of ``within`` that hold premise i have a
+    largest one, their union, and a peel finds it: drop every premise whose
+    span the closure of i's antecedent misses, or whose closure misses that
+    antecedent, until none is left.  Covering grows with the subset, and
+    acceptance must too, so a carrying, accepted subset between
+    ``required`` and ``within`` exists exactly when the peel around a
+    member of ``required`` is one.  Greedily, then: the smallest top
+    premise t, then each lower premise, from the top, left out whenever
+    the test still passes without it.
+    """
     x0 = query.conclusion.antecedent.bits
     needed = query.conclusion.consequent.bits & ~x0
-    premises = query.premises
-    eligible = spans = 0
-    for i, premise in enumerate(premises):
-        if not premise.antecedent.bits & ~x0 and not needed & ~premise.consequent.bits:
-            eligible |= 1 << i
-            spans |= premise.span.bits
-    if x0 & ~spans:
-        return
-    limit = len(premises) if max_size is None else max_size
-    mask = 0
-    while True:
-        mask = (mask - eligible) & eligible  # the next submask of ``eligible``
-        while mask.bit_count() > limit:
-            # Every submask up to the next carry out of the lowest set bit
-            # keeps the bits above it, so it is too large as well.
-            mask = ((mask | ~eligible) + (mask & -mask)) & eligible
-        if not mask:
-            return
-        indices = tuple(bit_positions(mask))
-        spans = 0
-        for i in indices:
-            spans |= premises[i].span.bits
-        if x0 & ~spans:
-            continue
-        if len(indices) == 1 or enforces_homogeneity(premises.subset(indices)):
-            yield indices
+    pairs = [(p.antecedent.bits, p.consequent.bits) for p in query.premises]
+
+    def carrier(required: int, within: int) -> int | None:
+        ante_i = pairs[(required & -required).bit_length() - 1][0]
+        held, kept = within, 0
+        while held != kept:
+            kept = held
+            rules = [pairs[j] for j in bit_positions(kept)]
+            reach = _closure(ante_i, rules)  # all of ``kept``'s spans, at the end
+            for j, (ante, cons) in zip(bit_positions(kept), rules):
+                if (ante | cons) & ~reach or ante_i & ~_closure(ante, rules):
+                    held &= ~(1 << j)
+        if required & ~held or x0 & ~reach or not accept(tuple(bit_positions(held))):
+            return None
+        return held
+
+    within = 0
+    for t, (ante, cons) in enumerate(pairs):
+        if not ante & ~x0 and not needed & ~cons:
+            within |= 1 << t
+            if (held := carrier(1 << t, within)) is not None:
+                break
+    else:
+        return None
+    for b in reversed(bit_positions(held)[:-1]):
+        if held >> b & 1:  # ``held`` holds the answer, which holds its premises above b
+            held = carrier(held >> b + 1 << b + 1, held & ~(1 << b)) or held
+    indices = tuple(bit_positions(held))
+    if len(indices) > 1 and not enforces_homogeneity(query.premises.subset(indices)):
+        raise RuntimeError("the carrying subset found does not enforce homogeneity")
+    return indices
 
 
 def _uniform_verdict(
     query: EntailmentQuery,
     regime: Regime,
     max_attrs: int,
-    max_size: int | None = None,
+    accept: Callable[[tuple[int, ...]], bool] = lambda indices: True,
 ) -> EntailmentVerdict:
     """The verdict where uniform multipliers suffice: a trivial conclusion
-    holds; otherwise the first carrying subset of at most ``max_size``
-    premises, with equal multipliers over it, certifies the entailment, and
-    with none the LP route supplies the counterexample."""
+    holds; otherwise the first carrying subset that ``accept`` takes, with
+    equal multipliers over it, certifies the entailment, and with none the
+    LP route supplies the counterexample."""
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
-    for indices in _carrying_subsets(query, max_size):
-        certificate = [Fraction(0)] * query.k
-        for i in indices:
-            certificate[i] = Fraction(1, len(indices))
-        return EntailmentVerdict(True, regime, certificate=tuple(certificate))
-    return _lp_failure(decide_lp(query, max_attrs), regime)
+    indices = _first_carrying(query, accept)
+    if indices is None:
+        return _lp_failure(decide_lp(query, max_attrs), regime)
+    certificate = [Fraction(0)] * query.k
+    for i in indices:
+        certificate[i] = Fraction(1, len(indices))
+    return EntailmentVerdict(True, regime, certificate=tuple(certificate))
 
 
 def _lp_failure(verdict: EntailmentVerdict, regime: Regime) -> EntailmentVerdict:
@@ -561,7 +564,7 @@ def decide_one_premise(
         return decide_lp(query, max_attrs)
     if query.k == 0:
         return _tautology_verdict(query)
-    return _uniform_verdict(query, Regime.ONE_PREMISE, max_attrs, max_size=1)
+    return _uniform_verdict(query, Regime.ONE_PREMISE, max_attrs)
 
 
 def decide_low_gamma(
@@ -576,7 +579,13 @@ def decide_low_gamma(
         return _tautology_verdict(query)
     if query.gamma * k >= 1:
         raise ValueError(f"low-gamma decider needs gamma < 1/{k}, got {query.gamma}")
-    return _uniform_verdict(query, Regime.LOW_GAMMA, max_attrs, max_size=1)
+    x0, premises = query.conclusion.antecedent, query.premises
+
+    def alone(indices: tuple[int, ...]) -> bool:
+        # The first carrying subset that this takes is a single premise.
+        return any(x0 <= premises[i].span for i in indices)
+
+    return _uniform_verdict(query, Regime.LOW_GAMMA, max_attrs, alone)
 
 
 def decide_two_premise(
@@ -604,8 +613,7 @@ def decide_high_gamma(
 
     In this band a premise subset carries the conclusion exactly when the
     structural combination conditions hold for it, and uniform multipliers
-    over the first such subset (``_carrying_subsets``) certify the
-    entailment.
+    over the first such subset (``_first_carrying``) certify the entailment.
     """
     k = query.k
     if k < 1:
@@ -629,12 +637,11 @@ def decide(
     """Decide an entailment query.
 
     ``Method.LP`` always runs the LP route.  ``Method.AUTO`` picks the
-    cheapest decision route that covers the query, falling back to the LP
-    for boundary thresholds and for premise counts where the subset search
-    would explode.  ``Method.CHARACTERIZATION`` insists on a structural
-    route and therefore rejects the boundary thresholds 0 and 1, which
-    only the LP route covers; it also labels the high band at ``k = 2``
-    two-premise.
+    cheapest decision route that covers the query, at any premise count,
+    and falls back to the LP only at the boundary threshold 1.
+    ``Method.CHARACTERIZATION`` insists on a structural route and
+    therefore rejects the boundary thresholds 0 and 1, which only the LP
+    route covers; it also labels the high band at ``k = 2`` two-premise.
     """
     if method is Method.LP:
         return decide_lp(query, max_attrs)
@@ -660,8 +667,6 @@ def decide(
         if structural and k == 2:
             return decide_two_premise(query, max_attrs)
         return decide_high_gamma(query, max_attrs)
-    if k > GENERAL_PREMISE_CAP and not structural:
-        return decide_lp(query, max_attrs)
     from .threshold import decide_general
 
     return decide_general(query, max_attrs=max_attrs)

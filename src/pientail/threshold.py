@@ -23,6 +23,7 @@ reports a bracket for the value itself, which is in general irrational.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +37,9 @@ from .entailment import (
     SignatureRow,
     _NOT_COVERED,
     _WITNESSED,
-    _carrying_subsets,
     _certificate_violation,
     _decide_lp_rows,
+    _first_carrying,
     _integer_weights,
     _lp_failure,
     _project_rows,
@@ -225,30 +226,26 @@ def critical_threshold(
 
     Every probe is an exact feasibility test, so the bracket is certain:
     multipliers exist at ``upper`` and (unless the value is exactly 0,
-    which is detected exactly) none exist at ``lower``.  A midpoint that an
-    earlier probe's ray (at or above its worst ratio) or Farkas vector
-    (below its ``_farkas_bound``) settles is not solved; the bracket and the
-    ray at ``upper`` are still those of plain bisection.
+    which is detected exactly) none exist at ``lower``.  A midpoint below
+    an earlier bounded probe's ``_farkas_bound`` is not solved; the bracket
+    and the ray at ``upper`` are still those of plain bisection.
     """
     tol = as_rational(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     rows = _ratio_rows(premises, antecedent, max_attrs)
     k = len(premises)
-    # Every midpoint lies strictly inside (0, 1), so these settle none.
-    infeasible_below, feasible_from = Fraction(0), Fraction(1)
+    infeasible_below = Fraction(0)
 
     def probe(gamma: Fraction) -> tuple[int, ...] | None:
-        nonlocal infeasible_below, feasible_from
+        nonlocal infeasible_below
         outcome = _feasible(rows, k, gamma)
         if isinstance(outcome, lp.Optimal):
             bound = _farkas_bound(rows, gamma, outcome.row_duals)
             infeasible_below = max(infeasible_below, bound)
             return None
-        rho = _worst_ratio(rows, outcome.ray)
-        if rho > gamma:
+        if _worst_ratio(rows, outcome.ray) > gamma:
             raise RuntimeError("probe ray exceeds its threshold")
-        feasible_from = min(feasible_from, rho)
         return outcome.ray
 
     lower = upper = Fraction(0)
@@ -260,16 +257,10 @@ def critical_threshold(
             raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
     while upper - lower > tol:
         mid = (lower + upper) / 2
-        if mid < infeasible_below:
-            lower = mid
-        elif mid >= feasible_from:
-            upper, at_upper = mid, None
-        elif (at_mid := probe(mid)) is None:
+        if mid < infeasible_below or (at_mid := probe(mid)) is None:
             lower = mid
         else:
             upper, at_upper = mid, at_mid
-    if at_upper is None and (at_upper := probe(upper)) is None:
-        raise RuntimeError("a witness settled an infeasible upper end")
     return ThresholdBracket(
         lower=lower, upper=upper, tolerance=tol, multipliers=_simplex_point(at_upper)
     )
@@ -284,12 +275,12 @@ def decide_general(
     nonempty premise subset satisfies the structural combination
     conditions and has critical threshold at most ``gamma``; in that case
     the feasibility multipliers of the subset, padded with zeros,
-    certify the full entailment.  Subsets come from the same scan as the
-    high-gamma decider's (``_carrying_subsets``), in increasing bitmask
-    order, and the first success is reported.  The query's
-    signature table is enumerated once: each subset's ratio rows are
-    projected from it, and the certificate check and the LP counterexample
-    reuse it.
+    certify the full entailment.  A subset's critical threshold only falls
+    as premises join it, so the search of the other structural deciders
+    (``_first_carrying``) can take the cone probe, run once per subset, as
+    its test.  The query's signature table is enumerated once: each
+    subset's ratio rows are projected from it, and the certificate check
+    and the LP counterexample reuse it.
     """
     if query.k < 1:
         raise ValueError("general decider needs at least one premise")
@@ -300,19 +291,22 @@ def decide_general(
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
     rows = _query_rows(query, max_attrs)
-    for indices in _carrying_subsets(query):
-        probe = _feasible(_project_ratio_rows(rows, indices), len(indices), query.gamma)
-        if isinstance(probe, lp.Optimal):
-            continue
-        ray = probe.ray
-        numerators = [0] * query.k
-        for v, i in zip(ray, indices):
-            numerators[i] = v
-        if _certificate_violation(query, rows, numerators, sum(ray)) is not None:
-            raise RuntimeError("subset multipliers fail the full constraint system")
-        return EntailmentVerdict(
-            holds=True,
-            regime=Regime.GENERAL_GAMMA_STAR,
-            certificate=_simplex_point(numerators),
-        )
-    return _lp_failure(_decide_lp_rows(query, rows), Regime.GENERAL_GAMMA_STAR)
+
+    @functools.cache
+    def probe(indices: tuple[int, ...]) -> lp.Optimal | lp.Unbounded:
+        return _feasible(_project_ratio_rows(rows, indices), len(indices), query.gamma)
+
+    indices = _first_carrying(query, lambda s: isinstance(probe(s), lp.Unbounded))
+    if indices is None:
+        return _lp_failure(_decide_lp_rows(query, rows), Regime.GENERAL_GAMMA_STAR)
+    ray = probe(indices).ray
+    numerators = [0] * query.k
+    for v, i in zip(ray, indices):
+        numerators[i] = v
+    if _certificate_violation(query, rows, numerators, sum(ray)) is not None:
+        raise RuntimeError("subset multipliers fail the full constraint system")
+    return EntailmentVerdict(
+        holds=True,
+        regime=Regime.GENERAL_GAMMA_STAR,
+        certificate=_simplex_point(numerators),
+    )

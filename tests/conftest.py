@@ -1,6 +1,7 @@
 """Shared fixtures: the two worked examples used throughout the suite."""
 
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -78,6 +79,36 @@ def plain_bisection(premises, antecedent, tolerance) -> pt.ThresholdBracket:
         tolerance=tol,
         multipliers=tuple(Fraction(v, total) for v in at_upper),
     )
+
+
+def carrying_walk(query: pt.EntailmentQuery) -> Iterator[tuple[int, ...]]:
+    """The reference for ``entailment._first_carrying``: every premise
+    subset that carries the conclusion, as an index tuple, in increasing
+    bitmask order.  The antecedents must lie in ``X0`` and ``Y0 \\ X0`` in
+    every consequent, which holds for a subset exactly when it holds for
+    each member, so the walk visits the ``2**|E|`` submasks of the set E of
+    premises that pass alone.  A subset carries when its spans also cover
+    ``X0`` and it enforces homogeneity (as a single rule always does)."""
+    x0 = query.conclusion.antecedent.bits
+    needed = query.conclusion.consequent.bits & ~x0
+    premises = query.premises
+    eligible = 0
+    for i, premise in enumerate(premises):
+        if not premise.antecedent.bits & ~x0 and not needed & ~premise.consequent.bits:
+            eligible |= 1 << i
+    mask = 0
+    while True:
+        mask = (mask - eligible) & eligible  # the next submask of ``eligible``
+        if not mask:
+            return
+        indices = tuple(i for i in range(len(premises)) if mask >> i & 1)
+        spans = 0
+        for i in indices:
+            spans |= premises[i].span.bits
+        if x0 & ~spans:
+            continue
+        if len(indices) == 1 or pt.enforces_homogeneity(premises.subset(indices)):
+            yield indices
 
 
 def nonempty_subsets(k: int) -> list[tuple[int, ...]]:

@@ -1,10 +1,13 @@
-"""The premise-subset scan behind the structural deciders.
+"""The premise-subset search behind the structural deciders.
 
-Every structural decider reads the premise subsets that carry the
-conclusion from one scan, ``entailment._carrying_subsets``.  These tests pin
-it against a reference that tries every nonempty subset with ``AttrSet``
-operations and brute-force homogeneity, pin the outputs of every decision
-entry point to a digest, and bound the scan's work at large premise counts.
+Every structural decider reads the first premise subset that carries the
+conclusion, and that its test accepts, from one search,
+``entailment._first_carrying``.  These tests pin it against the walk over
+all candidate subsets (``conftest.carrying_walk``), which is itself pinned
+against a reference that tries every nonempty subset with ``AttrSet``
+operations and brute-force homogeneity.  They also pin the outputs of
+every decision entry point to a digest, and bound the search's work at
+large premise counts.
 """
 
 import hashlib
@@ -14,8 +17,9 @@ import time
 from fractions import Fraction as F
 
 import pientail as pt
-from conftest import make_query, nonempty_subsets
-from pientail.entailment import _carrying_subsets
+from conftest import carrying_walk, make_query, nonempty_subsets
+from test_differential import _check_witness
+from pientail.entailment import _first_carrying
 
 METHODS = (pt.Method.AUTO, pt.Method.LP, pt.Method.CHARACTERIZATION)
 DIRECT = (
@@ -156,17 +160,47 @@ def _reference_carrying(query):
     return out
 
 
+def _accept_all(indices):
+    return True
+
+
+def _cone_probe(query):
+    """The test of ``decide_general``: is the critical threshold of the
+    subset at most ``gamma``?  Posed through the public ``feasible_at``."""
+    x0 = query.conclusion.antecedent
+
+    def feasible(indices):
+        subset = query.premises.subset(indices)
+        return pt.feasible_at(query.gamma, subset, x0) is not None
+
+    return feasible
+
+
+def _support(verdict):
+    return tuple(i for i, m in enumerate(verdict.certificate) if m)
+
+
 def test_scan_matches_the_reference():
+    """The walk against the brute-force reference, and the search's first
+    subset against the walk's: with every subset accepted, with the cone
+    probe, and with single premises only (the low-gamma decider)."""
     rng = random.Random(2010)
     shapes = {"several": 0, "carried": 0, "duplicate": 0, "empty side": 0}
     for n in range(360):
         query = _random_query(rng, n % 9)
         want = _reference_carrying(query)
-        assert list(_carrying_subsets(query)) == want, query
-        for size in (1, 2):
-            assert list(_carrying_subsets(query, max_size=size)) == [
-                s for s in want if len(s) <= size
-            ], (query, size)
+        assert list(carrying_walk(query)) == want, query
+        assert _first_carrying(query, _accept_all) == next(iter(want), None), query
+        feasible = _cone_probe(query)
+        probed = next((s for s in want if feasible(s)), None)
+        assert _first_carrying(query, feasible) == probed, query
+        conclusion = query.conclusion
+        if query.k and not conclusion.consequent <= conclusion.antecedent:
+            low = pt.decide_low_gamma(
+                pt.EntailmentQuery(query.premises, conclusion, F(1, 10 * query.k))
+            )
+            single = next((s for s in want if len(s) == 1), None)
+            assert (_support(low) if low.holds else None) == single, query
         rules = list(query.premises)
         shapes["several"] += any(len(s) > 1 for s in want)
         shapes["carried"] += bool(want)
@@ -190,6 +224,76 @@ def test_scan_matches_the_reference():
     assert 20 <= held <= 130
 
 
+def _chain_cycle_query(rng):
+    """2 to 20 premises ``x -> A y`` over 3 to 6 attributes ``x0 ...``:
+    the rules of cycles through a random sequence of them (homogeneous
+    sets), of chains (not homogeneous) and repeats, shuffled.  Most
+    conclusions put the attributes of one or two of the cycles on the
+    left and ``A`` on the right, so that cycles carry them."""
+    names = [f"x{i}" for i in range(rng.randint(3, 6))]
+    k = rng.randint(2, 20)
+    rules, cycles = [], []
+    while len(rules) < k:
+        roll = rng.random()
+        seq = rng.sample(names, rng.randint(2, len(names)))
+        if roll < 0.55:
+            cycles.append(seq)
+            rules += [f"{a} -> A {b}" for a, b in zip(seq, seq[1:] + seq[:1])]
+        elif roll < 0.8:
+            rules += [f"{a} -> A {b}" for a, b in zip(seq, seq[1:])]
+        elif rules:
+            rules.append(rng.choice(rules))
+    rules = rules[:k]
+    rng.shuffle(rules)
+    if cycles and rng.random() < 0.8:
+        x0 = set(rng.choice(cycles))
+        if rng.random() < 0.3:
+            x0 |= set(rng.choice(cycles))
+    else:
+        x0 = set(rng.sample(names, rng.randint(1, len(names))))
+    return make_query("\n".join(rules), " ".join(sorted(x0)) + " -> A", F(1, 2))
+
+
+def test_search_matches_the_walk_on_chains_and_cycles():
+    """A seeded differential where many first subsets have several
+    premises: 40 chain and cycle queries, k up to 20, at thresholds on and
+    just below ``1/k`` and ``(k-1)/k`` and between them.  AUTO and
+    CHARACTERIZATION reach the ``Method.LP`` verdict, and every witness
+    checks out.  Where the walk is affordable, the search's first subset
+    is the walk's: with every subset accepted at most 12 eligible premises,
+    and with the cone probe, between the edges, at most 8."""
+    rng = random.Random(2121)
+    walked = several = probed = 0
+    for _ in range(40):
+        base = _chain_cycle_query(rng)
+        k, x0, y0 = base.k, base.conclusion.antecedent, base.conclusion.consequent
+        eligible = [
+            p for p in base.premises if p.antecedent <= x0 and y0 - x0 <= p.consequent
+        ]
+        walk = list(carrying_walk(base)) if len(eligible) <= 12 else None
+        first = _first_carrying(base, _accept_all)
+        if walk is not None:
+            assert first == next(iter(walk), None), base
+            walked += 1
+        several += first is not None and len(first) > 1
+        low, high = F(1, k), F(k - 1, k)
+        edges = {low - F(1, 1000), low, (low + high) / 2, high - F(1, 1000), high}
+        for gamma in sorted(g for g in edges if 0 < g < 1):
+            query = pt.EntailmentQuery(base.premises, base.conclusion, gamma)
+            want = pt.decide(query, pt.Method.LP)
+            _check_witness(query, want)
+            for method in (pt.Method.AUTO, pt.Method.CHARACTERIZATION):
+                got = pt.decide(query, method)
+                assert got.holds == want.holds, (query, method)
+                _check_witness(query, got)
+            if len(eligible) <= 8 and low <= gamma < high:
+                feasible = _cone_probe(query)
+                hit = next((s for s in walk if feasible(s)), None)
+                assert _first_carrying(query, feasible) == hit, query
+                probed += hit is not None and len(hit) > 1
+    assert walked >= 25 and several >= 15 and probed >= 10, (walked, several, probed)
+
+
 # A cycle whose critical threshold is about 0.56984, among 21 rules whose
 # antecedents reach outside the conclusion antecedent: 24 premises, of
 # which only the cycle's three can belong to a carrying subset.
@@ -204,13 +308,24 @@ WIDE_CONCLUSION = "B C D H -> A"
 SCAN_BUDGET_S = 10.0  # about 0.05 s on a 2-core machine; 2**24 subsets take minutes
 
 
-def test_characterization_scans_only_the_eligible_premises():
+def test_characterization_scans_only_the_eligible_premises(monkeypatch):
+    """Only the cycle carries the conclusion, so the search makes one cone
+    probe, of the cycle, as the walk did, and reuses it for the ray."""
+    from pientail import threshold
+
+    probed = []
+    real = threshold._feasible
+    monkeypatch.setattr(
+        threshold, "_feasible", lambda rows, k, g: probed.append(k) or real(rows, k, g)
+    )
     cycle_at = [WIDE_RULES.index(rule) for rule in CYCLE]
     start = time.perf_counter()
     for gamma, holds in ((F(57, 100), True), (F(1, 2), False)):
         query = make_query("\n".join(WIDE_RULES), WIDE_CONCLUSION, gamma)
         assert query.k == 24
+        probed.clear()
         verdict = pt.decide(query, pt.Method.CHARACTERIZATION)
+        assert probed == [3]
         assert verdict.regime is pt.Regime.GENERAL_GAMMA_STAR
         assert verdict.holds is holds
         if holds:
@@ -221,8 +336,7 @@ def test_characterization_scans_only_the_eligible_premises():
             data = verdict.counterexample
             assert all(pt.satisfies(data, p, gamma) for p in query.premises)
             assert not pt.satisfies(data, query.conclusion, gamma)
-        auto = pt.decide(query)
-        assert (auto.regime, auto.holds) == (pt.Regime.LP_DIRECT, holds)
+        assert pt.decide(query) == verdict  # AUTO takes the same route at any k
     assert time.perf_counter() - start < SCAN_BUDGET_S
 
 
@@ -242,29 +356,39 @@ def test_cli_characterization_scans_only_the_eligible_premises(tmp_path, capsys)
 
 
 def test_single_premise_scan_is_linear_in_the_eligible_premises():
-    """30 eligible premises, none of whose spans covers the conclusion
-    antecedent: the single-premise scan tries each once instead of walking
-    the 2**30 subsets."""
-    query = make_query("A -> C\n" * 30, "A B -> C", F(1, 100))
+    """30 eligible premises against ``A B -> C``, and the search peels once
+    per premise instead of walking the 2**30 subsets: with no span covering
+    ``B`` nothing carries, and with the last premise ``A -> B C`` that
+    premise alone carries, as the low-gamma decider finds."""
     start = time.perf_counter()
-    assert list(_carrying_subsets(query, max_size=1)) == []
-    assert list(_carrying_subsets(query, max_size=2)) == []
+    query = make_query("A -> C\n" * 30, "A B -> C", F(1, 100))
+    assert _first_carrying(query, _accept_all) is None
     verdict = pt.decide_low_gamma(query)
     assert (verdict.holds, verdict.regime) == (False, pt.Regime.LOW_GAMMA)
+    query = make_query("A -> C\n" * 29 + "A -> B C", "A B -> C", F(1, 100))
+    verdict = pt.decide_low_gamma(query)
+    assert (verdict.holds, verdict.regime) == (True, pt.Regime.LOW_GAMMA)
+    assert _support(verdict) == (29,)
     assert time.perf_counter() - start < SCAN_BUDGET_S
 
 
 def test_scan_ends_when_no_subset_can_cover_the_antecedent():
-    """24 copies of ``A -> C`` against ``A B -> C`` at ``(k-1)/k``: every
-    premise is eligible and no span covers ``B``, so no subset can carry the
-    conclusion.  The scan must see that from the union of all spans instead
-    of walking the ``2**24`` submasks, and AUTO must give the LP verdict."""
-    k = 24
-    query = make_query("A -> C\n" * k, "A B -> C", F(k - 1, k))
-    start = time.perf_counter()
-    assert list(_carrying_subsets(query)) == []
-    auto = pt.decide(query)
-    assert time.perf_counter() - start < 2.0
-    lp = pt.decide(query, pt.Method.LP)
-    assert auto.regime is pt.Regime.HIGH_GAMMA and not auto.holds
-    assert (auto.holds, auto.counterexample) == (lp.holds, lp.counterexample)
+    """Against ``A B -> C`` at ``(k-1)/k``, with every premise eligible and
+    no subset carrying: 24 copies of ``A -> C``, whose spans miss ``B``,
+    and 20 copies each of ``A -> C`` and ``B -> C``, where every subset
+    that covers ``A B`` mixes the two rules and fails homogeneity.  A walk
+    over the ``2**k`` submasks took 6.8 s on the second family at k = 18;
+    the search must settle both at once under AUTO and CHARACTERIZATION
+    and give the LP verdict."""
+    for rules in ("A -> C\n" * 24, "A -> C\nB -> C\n" * 20):
+        k = rules.count("\n")
+        query = make_query(rules, "A B -> C", F(k - 1, k))
+        lp = pt.decide(query, pt.Method.LP)
+        for method in (pt.Method.AUTO, pt.Method.CHARACTERIZATION):
+            start = time.perf_counter()
+            assert _first_carrying(query, _accept_all) is None
+            verdict = pt.decide(query, method)
+            assert time.perf_counter() - start < 2.0, (k, method)
+            assert verdict.regime is pt.Regime.HIGH_GAMMA and not verdict.holds
+            assert verdict.counterexample == lp.counterexample
+            _check_witness(query, verdict)

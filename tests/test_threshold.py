@@ -338,8 +338,8 @@ def _fan(width):
 
 class TestWitnessPrunedBisection:
     """``critical_threshold`` skips the midpoints that an earlier probe's
-    ray or Farkas vector settles; its bracket, multipliers included, must
-    be plain bisection's."""
+    Farkas vector settles; its bracket, multipliers included, must be
+    plain bisection's."""
 
     def _solves(self, monkeypatch, premises, antecedent, tolerance):
         from pientail import threshold
@@ -419,33 +419,6 @@ class TestWitnessPrunedBisection:
                 bracket, solves = self._solves(monkeypatch, rules, x, tol)
                 assert bracket == plain_bisection(rules, x, tol), (lines, tol)
                 assert solves <= 2 + (tol.denominator - 1).bit_length(), (lines, tol)
-
-    def test_a_ray_below_its_probe_settles_upper_midpoints(
-        self, monkeypatch, cycle_premises, cycle_antecedent
-    ):
-        """The rays the kernel returns have worst ratio equal to the probed
-        value, so on the corpora above only Farkas vectors settle midpoints.
-        Here the probe at 1 answers with the ray found at 3/5, also valid at
-        1: 3/4 and 5/8 are settled without a solve, and 5/8, the final
-        ``upper``, is solved once at the end for plain bisection's ray."""
-        from pientail import threshold
-
-        real = threshold._feasible
-        probed = []
-
-        def feasible(rows, k, gamma):
-            probed.append(gamma)
-            return real(rows, k, F(3, 5) if gamma == 1 else gamma)
-
-        for tol in (F(1, 10**6), F(1, 16)):
-            want = plain_bisection(cycle_premises, cycle_antecedent, tol)
-            probed.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(threshold, "_feasible", feasible)
-                got = pt.critical_threshold(cycle_premises, cycle_antecedent, tol)
-            assert got == want
-            assert F(3, 4) not in probed and F(5, 8) not in probed[:-1]
-        assert probed == [0, 1, F(1, 2), F(9, 16), F(5, 8)]
 
     def test_witnesses_are_rechecked(
         self, monkeypatch, cycle_premises, cycle_antecedent
