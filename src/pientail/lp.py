@@ -22,7 +22,16 @@ reduced cost enters.  Every ratio is 0, so the row that leaves is the one
 with the smallest basic label among the rows with a positive entry in the
 entering column, which is the row Bland's ratio test picks.  Every run
 terminates and takes the pivots of the full rational tableau, and what it
-reads off by label is that tableau's:
+reads off by label is that tableau's.
+
+The tableau is stored in one of two layouts, picked from the program's
+shape alone.  A program with at least as many rows as columns (every
+critical-threshold probe: R ratio rows over k premises) keeps k column lists
+of R + 1 cells, so a pivot rewrites k lists instead of R + 1 short ones.  A
+wider program (most ``decide_lp`` programs: one row per premise, one column
+per signature) keeps its row lists.  Both run the same Bareiss step on every
+cell and share the Bland loop, so the pivots, rays, duals and denominator
+are the same:
 
 * ``Optimal``   - the optimum is 0, at the origin; ``row_duals[r]`` over
                   ``denominator`` is the dual ``y_r >= 0``, ``A^T y <= c``;
@@ -42,7 +51,9 @@ compared with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,21 @@ class Unbounded:
 _INT = {int}
 
 
+def _eliminate(
+    line: list[int], pivot_line: list[int], f: int, p: int, d: int
+) -> list[int]:
+    """The Bareiss step on one row or column of the tableau: ``(line * p - f
+    * pivot_line) / d``, exact, where ``f`` is the line's cell in the pivot
+    column (or row); ``line`` itself when nothing changes."""
+    if f:
+        if d == 1:
+            return [a * p - f * b for a, b in zip(line, pivot_line)]
+        return [(a * p - f * b) // d for a, b in zip(line, pivot_line)]
+    if p != d:
+        return [a * p // d for a in line]
+    return line
+
+
 def _pivot(
     rows: list[list[int]], basic: list[int], nonbasic: list[int], r: int, c: int, d: int
 ) -> int:
@@ -88,19 +114,30 @@ def _pivot(
     pivot_row = rows[r]
     p = pivot_row[c]
     for i, row in enumerate(rows):
-        f = row[c]
-        if i == r:
-            continue
-        if f:
-            if d == 1:
-                row = [a * p - f * b for a, b in zip(row, pivot_row)]
-            else:
-                row = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+        if i != r:
+            f = row[c]
+            rows[i] = row = _eliminate(row, pivot_row, f, p, d)
             row[c] = -f
-            rows[i] = row
-        elif p != d:
-            rows[i] = [a * p // d for a in row]
     pivot_row[c] = d
+    basic[r], nonbasic[c] = nonbasic[c], basic[r]
+    return p
+
+
+def _pivot_columns(
+    cols: list[list[int]], basic: list[int], nonbasic: list[int], r: int, c: int, d: int
+) -> int:
+    """``_pivot`` on the tableau stored by columns (the cost cell last in
+    each): the same step on every cell, one column list at a time."""
+    pivot_col = cols[c]
+    p = pivot_col[r]
+    for j, col in enumerate(cols):
+        if j != c:
+            g = col[r]
+            cols[j] = col = _eliminate(col, pivot_col, g, p, d)
+            col[r] = g
+    pivot_col = [-v for v in pivot_col]
+    pivot_col[r] = d
+    cols[c] = pivot_col
     basic[r], nonbasic[c] = nonbasic[c], basic[r]
     return p
 
@@ -121,40 +158,78 @@ def _check_ray(lp: LinearProgram, ray: dict[int, int]) -> None:
 
 def solve(lp: LinearProgram) -> Optimal | Unbounded:
     """Solve the homogeneous integer program ``lp`` exactly and return a
-    verified outcome."""
-    n = lp.num_vars
+    verified outcome, on a tableau stored by columns when it has at least as
+    many rows as columns and by rows otherwise."""
     if not set(map(type, chain(lp.objective, *lp.constraints))) <= _INT:
         raise TypeError("solve takes int cells only")
+    if len(lp.constraints) >= lp.num_vars:
+        return _solve_columns(lp)
+    return _solve_rows(lp)
 
-    # Row r, ``g.x >= 0``, enters the tableau as the row ``-g`` of its
-    # surplus ``s_r = g.x`` (label n + r), which starts basic; the cost row,
-    # last, holds the reduced costs of the objective.
+
+def _solve_rows(lp: LinearProgram) -> Optimal | Unbounded:
+    """``solve`` on the tableau stored as m + 1 row lists of n cells."""
     rows = [[-v for v in row] for row in lp.constraints]
-    m = len(rows)
     rows.append(list(lp.objective))
+    return _bland(
+        lp,
+        lambda: rows[-1],
+        lambda c: [row[c] for row in rows],
+        partial(_pivot, rows),
+    )
+
+
+def _solve_columns(lp: LinearProgram) -> Optimal | Unbounded:
+    """``solve`` on the tableau stored as n column lists of m + 1 cells."""
+    # each column ends in its cost cell, the objective's entry negated twice
+    negated_cost = [-v for v in lp.objective]
+    cols = [[-v for v in col] for col in zip(*lp.constraints, negated_cost)]
+    return _bland(
+        lp,
+        lambda: [col[-1] for col in cols],
+        cols.__getitem__,
+        partial(_pivot_columns, cols),
+    )
+
+
+def _bland(
+    lp: LinearProgram,
+    cost: Callable[[], Sequence[int]],
+    column: Callable[[int], Sequence[int]],
+    pivot: Callable[[list[int], list[int], int, int, int], int],
+) -> Optimal | Unbounded:
+    """Bland's rule from the surplus basis, over a tableau read through
+    ``cost`` (the reduced costs, by nonbasic position), ``column`` (a
+    nonbasic column, by basic row, the cost cell after them) and ``pivot``
+    (which returns the new denominator).
+
+    Row r, ``g.x >= 0``, enters the tableau as ``-g``, the row of its
+    surplus ``s_r = g.x`` (label n + r), which starts basic; the cost row,
+    last, holds the reduced costs of the objective."""
+    n, m = lp.num_vars, len(lp.constraints)
     basic = [n + r for r in range(m)]
     nonbasic = list(range(n))
     d = 1
-
     while True:
-        improving = [label for label, v in zip(nonbasic, rows[-1]) if v < 0]
+        improving = [label for label, v in zip(nonbasic, cost()) if v < 0]
         if not improving:
             break
         entering = nonbasic.index(min(improving))
-        blocking = [label for label, row in zip(basic, rows) if row[entering] > 0]
+        col = column(entering)
+        blocking = [label for label, v in zip(basic, col) if v > 0]
         if not blocking:
             # Along the ray the entering variable grows by one unit of the
             # rational tableau, and each basic one by minus its column.
             label = nonbasic[entering]
             ray = {label: d} if label < n else {}
-            for b, row in zip(basic, rows):
-                if b < n and row[entering]:
-                    ray[b] = -row[entering]
+            for b, v in zip(basic, col):
+                if b < n and v:
+                    ray[b] = -v
             _check_ray(lp, ray)
             return Unbounded(tuple([ray.get(j, 0) for j in range(n)]), d)
-        d = _pivot(rows, basic, nonbasic, basic.index(min(blocking)), entering, d)
+        d = pivot(basic, nonbasic, basic.index(min(blocking)), entering, d)
 
     # The dual value of row r is the reduced cost of its surplus column over
     # d (0 while the surplus is basic).
-    reduced = dict(zip(nonbasic, rows[-1]))
+    reduced = dict(zip(nonbasic, cost()))
     return Optimal(tuple([reduced.get(n + r, 0) for r in range(m)]), d)

@@ -136,34 +136,57 @@ def _feasible(
     return lp.solve(_cone_program(rows, k, gamma))
 
 
-def _worst_ratio(rows: list[SignatureRow], numerators: Sequence[int]) -> Fraction:
-    """Worst witnessed/covered ratio over ``rows`` of the nonnegative
-    multipliers ``numerators`` (over any common denominator), with 0/0 read
-    as 0 and 0 when no row is covered."""
+def _positions(
+    codes: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The positions each sequence of status ``codes`` witnesses, and those
+    it covers: per ratio row, the premises; per premise, the rows."""
+    return (
+        [[i for i, c in enumerate(seq) if c == _WITNESSED] for seq in codes],
+        [[i for i, c in enumerate(seq) if c != _NOT_COVERED] for seq in codes],
+    )
+
+
+def _worst_ratio(
+    witnessed: list[list[int]], covered: list[list[int]], numerators: Sequence[int]
+) -> tuple[int, int]:
+    """Worst witnessed/covered ratio, as an integer pair, of the nonnegative
+    multipliers ``numerators`` (over any common denominator) over the rows
+    whose premise positions are ``witnessed`` and ``covered``, with 0/0 read
+    as 0 and 0/1 when no row is covered."""
     num, den = 0, 1
-    for row in rows:
-        witnessed = sum([m for m, c in zip(numerators, row.codes) if c == _WITNESSED])
-        covered = sum([m for m, c in zip(numerators, row.codes) if c != _NOT_COVERED])
-        if witnessed * den > num * covered:
-            num, den = witnessed, covered
-    return Fraction(num, den)
+    for w, c in zip(witnessed, covered):
+        a = sum([numerators[i] for i in w])
+        b = sum([numerators[i] for i in c])
+        if a * den > num * b:
+            num, den = a, b
+    return num, den
 
 
 def _farkas_bound(
-    rows: list[SignatureRow], gamma: Fraction, y: Sequence[int]
-) -> Fraction:
-    """The value below which the row duals ``y`` of a bounded probe at
-    ``gamma`` prove that no multipliers exist: ``y >= 0`` with ``y.(W -
-    gamma C)_i > 0`` for every premise ``i`` (``W`` witnessed, ``C``
-    covered) leaves no nonzero ``lambda >= 0`` with ``(W - gamma C) lambda
-    <= 0``, and the sums only grow as ``gamma`` falls."""
-    cols = list(zip(*[row.codes for row in rows]))
-    witnessed = [sum([v for v, c in zip(y, col) if c == _WITNESSED]) for col in cols]
-    covered = [sum([v for v, c in zip(y, col) if c != _NOT_COVERED]) for col in cols]
-    p, q = gamma.numerator, gamma.denominator
-    if min(y) < 0 or any(q * w <= p * c for w, c in zip(witnessed, covered)):
+    witnessed: list[list[int]],
+    covered: list[list[int]],
+    p: int,
+    q: int,
+    y: Sequence[int],
+) -> tuple[int, int]:
+    """The value, as an integer pair, below which the row duals ``y`` of a
+    bounded probe at ``gamma = p/q`` prove that no multipliers exist, each
+    premise given by the rows that witness and cover it: ``y >= 0`` with
+    ``y.(W - gamma C)_i > 0`` for every premise ``i`` (``W`` witnessed,
+    ``C`` covered) leaves no nonzero ``lambda >= 0`` with ``(W - gamma C)
+    lambda <= 0``, and the sums only grow as ``gamma`` falls."""
+    if min(y) < 0:
         raise RuntimeError("probe duals are no Farkas certificate")
-    return min(map(Fraction, witnessed, covered))
+    num, den = 1, 0  # above every ratio: each premise lowers it
+    for rows_w, rows_c in zip(witnessed, covered):
+        w = sum([y[r] for r in rows_w])
+        c = sum([y[r] for r in rows_c])
+        if q * w <= p * c:
+            raise RuntimeError("probe duals are no Farkas certificate")
+        if w * den < num * c:
+            num, den = w, c
+    return num, den
 
 
 def _simplex_point(ray: Sequence[int]) -> tuple[Fraction, ...]:
@@ -213,7 +236,9 @@ def max_ratio(
         raise ValueError("multipliers must sum to 1")
     scale = math.lcm(*[lam.denominator for lam in lams])
     numerators = [lam.numerator * (scale // lam.denominator) for lam in lams]
-    return _worst_ratio(_ratio_rows(premises, antecedent, max_attrs), numerators)
+    rows = _ratio_rows(premises, antecedent, max_attrs)
+    witnessed, covered = _positions([row.codes for row in rows])
+    return Fraction(*_worst_ratio(witnessed, covered, numerators))
 
 
 def critical_threshold(
@@ -229,40 +254,63 @@ def critical_threshold(
     which is detected exactly) none exist at ``lower``.  A midpoint below
     an earlier bounded probe's ``_farkas_bound`` is not solved; the bracket
     and the ray at ``upper`` are still those of plain bisection.
+
+    The loop runs in integers: ``lower`` and ``upper`` are numerators over
+    ``2**depth``, the Farkas bound is an integer pair, and the ray and
+    Farkas re-checks cross-multiply sums over the witnessed and covered
+    positions of each row and each premise, found once per call.  A
+    ``Fraction`` is built only for each probed ``gamma`` and for the result.
     """
     tol = as_rational(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     rows = _ratio_rows(premises, antecedent, max_attrs)
     k = len(premises)
-    infeasible_below = Fraction(0)
+    codes = [row.codes for row in rows]
+    row_witnessed, row_covered = _positions(codes)
+    premise_witnessed, premise_covered = _positions(
+        [[c[i] for c in codes] for i in range(k)]
+    )
+    below_num, below_den = 0, 1  # the largest Farkas bound so far
 
-    def probe(gamma: Fraction) -> tuple[int, ...] | None:
-        nonlocal infeasible_below
-        outcome = _feasible(rows, k, gamma)
+    def probe(p: int, q: int) -> tuple[int, ...] | None:
+        """The ray of the probe at ``p/q``, or None with the bound raised."""
+        nonlocal below_num, below_den
+        outcome = _feasible(rows, k, Fraction(p, q))
         if isinstance(outcome, lp.Optimal):
-            bound = _farkas_bound(rows, gamma, outcome.row_duals)
-            infeasible_below = max(infeasible_below, bound)
+            w, c = _farkas_bound(
+                premise_witnessed, premise_covered, p, q, outcome.row_duals
+            )
+            if w * below_den > below_num * c:
+                below_num, below_den = w, c
             return None
-        if _worst_ratio(rows, outcome.ray) > gamma:
+        w, c = _worst_ratio(row_witnessed, row_covered, outcome.ray)
+        if w * q > p * c:
             raise RuntimeError("probe ray exceeds its threshold")
         return outcome.ray
 
-    lower = upper = Fraction(0)
-    at_upper = probe(upper)
-    if at_upper is None:  # the threshold is above 0: bisect [0, 1]
-        upper = Fraction(1)
-        at_upper = probe(upper)
-        if at_upper is None:
-            raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
-    while upper - lower > tol:
-        mid = (lower + upper) / 2
-        if mid < infeasible_below or (at_mid := probe(mid)) is None:
-            lower = mid
+    at_upper = probe(0, 1)
+    if at_upper is not None:
+        zero = Fraction(0)
+        return ThresholdBracket(zero, zero, tol, _simplex_point(at_upper))
+    at_upper = probe(1, 1)
+    if at_upper is None:
+        raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
+    # Bisect [0, 1]: lower is num / 2**depth and upper (num + 1) / 2**depth,
+    # so upper - lower > tol reads 2**depth * tol < 1.
+    num = depth = 0
+    while tol.numerator << depth < tol.denominator:
+        mid, depth = 2 * num + 1, depth + 1
+        settled = mid * below_den < below_num << depth
+        if settled or (at_mid := probe(mid, 1 << depth)) is None:
+            num = mid
         else:
-            upper, at_upper = mid, at_mid
+            num, at_upper = mid - 1, at_mid
     return ThresholdBracket(
-        lower=lower, upper=upper, tolerance=tol, multipliers=_simplex_point(at_upper)
+        lower=Fraction(num, 1 << depth),
+        upper=Fraction(num + 1, 1 << depth),
+        tolerance=tol,
+        multipliers=_simplex_point(at_upper),
     )
 
 

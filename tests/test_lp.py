@@ -5,10 +5,12 @@ program types.  Outcomes, witnesses, duality, termination, agreement
 (outcomes and pivot paths) with the full Fraction tableau, and the seam the
 benchmark tracer binds."""
 
+import importlib
 import math
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -697,22 +699,27 @@ class TestKernelContract:
 
 def _pivot_paths(program, general_form, monkeypatch, solver=lp):
     """The (entering label, leaving label) pivots of ``solver.solve`` (the
-    kernel or the general solver) on ``program`` and of ``reference_solve``
-    on ``general_form``, whose full tableau labels each column by its
-    index, followed by the two outcomes."""
+    kernel, in either of its layouts, or the general solver) on ``program``
+    and of ``reference_solve`` on ``general_form``, whose full tableau
+    labels each column by its index, followed by the two outcomes."""
     kernel, reference = [], []
-    real_pivot, real_reference = solver._pivot, _reference_pivot
+    real_reference = _reference_pivot
 
-    def spy(rows, basic, nonbasic, r, c, d):
-        kernel.append((nonbasic[c], basic[r]))
-        return real_pivot(rows, basic, nonbasic, r, c, d)
+    def spy(real_pivot):
+        def pivot(lines, basic, nonbasic, r, c, d):
+            kernel.append((nonbasic[c], basic[r]))
+            return real_pivot(lines, basic, nonbasic, r, c, d)
+
+        return pivot
 
     def reference_spy(rows, cost, basis, r, c):
         reference.append((c, basis[r]))
         return real_reference(rows, cost, basis, r, c)
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_pivot", spy)
+        for name in ("_pivot", "_pivot_columns"):
+            if hasattr(solver, name):
+                patch.setattr(solver, name, spy(getattr(solver, name)))
         patch.setattr(sys.modules[__name__], "_reference_pivot", reference_spy)
         outcome = solver.solve(program)
         reference_outcome = reference_solve(general_form)
@@ -776,6 +783,92 @@ class TestPivotPath:
                 pivots += len(kernel)
                 _assert_same_outcome(program, got, want)
             assert pivots >= solved
+
+
+def _edge_programs(seed):
+    """Programs where the two tableau layouts meet: square ones (as many
+    rows as columns), ones with no rows and ones with a single column, with
+    small ``int`` cells."""
+    rng = random.Random(seed)
+
+    def cells(n):
+        return tuple(rng.randint(-4, 4) for _ in range(n))
+
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        yield lp.LinearProgram(n, cells(n), tuple(cells(n) for _ in range(n)))
+    for n in range(5):
+        for _ in range(4):
+            yield lp.LinearProgram(n, cells(n), ())
+    for _ in range(200):
+        m = rng.randint(0, 8)
+        yield lp.LinearProgram(1, cells(1), tuple(cells(1) for _ in range(m)))
+
+
+def _bench_programs(monkeypatch, tmp_path, seeds, rounds):
+    """Every program that the first ``rounds`` rounds of each benchmark
+    workload hand to ``lp.solve`` at ``seeds``, by workload."""
+    import pientail as pt
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    run = importlib.import_module("run")
+    programs = {}
+    real_solve = lp.solve
+    for workload, make_round in run.ROUNDS.items():
+        recorded = programs[workload] = []
+
+        def record(program):
+            recorded.append(program)
+            return real_solve(program)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "solve", record)
+            for seed in seeds:
+                for r in range(rounds):
+                    for op in make_round(pt, seed, r, tmp_path):
+                        if op.prepare is not None:
+                            op.prepare()
+                        op.call()
+    return programs
+
+
+class TestLayouts:
+    """``solve`` stores the tableau by columns when a program has at least
+    as many rows as columns and by rows otherwise; either layout gives the
+    same outcome, numerators and denominator on every program."""
+
+    def test_edge_shapes(self, monkeypatch):
+        chosen = []
+        for name in ("_solve_rows", "_solve_columns"):
+            real = getattr(lp, name)
+            monkeypatch.setattr(
+                lp, name, lambda p, name=name, real=real: chosen.append(name) or real(p)
+            )
+        seen = {"Optimal": 0, "Unbounded": 0}
+        for program in _edge_programs(seed=1311):
+            chosen.clear()
+            out = lp.solve(program)
+            tall = len(program.constraints) >= program.num_vars
+            assert chosen == ["_solve_columns" if tall else "_solve_rows"]
+            by_rows, by_columns = lp._solve_rows(program), lp._solve_columns(program)
+            assert by_rows == by_columns == out
+            assert type(out) is type(by_rows)
+            _assert_same_outcome(program, out, reference_solve(_cone_form(program)))
+            seen[type(out).__name__] += 1
+        assert min(seen.values()) >= 100
+
+    def test_benchmark_programs(self, monkeypatch, tmp_path):
+        programs = _bench_programs(monkeypatch, tmp_path, seeds=(11, 12), rounds=5)
+        shapes = {"tall": 0, "wide": 0}
+        for workload, recorded in programs.items():
+            assert recorded, workload
+            for program in recorded:
+                by_rows, by_columns = lp._solve_rows(program), lp._solve_columns(program)
+                assert type(by_rows) is type(by_columns), workload
+                assert by_rows == by_columns, workload
+                tall = len(program.constraints) >= program.num_vars
+                shapes["tall" if tall else "wide"] += 1
+        assert min(shapes.values()) >= 300, shapes
 
 
 class TestVerification:

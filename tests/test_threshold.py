@@ -265,6 +265,20 @@ class TestCriticalThreshold:
             F(203450613025, 829996793121),
         )
 
+    def test_pinned_cycle_bracket_at_1e_12(self):
+        """The same cycle 20 bisection steps deeper, pinned likewise."""
+        rules = pt.parse_rules("B -> A C H\nC -> A D\nD -> A B")
+        x = rules.universe.attrs("B", "C", "D", "H")
+        bracket = pt.critical_threshold(rules, x, tolerance=F(1, 10**12))
+        assert bracket.lower == F(626546025927, 1099511627776)
+        assert bracket.upper == F(78318253241, 137438953472)
+        denominator = 14259235959001875656113
+        assert bracket.multipliers == (
+            F(6133748790721407004081, denominator),
+            F(4630229972476705198671, denominator),
+            F(3495257195803763453361, denominator),
+        )
+
 
 class TestMaxRatio:
     def test_uniform_multipliers_on_cycle(self, cycle_premises, cycle_antecedent):
@@ -322,6 +336,9 @@ class TestMaxRatio:
 
 
 TOLERANCES = (F(1, 10), F(1, 10**3), F(1, 10**6), F(1, 10**12))
+# 2 and 1 run no bisection step; at 2**-20 the last step's width equals the
+# tolerance; 1/3 and 3/7 are not dyadic; 10**-30 goes 100 steps deep.
+EDGE_TOLERANCES = (F(2), F(1), F(1, 2**20), F(1, 3), F(3, 7), F(1, 10**30))
 
 
 def _cycle(length):
@@ -364,7 +381,7 @@ class TestWitnessPrunedBisection:
         cases.update({f"fan {n}": _fan(n) for n in (2, 3, 4)})
         solves = {}
         for name, (premises, antecedent) in cases.items():
-            for tol in TOLERANCES:
+            for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves[name, tol] = self._solves(
                     monkeypatch, premises, antecedent, tol
                 )
@@ -376,6 +393,7 @@ class TestWitnessPrunedBisection:
         for name in ("cycle 3", "cycle 5", "fan 4"):
             assert solves[name, F(1, 10**12)] == solves[name, F(1, 10**6)], name
         assert solves["paper cycle", F(1, 10**6)] == 20
+        assert solves["paper cycle", F(2)] == solves["paper cycle", F(1)] == 2
 
     def test_random_premise_sets_match_plain_bisection(self):
         rng = random.Random(110011)
@@ -388,7 +406,7 @@ class TestWitnessPrunedBisection:
             )
             q = pt.random_query(spec, F(1, 2))
             x = q.conclusion.antecedent
-            for tol in TOLERANCES:
+            for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket = pt.critical_threshold(q.premises, x, tolerance=tol)
                 assert bracket == plain_bisection(q.premises, x, tol), (spec, tol)
 
@@ -415,7 +433,7 @@ class TestWitnessPrunedBisection:
             if coarse.upper == 0 or coarse.lower == 1 - F(1, 1024):
                 continue
             cases += 1
-            for tol in TOLERANCES:
+            for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves = self._solves(monkeypatch, rules, x, tol)
                 assert bracket == plain_bisection(rules, x, tol), (lines, tol)
                 assert solves <= 2 + (tol.denominator - 1).bit_length(), (lines, tol)
