@@ -17,8 +17,9 @@ strictly between 0 and 1.
 Whether a given ``gamma`` is at or above the critical threshold is a
 single exact LP question (``feasible_at``, posed as a cone program that is
 unbounded exactly when multipliers exist), so decisions never
-depend on any numeric tolerance; bisection with ``feasible_at`` merely
-reports a bracket for the value itself, which is in general irrational.
+depend on any numeric tolerance; ``critical_threshold`` merely reports a
+dyadic bracket for the value itself, which is in general irrational, and
+probes where cofactor polynomials of its last feasible ray predict it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from . import lp
@@ -241,25 +243,180 @@ def max_ratio(
     return Fraction(*_worst_ratio(witnessed, covered, numerators))
 
 
+def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _psub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [u - v for u, v in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _pdiv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient of ``a`` by ``b``, which divides it exactly."""
+    a, n = list(a), len(b) - 1
+    out = [0] * (len(a) - n)
+    for i in reversed(range(len(out))):
+        out[i] = t = a[i + n] // b[n]
+        for j, v in enumerate(b):
+            a[i + j] -= t * v
+    return out
+
+
+def _sign(poly: Sequence[int], x: int) -> int:
+    """The sign of ``poly`` (coefficients from degree 0) at ``x``."""
+    v = 0
+    for c in reversed(poly):
+        v = v * x + c
+    return (v > 0) - (v < 0)
+
+
+def _cuts(poly: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Sorted integers ``c`` in ``[lo, hi)``, the derivative's among them,
+    with each point of ``(lo, hi)`` where ``poly`` changes sign in some
+    ``[c, c + 1]``: ``poly`` is monotone between the derivative's cuts."""
+    if len(poly) < 2:
+        return []
+    out = _cuts([i * c for i, c in enumerate(poly)][1:], lo, hi)
+    for s, e in list(zip([lo] + [c + 1 for c in out], out + [hi])):
+        if _sign(poly, s) * _sign(poly, e) < 0:
+            out.append(_crossing(poly, s, e))
+    return sorted(out)
+
+
+def _crossing(poly: Sequence[int], s: int, e: int) -> int:
+    """The last point of ``[s, e)`` with the sign of ``poly`` at ``s``, on
+    a run where ``poly`` is monotone and has another sign at ``e``."""
+    first = _sign(poly, s)
+    while e - s > 1:
+        mid = (s + e) // 2
+        s, e = (mid, e) if _sign(poly, mid) == first else (s, mid)
+    return s
+
+
+def _last_negative(polys: Sequence[Sequence[int]], lo: int, hi: int) -> int:
+    """The largest integer ``x`` with ``lo < x < hi`` at which some
+    polynomial is negative, or ``lo`` if none is."""
+    if hi - lo > 1 and any([_sign(poly, hi - 1) < 0 for poly in polys]):
+        return hi - 1
+    for poly in polys:
+        cuts = _cuts([i * c for i, c in enumerate(poly)][1:], lo, hi)
+        for s, e in reversed(list(zip([lo] + [c + 1 for c in cuts], cuts + [hi]))):
+            s, e = max(s, lo + 1), min(e, hi - 1)
+            if s <= e and _sign(poly, e) < 0:
+                lo = e
+                break
+            if s <= e and _sign(poly, s) < 0:
+                lo = _crossing(poly, s, e)
+                break
+    return lo
+
+
+def _kernel(
+    rows: Sequence[Sequence[int]], size: int, cells: Sequence[Sequence[int]], x: int
+) -> list[list[int]] | None:
+    """A vector of polynomials spanning the kernel of the first ``size -
+    1`` rows of status codes (``size`` columns, the polynomial ``cells[c]``
+    for code ``c``) that are independent at ``x``, or None if there are
+    fewer.
+
+    Fraction-free Gauss-Jordan elimination over the integer polynomials
+    (Bareiss 1968): each pivot line holds the common pivot ``d`` in its own
+    column and 0 in the other pivot columns, and each of its entries is a
+    minor, so the kernel is the vector of cofactors up to sign."""
+    pivots: list[tuple[int, list[list[int]]]] = []
+    d: list[int] = [1]
+    for codes in rows:
+        if len(pivots) == size - 1:
+            break
+        line = [_pmul(d, cells[c]) for c in codes]
+        for col, pivot_line in pivots:
+            f = cells[codes[col]]
+            line = [_psub(u, _pmul(f, v)) for u, v in zip(line, pivot_line)]
+        col = next((j for j, v in enumerate(line) if _sign(v, x)), None)
+        if col is not None:
+            for _, pivot_line in pivots:
+                f, g = line[col], pivot_line[col]
+                pivot_line[:] = [
+                    _pdiv(_psub(_pmul(f, u), _pmul(g, v)), d)
+                    for u, v in zip(pivot_line, line)
+                ]
+            pivots.append((col, line))
+            d = line[col]
+    if len(pivots) < size - 1:
+        return None
+    free = ({*range(size)} - {c for c, _ in pivots}).pop()
+    entries = {col: _psub([], line[free]) for col, line in pivots}
+    return [entries.get(i, d) for i in range(size)]
+
+
+def _predict(
+    codes: list[tuple[int, ...]], ray: Sequence[int], lower: int, upper: int, depth: int
+) -> int | None:
+    """The lower end of the grid cell in ``[lower, upper)`` where the ray
+    at ``upper`` is predicted to stop being feasible (``lower`` if it stays
+    feasible above ``lower``), or None.
+
+    On the support S of the ray, ``|S| - 1`` ratio rows tight and
+    independent at ``upper`` have a kernel ``lambda`` of cofactor
+    polynomials (``_kernel``), a positive multiple of the ray at ``upper``.
+    Below ``upper`` it stays a certificate until some ``lambda_i``, or some
+    row's product with ``lambda``, turns negative, so the critical
+    threshold lies at or below that breakpoint (parametric programming in
+    the line of Dinkelbach 1967 and Crouzeix-Ferland-Schaible 1985).  Rows
+    witnessing no premise of S turn negative only where some ``lambda_i``
+    does, and are left out.  The variable is ``x = 2**depth * g``.
+    """
+    cells = ((), (0, 1), (-1 << depth, 1))  # in x = 2**depth * g, by status code
+    support = [i for i, v in enumerate(ray) if v]
+    patterns = list(dict.fromkeys([tuple([c[i] for i in support]) for c in codes]))
+    weights = [(ray[i] * upper, ray[i] << depth) for i in support]
+    tight = [  # rows on which the ray's product is 0 at upper
+        p
+        for p in patterns
+        if not sum([a - b * (c == _WITNESSED) for (a, b), c in zip(weights, p) if c])
+    ]
+    lam = _kernel(tight, len(support), cells, upper)
+    if lam is None:
+        return None
+    neg = [_psub([], v) for v in lam]
+    if _sign(lam[0], upper) < 0:
+        lam, neg = neg, lam
+    polys = lam + [
+        functools.reduce(_psub, [_pmul(cells[c], v) for c, v in zip(p, neg)], [])
+        for p in patterns
+        if _WITNESSED in p
+    ]
+    return _last_negative([poly for poly in polys if poly], lower, upper)
+
+
 def critical_threshold(
     premises: ImplicationSet,
     antecedent: AttrSet,
     tolerance: Fraction | int | str = Fraction(1, 100_000),
     max_attrs: int = DEFAULT_ENUMERATION_CAP,
 ) -> ThresholdBracket:
-    """Bracket the critical threshold to within ``tolerance`` by bisection.
+    """Bracket the critical threshold to within ``tolerance``.
 
-    Every probe is an exact feasibility test, so the bracket is certain:
-    multipliers exist at ``upper`` and (unless the value is exactly 0,
-    which is detected exactly) none exist at ``lower``.  A midpoint below
-    an earlier bounded probe's ``_farkas_bound`` is not solved; the bracket
-    and the ray at ``upper`` are still those of plain bisection.
+    The bracket is the cell ``(U - 1, U] / 2**D`` of the dyadic grid that
+    holds the value, ``D`` being the fewest bisection steps of [0, 1] that
+    reach the tolerance, with the multipliers of the probe at ``U``: plain
+    bisection's result, whichever probes find it.  Multipliers exist at
+    ``upper`` and (unless the value is exactly 0) none at ``lower``.
 
-    The loop runs in integers: ``lower`` and ``upper`` are numerators over
-    ``2**depth``, the Farkas bound is an integer pair, and the ray and
-    Farkas re-checks cross-multiply sums over the witnessed and covered
-    positions of each row and each premise, found once per call.  A
-    ``Fraction`` is built only for each probed ``gamma`` and for the result.
+    The loop keeps two checked facts on the grid, in integers: ``lower``,
+    the largest point ruled out by an infeasible probe or its re-checked
+    Farkas bound, and ``upper``, the smallest feasible point probed, with
+    its re-checked ray.  ``_predict`` chooses the next probes from that
+    ray, or else (also with two bisection levels left) the next midpoint
+    of plain bisection the facts leave open.  A poor prediction can cost
+    solves but never change the result.
     """
     tol = as_rational(tolerance)
     if tol <= 0:
@@ -271,44 +428,47 @@ def critical_threshold(
     premise_witnessed, premise_covered = _positions(
         [[c[i] for c in codes] for i in range(k)]
     )
-    below_num, below_den = 0, 1  # the largest Farkas bound so far
+    depth = 0
+    while tol.numerator << depth < tol.denominator:
+        depth += 1
+    lower, upper, at_upper = 0, 1 << depth, ()
 
-    def probe(p: int, q: int) -> tuple[int, ...] | None:
-        """The ray of the probe at ``p/q``, or None with the bound raised."""
-        nonlocal below_num, below_den
-        outcome = _feasible(rows, k, Fraction(p, q))
+    def probe(x: int) -> bool:
+        """Probe ``x / 2**depth`` and move ``lower`` or ``upper`` to it."""
+        nonlocal lower, upper, at_upper
+        gamma = Fraction(x, 1 << depth)
+        p, q = gamma.numerator, gamma.denominator
+        outcome = _feasible(rows, k, gamma)
         if isinstance(outcome, lp.Optimal):
             w, c = _farkas_bound(
                 premise_witnessed, premise_covered, p, q, outcome.row_duals
             )
-            if w * below_den > below_num * c:
-                below_num, below_den = w, c
-            return None
+            lower = max(lower, x, -(-w << depth) // c - 1)
+            return False
         w, c = _worst_ratio(row_witnessed, row_covered, outcome.ray)
         if w * q > p * c:
             raise RuntimeError("probe ray exceeds its threshold")
-        return outcome.ray
+        upper, at_upper = x, outcome.ray
+        return True
 
-    at_upper = probe(0, 1)
-    if at_upper is not None:
-        zero = Fraction(0)
-        return ThresholdBracket(zero, zero, tol, _simplex_point(at_upper))
-    at_upper = probe(1, 1)
-    if at_upper is None:
+    if probe(0):
+        return ThresholdBracket(Fraction(0), Fraction(0), tol, _simplex_point(at_upper))
+    if not probe(upper):
         raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
-    # Bisect [0, 1]: lower is num / 2**depth and upper (num + 1) / 2**depth,
-    # so upper - lower > tol reads 2**depth * tol < 1.
-    num = depth = 0
-    while tol.numerator << depth < tol.denominator:
-        mid, depth = 2 * num + 1, depth + 1
-        settled = mid * below_den < below_num << depth
-        if settled or (at_mid := probe(mid, 1 << depth)) is None:
-            num = mid
-        else:
-            num, at_upper = mid - 1, at_mid
+    while upper - lower > 1:
+        # plain bisection probes next the midpoint of the smallest dyadic
+        # block of 2**levels cells holding lower + 1 .. upper; a ray at 1 is
+        # a unit vector, which predicts only the top cell
+        levels = (lower ^ (upper - 1)).bit_length()
+        predict = levels > 2 and upper < 1 << depth
+        cell = _predict(codes, at_upper, lower, upper, depth) if predict else None
+        if cell is None:
+            probe((lower >> levels << levels) + (1 << levels - 1))
+        elif (cell == lower or not probe(cell)) and lower == cell < upper - 1:
+            probe(cell + 1)  # the cell's lower end is ruled out, its upper open
     return ThresholdBracket(
-        lower=Fraction(num, 1 << depth),
-        upper=Fraction(num + 1, 1 << depth),
+        lower=Fraction(lower, 1 << depth),
+        upper=Fraction(upper, 1 << depth),
         tolerance=tol,
         multipliers=_simplex_point(at_upper),
     )

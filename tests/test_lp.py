@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import general_simplex as general
-from conftest import nonempty_subsets, status_weights
+from conftest import nonempty_subsets, plain_bisection, status_weights
 from pientail import lp
 
 
@@ -747,12 +747,13 @@ class TestPivotPath:
         assert pivots >= 300
 
     def test_cycle_probes(self, monkeypatch, cycle_premises, cycle_antecedent):
-        """Every bisection probe solved for a tolerance 1e-6 bracket, on the
-        paper's cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5
-        (20, 3, 15 and 9 of them; earlier witnesses settle the other
-        midpoints of the 22 bisection steps): the kernel
-        on the ``>=`` rows it is handed, the reference on the ``<=`` rows
-        and maximised sum that the probes were posed as before."""
+        """Every probe solved for a tolerance 1e-6 bracket, on the paper's
+        cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5, by
+        ``critical_threshold`` (6, 3, 6 and 5 of them: predicted probes and
+        earlier witnesses settle the rest) and by plain bisection (all 22
+        steps): the kernel on the ``>=`` rows it is handed, the reference on
+        the ``<=`` rows and maximised sum that the probes were posed as
+        before."""
         import pientail as pt
 
         cases = [(cycle_premises, cycle_antecedent)]
@@ -762,18 +763,21 @@ class TestPivotPath:
             )
             names = [f"x{i}" for i in range(length)]
             cases.append((rules, rules.universe.attrs(*names)))
-        for (premises, antecedent), solved in zip(cases, (20, 3, 15, 9)):
-            programs = []
-            real_solve = lp.solve
+        for (premises, antecedent), solved in zip(cases, (6, 3, 6, 5)):
+            programs = {}  # each distinct program once, in order
+            for run, count in ((pt.critical_threshold, solved), (plain_bisection, 22)):
+                recorded = []
+                real_solve = lp.solve
 
-            def record(program):
-                programs.append(program)
-                return real_solve(program)
+                def record(program):
+                    recorded.append(program)
+                    return real_solve(program)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(lp, "solve", record)
-                pt.critical_threshold(premises, antecedent, tolerance=F(1, 10**6))
-            assert len(programs) == solved
+                with monkeypatch.context() as patch:
+                    patch.setattr(lp, "solve", record)
+                    run(premises, antecedent, F(1, 10**6))
+                assert len(recorded) == count
+                programs.update(dict.fromkeys(recorded))
             pivots = 0
             for program in programs:
                 kernel, reference, got, want = _pivot_paths(
@@ -782,7 +786,7 @@ class TestPivotPath:
                 assert kernel == reference
                 pivots += len(kernel)
                 _assert_same_outcome(program, got, want)
-            assert pivots >= solved
+            assert pivots >= len(programs)
 
 
 def _edge_programs(seed):
@@ -858,7 +862,7 @@ class TestLayouts:
         assert min(seen.values()) >= 100
 
     def test_benchmark_programs(self, monkeypatch, tmp_path):
-        programs = _bench_programs(monkeypatch, tmp_path, seeds=(11, 12), rounds=5)
+        programs = _bench_programs(monkeypatch, tmp_path, seeds=(11, 12, 13), rounds=5)
         shapes = {"tall": 0, "wide": 0}
         for workload, recorded in programs.items():
             assert recorded, workload

@@ -2,6 +2,9 @@
 bisection bracketing, multiplier ratio evaluation, and the general
 decision procedure built on them."""
 
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -201,9 +204,8 @@ class TestCriticalThreshold:
         keeps every row's ``(W - gamma C) lambda`` at most 0.  Checked in
         Fractions from each row's statuses and ``gamma``, on every probe
         solved for the tolerance 1e-6 brackets of the paper's cycle and of
-        ``x_i -> A x_{i+1}`` cycles of length 3 to 5.  Earlier witnesses
-        settle the other midpoints, so fewer than the 22 bisection steps
-        are solved."""
+        ``x_i -> A x_{i+1}`` cycles of length 3 to 5, by ``critical_threshold``
+        and by plain bisection, which solves all 22 bisection steps."""
         from pientail import lp, threshold
 
         cases = [(cycle_premises, cycle_antecedent)]
@@ -225,12 +227,14 @@ class TestCriticalThreshold:
             return outcome
 
         counts = []
-        for premises, antecedent in cases:
+        for (premises, antecedent), run in itertools.product(
+            cases, (pt.critical_threshold, plain_bisection)
+        ):
             probes.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(threshold, "_feasible", feasible)
                 patch.setattr(lp, "solve", solve)
-                pt.critical_threshold(premises, antecedent, tolerance=F(1, 10**6))
+                run(premises, antecedent, F(1, 10**6))
             bounded = 0
             for rows, k, gamma, outcome in probes:
                 if isinstance(outcome, lp.Unbounded):
@@ -248,8 +252,11 @@ class TestCriticalThreshold:
                     )
                     assert total >= 1
             counts.append((len(probes), bounded))
-        # (probes solved, those below the threshold, gamma = 0 first among them)
-        assert counts == [(20, 6), (3, 1), (15, 4), (9, 7)]
+        # (probes solved, those below the threshold, gamma = 0 first among
+        # them), by critical_threshold and then by plain bisection
+        assert counts == [
+            (6, 3), (22, 8), (3, 1), (22, 20), (6, 3), (22, 11), (5, 3), (22, 20)
+        ]
 
     def test_pinned_cycle_bracket(self):
         """The paper's cycle at tolerance 1/1000000, pinned to the last
@@ -353,10 +360,35 @@ def _fan(width):
     return rules, rules.universe.attrs("A", *[f"x{i}" for i in range(width)])
 
 
+def _structured_cases():
+    rules = pt.parse_rules("B -> A C H\nC -> A D\nD -> A B")
+    cases = {"paper cycle": (rules, rules.universe.attrs("B", "C", "D", "H"))}
+    cases.update({f"cycle {n}": _cycle(n) for n in (3, 4, 5, 6)})
+    cases.update({f"fan {n}": _fan(n) for n in (2, 3, 4)})
+    return cases
+
+
+@pytest.fixture(scope="module")
+def structured_brackets():
+    """Plain bisection's bracket of each structured case at each
+    tolerance, computed once for the tests that compare with it."""
+    return {
+        (name, tol): plain_bisection(premises, antecedent, tol)
+        for name, (premises, antecedent) in _structured_cases().items()
+        for tol in TOLERANCES + EDGE_TOLERANCES
+    }
+
+
+def _most_solves(tolerance):
+    """Plain bisection's solves: the probes at 0 and 1 and one per step."""
+    return 2 + (tolerance.denominator - 1).bit_length()
+
+
 class TestWitnessPrunedBisection:
-    """``critical_threshold`` skips the midpoints that an earlier probe's
-    Farkas vector settles; its bracket, multipliers included, must be
-    plain bisection's."""
+    """``critical_threshold`` probes where ``_predict`` points and skips
+    what an earlier probe's Farkas vector settles; its bracket, multipliers
+    included, must be plain bisection's, and it must solve no more probes
+    than plain bisection."""
 
     def _solves(self, monkeypatch, premises, antecedent, tolerance):
         from pientail import threshold
@@ -374,28 +406,65 @@ class TestWitnessPrunedBisection:
         return bracket, len(calls)
 
     def test_structured_cases_match_plain_bisection(
-        self, monkeypatch, cycle_premises, cycle_antecedent
+        self, monkeypatch, structured_brackets
     ):
-        cases = {"paper cycle": (cycle_premises, cycle_antecedent)}
-        cases.update({f"cycle {n}": _cycle(n) for n in (3, 4, 5, 6)})
-        cases.update({f"fan {n}": _fan(n) for n in (2, 3, 4)})
         solves = {}
-        for name, (premises, antecedent) in cases.items():
+        for name, (premises, antecedent) in _structured_cases().items():
             for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves[name, tol] = self._solves(
                     monkeypatch, premises, antecedent, tol
                 )
-                want = plain_bisection(premises, antecedent, tol)
-                assert bracket == want, (name, tol)
+                assert bracket == structured_brackets[name, tol], (name, tol)
+                assert solves[name, tol] <= _most_solves(tol), (name, tol)
         # rational values (1/2 for the 3-cycle, 3/4 for the 5-cycle and the
-        # 4-fan) are settled by witnesses: a finer tolerance costs no more
-        # solves
+        # 4-fan) are settled by witnesses, and the irrational ones of the
+        # paper's cycle and the 4- and 6-cycles by predicted probes: a finer
+        # tolerance costs no more solves
+        fine, coarse = F(1, 10**12), F(1, 10**6)
         for name in ("cycle 3", "cycle 5", "fan 4"):
-            assert solves[name, F(1, 10**12)] == solves[name, F(1, 10**6)], name
-        assert solves["paper cycle", F(1, 10**6)] == 20
+            assert solves[name, fine] == solves[name, coarse], name
+        for name in ("paper cycle", "cycle 4", "cycle 6"):
+            assert solves[name, fine] <= solves[name, coarse], name
+        assert solves["paper cycle", coarse] == 6
         assert solves["paper cycle", F(2)] == solves["paper cycle", F(1)] == 2
 
-    def test_random_premise_sets_match_plain_bisection(self):
+    def test_predictions_only_choose_probes(self, monkeypatch, structured_brackets):
+        """``_predict`` only chooses where to probe: with no prediction, or
+        with one fixed cell named whenever it lies in ``[lower, upper)``
+        (the cell just above the value, the cell just below it, or a cell
+        drawn from a seeded stream), every bracket of every structured case
+        and tolerance is plain bisection's, within plain bisection's
+        solves."""
+        from pientail import threshold
+
+        rng = random.Random(8080)
+
+        def fixed(point, offset=0):
+            def predict(codes, ray, lower, upper, depth):
+                cell = math.floor(point * 2**depth) + offset
+                return cell if lower <= cell < upper else None
+
+            return predict
+
+        for name, (premises, antecedent) in _structured_cases().items():
+            for tol in TOLERANCES + EDGE_TOLERANCES:
+                want = structured_brackets[name, tol]
+                predictors = {
+                    "none": lambda *args: None,
+                    "above": fixed(want.upper),
+                    "below": fixed(want.upper, -2),
+                    "random": fixed(F(rng.randrange(2**64), 2**64)),
+                }
+                for kind, predict in predictors.items():
+                    with monkeypatch.context() as patch:
+                        patch.setattr(threshold, "_predict", predict)
+                        bracket, solves = self._solves(
+                            monkeypatch, premises, antecedent, tol
+                        )
+                    assert bracket == want, (name, tol, kind)
+                    assert solves <= _most_solves(tol), (name, tol, kind)
+
+    def test_random_premise_sets_match_plain_bisection(self, monkeypatch):
         rng = random.Random(110011)
         for _ in range(200):
             spec = pt.RandomInstanceSpec(
@@ -407,8 +476,9 @@ class TestWitnessPrunedBisection:
             q = pt.random_query(spec, F(1, 2))
             x = q.conclusion.antecedent
             for tol in TOLERANCES + EDGE_TOLERANCES:
-                bracket = pt.critical_threshold(q.premises, x, tolerance=tol)
+                bracket, solves = self._solves(monkeypatch, q.premises, x, tol)
                 assert bracket == plain_bisection(q.premises, x, tol), (spec, tol)
+                assert solves <= _most_solves(tol), (spec, tol)
 
     def test_random_graphs_match_plain_bisection(self, monkeypatch):
         """Most random premise sets have threshold 0 or 1.  Rules
@@ -436,7 +506,7 @@ class TestWitnessPrunedBisection:
             for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves = self._solves(monkeypatch, rules, x, tol)
                 assert bracket == plain_bisection(rules, x, tol), (lines, tol)
-                assert solves <= 2 + (tol.denominator - 1).bit_length(), (lines, tol)
+                assert solves <= _most_solves(tol), (lines, tol)
 
     def test_witnesses_are_rechecked(
         self, monkeypatch, cycle_premises, cycle_antecedent
@@ -461,6 +531,221 @@ class TestWitnessPrunedBisection:
                 patch.setattr(threshold, "_feasible", feasible)
                 with pytest.raises(RuntimeError, match=message):
                     pt.critical_threshold(cycle_premises, cycle_antecedent)
+
+
+def _det(matrix):
+    """The determinant of a square matrix of Fractions, by Gaussian
+    elimination with row swaps."""
+    m = [list(row) for row in matrix]
+    det = F(1)
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if r is None:
+            return F(0)
+        if r != c:
+            m[c], m[r], det = m[r], m[c], -det
+        det *= m[c][c]
+        for below in m[c + 1 :]:
+            f = below[c] / m[c][c]
+            below[:] = [a - f * b for a, b in zip(below, m[c])]
+    return det
+
+
+def _cells_at(codes, g):
+    """A row of status codes as its cells at ``g``: 0, g and g - 1."""
+    return [(F(0), g, g - 1)[c] for c in codes]
+
+
+def _independent(rows, g):
+    """The first rows of status codes that are independent at ``g``, in
+    order: each kept row raises the rank of those kept before it."""
+    kept = []
+    for row in rows:
+        matrix = [_cells_at(r, g) for r in kept + [row]]
+        n = len(matrix)
+        # rank n exactly when some n columns have a nonzero determinant
+        if any(
+            _det([[line[j] for j in cols] for line in matrix])
+            for cols in itertools.combinations(range(len(row)), n)
+        ):
+            kept.append(row)
+    return kept
+
+
+def _cofactors(rows, g):
+    """``(-1)**i`` times the determinant of the rows' cells at ``g`` without
+    column ``i``: a vector in the kernel of ``len(rows) + 1`` columns."""
+    matrix = [_cells_at(row, g) for row in rows]
+    return [
+        (-1) ** i * _det([line[:i] + line[i + 1 :] for line in matrix])
+        for i in range(len(rows) + 1)
+    ]
+
+
+def _value(poly, x):
+    """A polynomial (coefficients from degree 0) at ``x``, by powers."""
+    return sum(c * x**j for j, c in enumerate(poly))
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for (i, u), (j, v) in itertools.product(enumerate(a), enumerate(b)):
+        out[i + j] += u * v
+    return out
+
+
+def _scan_prediction(codes, ray, lower, upper, depth):
+    """``_predict`` by brute force: the rows tight at ``upper``, projected
+    onto the ray's support, give their first independent ones there; their
+    cofactors, signed to agree with the ray at ``upper``, are evaluated at
+    every grid point of ``(lower, upper)`` with every row's product, all in
+    Fractions, and the largest point where one is negative is returned."""
+    support = [i for i, v in enumerate(ray) if v]
+    projected = [[c[i] for i in support] for c in codes]
+    top = F(upper, 2**depth)
+    tight = [
+        row
+        for row in projected
+        if not sum(v * ray[i] for v, i in zip(_cells_at(row, top), support))
+    ]
+    chosen = _independent(tight, top)[: len(support) - 1]
+    if len(chosen) < len(support) - 1:
+        return None
+    at_top = _cofactors(chosen, top)
+    sign = 1 if sum(v * ray[i] for v, i in zip(at_top, support)) > 0 else -1
+    best = lower
+    for x in range(lower + 1, upper):
+        g = F(x, 2**depth)
+        lam = [sign * v for v in _cofactors(chosen, g)]
+        products = [sum(map(operator.mul, _cells_at(row, g), lam)) for row in projected]
+        if min(lam + products) < 0:
+            best = x
+    return best
+
+
+class TestPrediction:
+    """The integer polynomial helpers behind ``_predict``, each checked
+    against Fraction arithmetic that shares no code with them."""
+
+    def test_kernel_is_the_cofactor_vector(self):
+        """``_kernel`` of seeded rows of status codes, up to six columns,
+        is the cofactor vector of the first rows independent at its point,
+        up to one sign: compared at 20 rational points with Fraction
+        determinants (the grid variable ``x = 2**depth * g`` scales each by
+        ``2**(depth * (size - 1))``), and its signs at 20 dyadic points."""
+        from pientail import threshold
+
+        rng = random.Random(2718)
+        compared = 0
+        for _ in range(100):
+            size, depth = rng.randint(1, 6), rng.choice([2, 5, 20])
+            # at g = 0 and g = 1 cells vanish and rows that are independent
+            # as polynomials can be dependent
+            x = rng.choice([0, 1 << depth, rng.randrange(1 << depth)])
+            rows = [
+                tuple(rng.choice((0, 1, 1, 2, 2)) for _ in range(size))
+                for _ in range(size - 1 + rng.randint(0, 2))
+            ]
+            rows += rows[: rng.randint(0, 1)]  # a repeated row is dependent
+            rng.shuffle(rows)
+            cells = ((), (0, 1), (-1 << depth, 1))
+            lam = threshold._kernel(rows, size, cells, x)
+            chosen = _independent(rows, F(x, 1 << depth))[: size - 1]
+            if len(chosen) < size - 1:
+                assert lam is None, rows
+                continue
+            compared += 1
+            scale = F(2) ** (depth * (size - 1))
+            points = [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(20)]
+            got = [[_value(v, g * 2**depth) / scale for v in lam] for g in points]
+            want = [_cofactors(chosen, g) for g in points]
+            sign = 1 if got[0] == want[0] else -1
+            assert got == [[sign * v for v in vec] for vec in want], rows
+            for y in [rng.randrange(1 << depth) for _ in range(20)]:
+                cofactors = _cofactors(chosen, F(y, 1 << depth))
+                signs = [threshold._sign(v, y) for v in lam]
+                assert signs == [(v > 0) - (v < 0) for v in (sign * c for c in cofactors)]
+        assert compared >= 50
+
+    def test_signs_are_exact(self):
+        """``_sign`` at integers far beyond float range, at and beside the
+        roots of products of seeded linear factors, against Fractions."""
+        from pientail import threshold
+
+        rng = random.Random(31415)
+        for _ in range(300):
+            roots = [rng.randint(-(2**60), 2**60) for _ in range(rng.randint(0, 5))]
+            poly = [rng.choice((-3, -1, 2))]
+            for r in roots:
+                poly = _times(poly, [-r, 1])
+            for x in roots + [r + d for r in roots for d in (-1, 1)] + [rng.randint(-(2**70), 2**70)]:
+                want = _value(poly, F(x))
+                assert threshold._sign(poly, x) == (want > 0) - (want < 0)
+
+    def test_last_negative_matches_a_scan(self):
+        """``_last_negative`` names the largest grid point of ``(lo, hi)``
+        where some polynomial is negative, as a scan of every point at
+        depth up to 10 does: on products of seeded linear factors whose
+        roots lie on the grid, between grid points, repeated, or two in
+        one cell (a dip that no grid point sees), and on dense ones."""
+        from pientail import threshold
+
+        rng = random.Random(16180)
+        for _ in range(400):
+            top = 1 << rng.randint(1, 10)
+            lo = rng.randrange(top)
+            hi = rng.randint(lo + 1, top)
+            polys = []
+            for _ in range(rng.randint(1, 4)):
+                poly = [rng.choice((-2, -1, 1, 3))]
+                if rng.random() < 0.2:
+                    poly = [rng.randint(-(top**3), top**3) for _ in range(rng.randint(1, 5))]
+                for _ in range(rng.randint(0, 4)):
+                    den = rng.choice((1, 2, 3))
+                    # most roots in [lo - 1, hi + 1], where they matter
+                    span = rng.choice([(lo - 1, hi + 2)] * 3 + [(-top, 2 * top)])
+                    factor = [-rng.randrange(den * span[0], den * span[1]), den]
+                    poly = _times(poly, factor)
+                    if rng.random() < 0.3:
+                        poly = _times(poly, factor)
+                polys.append(poly)
+            negative = [x for x in range(lo + 1, hi) if min(_value(p, x) for p in polys) < 0]
+            assert threshold._last_negative(polys, lo, hi) == max(negative, default=lo)
+
+    def test_predicted_cell_matches_a_scan(self):
+        """``_predict`` from the ray of real probes at depth 8 or 10 equals
+        ``_scan_prediction``: on the structured cases up to five premises
+        and on 30 seeded ``x_i ... -> A x_f(i) ...`` rule sets, at two
+        seeded feasible grid points each, with a seeded lower end below."""
+        from pientail import lp, threshold
+
+        rng = random.Random(1414)
+        cases = [case for name, case in _structured_cases().items() if name != "cycle 6"]
+        while len(cases) < 38:
+            k = rng.randint(2, 4)
+            names = [f"x{i}" for i in range(k)]
+            lines = []
+            for i in range(k):
+                ante = [names[i]] + [v for v in names if rng.random() < 0.2]
+                cons = ["A", rng.choice(names)] + [v for v in names if rng.random() < 0.2]
+                lines.append(" ".join(ante) + " -> " + " ".join(cons))
+            rules = pt.parse_rules("\n".join(lines))
+            cases.append((rules, rules.universe.attrs(*names)))
+        predicted = 0
+        for premises, antecedent in cases:
+            rows = threshold._ratio_rows(premises, antecedent, 20)
+            codes = [row.codes for row in rows]
+            depth = rng.choice((8, 10))
+            bracket = pt.critical_threshold(premises, antecedent, F(1, 1 << depth))
+            least = int(bracket.upper * 2**depth)
+            for upper in [rng.randint(max(least, 1), 1 << depth) for _ in range(2)]:
+                outcome = threshold._feasible(rows, len(premises), F(upper, 1 << depth))
+                assert isinstance(outcome, lp.Unbounded)
+                lower = rng.randrange(upper)
+                got = threshold._predict(codes, outcome.ray, lower, upper, depth)
+                assert got == _scan_prediction(codes, outcome.ray, lower, upper, depth)
+                predicted += got is not None and got > lower
+        assert predicted >= 20
 
 
 class TestDecideGeneral:
