@@ -21,10 +21,13 @@ distinct constraint signatures before any program is built.
 ``signature_rows`` finds them with a frontier over classes of attributes
 that lie in the same rules, so its cost grows with the number of
 signatures, not with ``2**n``.  ``threshold.decide_general`` builds one
-such table per query and reads it for every premise subset, for the
-certificate check and for the LP counterexample.  ``prune`` builds one
-table per call: every later decide projects the first decide's table onto
-its own rules.
+such table per query, when a premise subset first needs a cone probe,
+and reads it for every premise subset, for the certificate check and for
+the LP counterexample.  ``prune`` builds at most one table per call: every
+later decide projects the table of the first decide that needs rows onto
+its own rules.  ``prune`` and ``properly_entails`` read only whether each
+decide holds, so inside them a decide that no premise subset carries
+fails without a counterexample, and without rows.
 
 From the table to the verified witness the work is in integers.  A row
 holds one status code per rule and the bitmask of a transaction, and with
@@ -124,11 +127,12 @@ class EntailmentQuery:
 
 @dataclass(frozen=True)
 class EntailmentVerdict:
-    """Outcome of a decision, always carrying a checkable witness.
+    """Outcome of a decision, carrying a checkable witness.
 
     ``certificate`` (when the entailment holds) lists one multiplier per
     premise; ``counterexample`` (when it fails) is a dataset satisfying
-    every premise and violating the conclusion.
+    every premise and violating the conclusion; it is None only inside
+    ``prune`` and ``properly_entails``, whose verdicts never leave them.
     """
 
     holds: bool
@@ -266,6 +270,9 @@ class _SharedTable:
 _SHARED_TABLE: ContextVar[_SharedTable | None] = ContextVar(
     "_SHARED_TABLE", default=None
 )
+# Set by ``prune`` and ``properly_entails``, which read only ``holds``;
+# read only by ``_lp_failure``.
+_VERDICT_ONLY: ContextVar[bool] = ContextVar("_VERDICT_ONLY", default=False)
 
 
 def _query_rows(query: EntailmentQuery, max_attrs: int) -> list[SignatureRow]:
@@ -528,21 +535,29 @@ def _uniform_verdict(
     """The verdict where uniform multipliers suffice: a trivial conclusion
     holds; otherwise the first carrying subset that ``accept`` takes, with
     equal multipliers over it, certifies the entailment, and with none the
-    LP route supplies the counterexample."""
+    entailment fails (``_lp_failure``)."""
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
     indices = _first_carrying(query, accept)
     if indices is None:
-        return _lp_failure(decide_lp(query, max_attrs), regime)
+        return _lp_failure(lambda: decide_lp(query, max_attrs), regime)
     certificate = [Fraction(0)] * query.k
     for i in indices:
         certificate[i] = Fraction(1, len(indices))
     return EntailmentVerdict(True, regime, certificate=tuple(certificate))
 
 
-def _lp_failure(verdict: EntailmentVerdict, regime: Regime) -> EntailmentVerdict:
-    """The LP's failing ``verdict`` on a query no premise subset carries,
-    under the structural route's ``regime``; one that holds is a bug."""
+def _lp_failure(
+    lp_verdict: Callable[[], EntailmentVerdict], regime: Regime
+) -> EntailmentVerdict:
+    """The failing verdict, under the structural route's ``regime``, of a
+    query that no premise subset carries.  Its counterexample comes from
+    the LP (``lp_verdict``), and an LP verdict that holds is a bug; in a
+    verdict-only context (``_VERDICT_ONLY``) no LP runs and the verdict
+    carries no counterexample."""
+    if _VERDICT_ONLY.get():
+        return EntailmentVerdict(False, regime)
+    verdict = lp_verdict()
     if verdict.holds:
         raise RuntimeError("the LP certifies a query no premise subset carries")
     return EntailmentVerdict(False, regime, counterexample=verdict.counterexample)
@@ -694,15 +709,19 @@ def properly_entails(
     """Decide the query and greedily shrink the premise set while it still
     entails.  Entailing subsets are upward closed, so single-removal
     passes reach an inclusion-minimal subset, and the entailment is proper
-    exactly when no single premise can be dropped."""
-    verdict = decide(query, method, max_attrs)
-    if not verdict.holds:
-        return ProperEntailmentResult(holds=False, proper=False, minimal_premises=None)
-    kept = list(range(query.k))
-    for i in list(kept):
-        trial = [j for j in kept if j != i]
-        if decide(query.with_premises(trial), method, max_attrs).holds:
-            kept = trial
+    exactly when no single premise can be dropped.  The trial premise sets
+    are not nested, so unlike ``prune`` it shares no table."""
+    token = _VERDICT_ONLY.set(True)
+    try:
+        if not decide(query, method, max_attrs).holds:
+            return ProperEntailmentResult(False, proper=False, minimal_premises=None)
+        kept = list(range(query.k))
+        for i in list(kept):
+            trial = [j for j in kept if j != i]
+            if decide(query.with_premises(trial), method, max_attrs).holds:
+                kept = trial
+    finally:
+        _VERDICT_ONLY.reset(token)
     return ProperEntailmentResult(
         holds=True,
         proper=len(kept) == query.k,
@@ -729,10 +748,13 @@ def prune(
     # Query i involves the rules kept and the rules from i on, a subset of
     # those of every earlier query.  So the first decide that needs rows
     # enumerates over a superset of every later decide's rules, and the
-    # later ones project its table.  That first enumeration is the widest,
-    # so it is the only one the attribute cap can stop, and the decide
-    # that makes it is the first to enumerate without a shared table too.
-    token = _SHARED_TABLE.set(_SharedTable())
+    # later ones project its table.  Only ``holds`` is read, so a decide
+    # that no premise subset carries fails without rows (``_VERDICT_ONLY``):
+    # rows are needed only by a cone probe, ``Method.LP`` or the LP at
+    # ``gamma = 1``.  The first enumeration is the widest, so it is the
+    # only one the attribute cap can stop, and the decide that makes it
+    # is the first to enumerate without a shared table too.
+    tokens = _SHARED_TABLE.set(_SharedTable()), _VERDICT_ONLY.set(True)
     try:
         for i in range(n):
             others = kept + list(range(i + 1, n))
@@ -742,5 +764,6 @@ def prune(
             if not decide(query, method, max_attrs).holds:
                 kept.append(i)
     finally:
-        _SHARED_TABLE.reset(token)
+        _SHARED_TABLE.reset(tokens[0])
+        _VERDICT_ONLY.reset(tokens[1])
     return rules.subset(kept)

@@ -486,9 +486,10 @@ def decide_general(
     certify the full entailment.  A subset's critical threshold only falls
     as premises join it, so the search of the other structural deciders
     (``_first_carrying``) can take the cone probe, run once per subset, as
-    its test.  The query's signature table is enumerated once: each
-    subset's ratio rows are projected from it, and the certificate check
-    and the LP counterexample reuse it.
+    its test.  The query's signature table is enumerated at most once,
+    when the first subset is probed: each subset's ratio rows are
+    projected from it, and the certificate check and the LP counterexample
+    reuse it.
     """
     if query.k < 1:
         raise ValueError("general decider needs at least one premise")
@@ -498,20 +499,23 @@ def decide_general(
         )
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
-    rows = _query_rows(query, max_attrs)
+    rows = functools.cache(lambda: _query_rows(query, max_attrs))
 
     @functools.cache
     def probe(indices: tuple[int, ...]) -> lp.Optimal | lp.Unbounded:
-        return _feasible(_project_ratio_rows(rows, indices), len(indices), query.gamma)
+        ratio_rows = _project_ratio_rows(rows(), indices)
+        return _feasible(ratio_rows, len(indices), query.gamma)
 
     indices = _first_carrying(query, lambda s: isinstance(probe(s), lp.Unbounded))
     if indices is None:
-        return _lp_failure(_decide_lp_rows(query, rows), Regime.GENERAL_GAMMA_STAR)
+        return _lp_failure(
+            lambda: _decide_lp_rows(query, rows()), Regime.GENERAL_GAMMA_STAR
+        )
     ray = probe(indices).ray
     numerators = [0] * query.k
     for v, i in zip(ray, indices):
         numerators[i] = v
-    if _certificate_violation(query, rows, numerators, sum(ray)) is not None:
+    if _certificate_violation(query, rows(), numerators, sum(ray)) is not None:
         raise RuntimeError("subset multipliers fail the full constraint system")
     return EntailmentVerdict(
         holds=True,

@@ -294,6 +294,23 @@ class TestPruneCommand:
         }
 
 
+    def test_attribute_cap_only_where_a_decide_needs_rows(self, tmp_path, capsys):
+        """A prune over 22 attributes whose decides all fail structurally
+        keeps every rule; one whose decide of ``x0 -> x1`` probes a table
+        that holds the wide rule passes the cap and exits 3."""
+        wide = " ".join(f"x{i}" for i in range(21))
+        rules = [f"{wide} -> y", "x0 -> x1 x2", "x1 -> x2"]
+        path = tmp_path / "wide.rules"
+        path.write_text("\n".join(rules) + "\n")
+        code = run(["prune", "--gamma", "3/5", "--rules", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == rules
+        path.write_text("\n".join([*rules, "x0 -> x1 x3", "x0 -> x1"]) + "\n")
+        code = run(["prune", "--gamma", "3/5", "--rules", str(path)])
+        assert code == 3
+        assert "enumeration cap" in capsys.readouterr().err
+
+
 class TestTopLevel:
     def test_help_is_success(self, capsys):
         assert run(["--help"]) == 0

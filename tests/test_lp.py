@@ -1086,7 +1086,14 @@ class TestTracerSeam:
         routes = {
             "lp-direct": lambda: pt.decide(pair_query, pt.Method.LP),
             "general-gamma-star": lambda: pt.decide(cycle_query),
-            "prune": lambda: pt.prune(cycle_query.premises, F(1, 2)),
+            # the cycle carries its conclusion, so that decide probes
+            "prune": lambda: pt.prune(
+                pt.ImplicationSet(
+                    cycle_query.universe,
+                    (*cycle_query.premises, cycle_query.conclusion),
+                ),
+                F(3, 5),
+            ),
             "critical_threshold": lambda: pt.critical_threshold(
                 cycle_query.premises, cycle_query.conclusion.antecedent
             ),

@@ -1,6 +1,7 @@
 """Signature tables: the frontier enumeration against an exhaustive walk
 over every transaction type, one table per ``decide_general`` query and one
-per ``prune`` call."""
+per ``prune`` call, and none for the decides of ``prune`` and
+``properly_entails`` that need no rows."""
 
 import random
 import time
@@ -9,8 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 import pientail as pt
-from conftest import nonempty_subsets
-from pientail import entailment, threshold
+from conftest import make_query, nonempty_subsets
+from pientail import entailment, lp, threshold
 from pientail.entailment import signature_rows
 from pientail.model import bit_positions
 
@@ -281,3 +282,102 @@ def test_prune_raises_for_a_kept_rule_past_the_cap(method):
     includes it."""
     with pytest.raises(pt.AttributeCapError):
         pt.prune(_wide_rule_set(first_trivial=False), F(3, 5), method)
+
+
+def _count_solves(monkeypatch):
+    solved = []
+    original = lp.solve
+
+    def counting(program):
+        solved.append(program)
+        return original(program)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return solved
+
+
+def _properly_by_single_decides(query, method):
+    """``properly_entails`` as a loop of public decides."""
+    if not pt.decide(query, method).holds:
+        return pt.ProperEntailmentResult(False, False, None)
+    kept = list(range(query.k))
+    for i in list(kept):
+        trial = [j for j in kept if j != i]
+        if pt.decide(query.with_premises(trial), method).holds:
+            kept = trial
+    return pt.ProperEntailmentResult(True, len(kept) == query.k, tuple(kept))
+
+
+@pytest.mark.parametrize(
+    "text, gamma",
+    [
+        ("A -> B\nB -> C\nC -> D\nD -> E", F(1, 2)),  # general band, k = 3
+        ("A -> B C\nA -> B D\nA C D -> B", F(1, 2)),  # high band, rule 2 held
+        ("A -> B C\nA -> B D\nA C D -> B", F(1, 5)),  # low band
+    ],
+)
+@pytest.mark.parametrize("method", [pt.Method.AUTO, pt.Method.CHARACTERIZATION])
+def test_prune_without_rows_solves_nothing(monkeypatch, text, gamma, method):
+    """Decides that fail because no premise subset carries the rule, or
+    hold through uniform multipliers, enumerate no table and solve no
+    program inside ``prune``, which keeps what public decides keep."""
+    rules = pt.parse_rules(text)
+    reference = _prune_by_single_decides(rules, gamma, method)
+    calls, solved = _count_enumerations(monkeypatch), _count_solves(monkeypatch)
+    assert pt.prune(rules, gamma, method) == reference
+    assert calls == [] and solved == []
+
+
+def test_properly_entails_without_rows_solves_nothing(monkeypatch, pair_query):
+    """The same inside ``properly_entails``: the pair entails at 1/2 with
+    uniform multipliers and neither premise alone carries the conclusion;
+    below 1/2, and for the chain in the general band, nothing carries it."""
+    chain = make_query("A -> B\nB -> C\nC -> D", "A -> D", F(1, 2))
+    below = pt.EntailmentQuery(pair_query.premises, pair_query.conclusion, F(49, 100))
+    queries = [pair_query, below, chain]
+    references = [_properly_by_single_decides(q, pt.Method.AUTO) for q in queries]
+    assert references[0] == pt.ProperEntailmentResult(True, True, (0, 1))
+    calls, solved = _count_enumerations(monkeypatch), _count_solves(monkeypatch)
+    assert [pt.properly_entails(q) for q in queries] == references
+    assert calls == [] and solved == []
+
+
+def test_public_decide_keeps_its_counterexample(pair_query, cycle_query):
+    """The verdict-only context of ``prune`` and ``properly_entails`` ends
+    with the call, also when the call raises: afterwards a public decide
+    that fails structurally, in the low band and in the general band,
+    still returns its LP counterexample."""
+    failing = [
+        pt.EntailmentQuery(pair_query.premises, pair_query.conclusion, F(49, 100)),
+        pt.EntailmentQuery(cycle_query.premises, cycle_query.conclusion, F(1, 2)),
+    ]
+
+    def check():
+        for query in failing:
+            verdict = pt.decide(query)
+            assert not verdict.holds and verdict.counterexample is not None
+
+    wide = _wide_rule_set(first_trivial=False)
+    pt.prune(pt.parse_rules("A -> B C\nA -> B D\nA C D -> B"), F(1, 2))
+    check()
+    pt.properly_entails(pair_query)
+    check()
+    with pytest.raises(pt.AttributeCapError):
+        pt.prune(wide, F(3, 5))
+    check()
+    with pytest.raises(pt.AttributeCapError):
+        pt.properly_entails(pt.EntailmentQuery(wide.subset(range(4)), wide[4], F(3, 5)))
+    check()
+
+
+@pytest.mark.parametrize("method", [pt.Method.AUTO, pt.Method.CHARACTERIZATION])
+def test_prune_past_the_cap_when_no_decide_needs_rows(method):
+    """Over 22 attributes, a prune and a ``properly_entails`` whose decides
+    all fail structurally enumerate nothing, so the cap does not stop
+    them; ``Method.LP`` enumerates for its first decide and raises."""
+    rules = _wide_rule_set(first_trivial=False).subset([0, 1, 2])
+    assert pt.prune(rules, F(3, 5), method) == rules
+    query = pt.EntailmentQuery(rules.subset([1, 2]), rules[0], F(3, 5))
+    assert not pt.properly_entails(query, method).holds
+    with pytest.raises(pt.AttributeCapError):
+        pt.prune(rules, F(3, 5), pt.Method.LP)
