@@ -19,7 +19,8 @@ single exact LP question (``feasible_at``, posed as a cone program that is
 unbounded exactly when multipliers exist), so decisions never
 depend on any numeric tolerance; ``critical_threshold`` merely reports a
 dyadic bracket for the value itself, which is in general irrational, and
-probes where cofactor polynomials of its last feasible ray predict it.
+probes where cofactor polynomials of its last feasible ray predict it,
+solving most probes on the ratio rows that no other row dominates.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .entailment import (
     Regime,
     SignatureRow,
     _NOT_COVERED,
+    _VIOLATED,
     _WITNESSED,
     _certificate_violation,
     _decide_lp_rows,
@@ -107,6 +109,32 @@ def _project_ratio_rows(
     """
     eligible = [row for row in rows if row.codes[0] == _NOT_COVERED]
     return _project_rows(eligible, [i + 1 for i in indices])
+
+
+def _undominated(rows: list[SignatureRow]) -> list[SignatureRow]:
+    """The ratio rows, in order, that no other row dominates: one whose
+    codes all rank at least as high (violated < not covered < witnessed)
+    has cells no larger at every ``gamma``, so it implies the dominated row
+    (the dominated-row rule of LP presolve, Andersen-Andersen 1995).  Rows
+    are taken by decreasing rank sum, so each is compared by its masks of
+    witnessed and not violated positions with the kept rows only."""
+    order = []
+    for j, row in enumerate(rows):
+        w = n = 0
+        for i, c in enumerate(row.codes):
+            if c != _VIOLATED:
+                n |= 1 << i
+                if c == _WITNESSED:
+                    w |= 1 << i
+        order.append((-w.bit_count() - n.bit_count(), j, w, n))
+    kept: list[tuple[int, int, int]] = []
+    for _, j, w, n in sorted(order):
+        for _, a, b in kept:
+            if not (w & ~a or n & ~b):
+                break
+        else:
+            kept.append((j, w, n))
+    return [rows[j] for j, _, _ in sorted(kept)]
 
 
 def _cone_program(rows: list[SignatureRow], k: int, gamma: Fraction) -> lp.LinearProgram:
@@ -320,17 +348,18 @@ def _last_negative(polys: Sequence[Sequence[int]], lo: int, hi: int) -> int:
 
 def _kernel(
     rows: Sequence[Sequence[int]], size: int, cells: Sequence[Sequence[int]], x: int
-) -> list[list[int]] | None:
+) -> tuple[list[list[int]], list[Sequence[int]]] | None:
     """A vector of polynomials spanning the kernel of the first ``size -
     1`` rows of status codes (``size`` columns, the polynomial ``cells[c]``
-    for code ``c``) that are independent at ``x``, or None if there are
-    fewer.
+    for code ``c``) that are independent at ``x``, with those rows, or None
+    if there are fewer.
 
     Fraction-free Gauss-Jordan elimination over the integer polynomials
     (Bareiss 1968): each pivot line holds the common pivot ``d`` in its own
     column and 0 in the other pivot columns, and each of its entries is a
     minor, so the kernel is the vector of cofactors up to sign."""
     pivots: list[tuple[int, list[list[int]]]] = []
+    chosen: list[Sequence[int]] = []
     d: list[int] = [1]
     for codes in rows:
         if len(pivots) == size - 1:
@@ -348,12 +377,13 @@ def _kernel(
                     for u, v in zip(pivot_line, line)
                 ]
             pivots.append((col, line))
+            chosen.append(codes)
             d = line[col]
     if len(pivots) < size - 1:
         return None
     free = ({*range(size)} - {c for c, _ in pivots}).pop()
     entries = {col: _psub([], line[free]) for col, line in pivots}
-    return [entries.get(i, d) for i in range(size)]
+    return [entries.get(i, d) for i in range(size)], chosen
 
 
 def _predict(
@@ -382,18 +412,20 @@ def _predict(
         for p in patterns
         if not sum([a - b * (c == _WITNESSED) for (a, b), c in zip(weights, p) if c])
     ]
-    lam = _kernel(tight, len(support), cells, upper)
-    if lam is None:
+    kernel = _kernel(tight, len(support), cells, upper)
+    if kernel is None:
         return None
+    lam, chosen = kernel
     neg = [_psub([], v) for v in lam]
     if _sign(lam[0], upper) < 0:
         lam, neg = neg, lam
-    polys = lam + [
+    polys = lam + [  # the chosen rows' products are identically 0
         functools.reduce(_psub, [_pmul(cells[c], v) for c, v in zip(p, neg)], [])
         for p in patterns
-        if _WITNESSED in p
+        if _WITNESSED in p and p not in chosen
     ]
-    return _last_negative([poly for poly in polys if poly], lower, upper)
+    # a polynomial with no negative coefficient is not negative for x > 0
+    return _last_negative([p for p in polys if min(p, default=0) < 0], lower, upper)
 
 
 def critical_threshold(
@@ -413,52 +445,55 @@ def critical_threshold(
     The loop keeps two checked facts on the grid, in integers: ``lower``,
     the largest point ruled out by an infeasible probe or its re-checked
     Farkas bound, and ``upper``, the smallest feasible point probed, with
-    its re-checked ray.  ``_predict`` chooses the next probes from that
+    its ray re-checked on every row (1, where every ratio is at most 1, is
+    feasible unprobed).  ``_predict`` chooses the next probes from that
     ray, or else (also with two bisection levels left) the next midpoint
     of plain bisection the facts leave open.  A poor prediction can cost
     solves but never change the result.
+
+    Probes run on the rows no other row dominates (``_undominated``):
+    feasible exactly where the full table is, with Farkas vectors that,
+    zero elsewhere, are the full table's.  Only probes whose ray closes the
+    bracket, at ``lower + 1`` or at ``upper > 0`` last, see the full table.
     """
     tol = as_rational(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     rows = _ratio_rows(premises, antecedent, max_attrs)
+    kept = _undominated(rows)
     k = len(premises)
-    codes = [row.codes for row in rows]
-    row_witnessed, row_covered = _positions(codes)
-    premise_witnessed, premise_covered = _positions(
-        [[c[i] for c in codes] for i in range(k)]
-    )
+    row_witnessed, row_covered = _positions([row.codes for row in rows])
     depth = 0
     while tol.numerator << depth < tol.denominator:
         depth += 1
-    lower, upper, at_upper = 0, 1 << depth, ()
+    lower, upper, at_upper, full = 0, 1 << depth, (), False
 
     def probe(x: int) -> bool:
-        """Probe ``x / 2**depth`` and move ``lower`` or ``upper`` to it."""
-        nonlocal lower, upper, at_upper
+        """Probe ``x / 2**depth`` and move ``lower`` or ``upper`` to it, on
+        the full table where a feasible probe closes the bracket."""
+        nonlocal lower, upper, at_upper, full
         gamma = Fraction(x, 1 << depth)
         p, q = gamma.numerator, gamma.denominator
-        outcome = _feasible(rows, k, gamma)
+        table = rows if x == lower + 1 else kept
+        outcome = _feasible(table, k, gamma)
         if isinstance(outcome, lp.Optimal):
-            w, c = _farkas_bound(
-                premise_witnessed, premise_covered, p, q, outcome.row_duals
-            )
+            by_premise = _positions([[row.codes[i] for row in table] for i in range(k)])
+            w, c = _farkas_bound(*by_premise, p, q, outcome.row_duals)
             lower = max(lower, x, -(-w << depth) // c - 1)
             return False
+        # over every row: a ray of the undominated rows must pass the rest
         w, c = _worst_ratio(row_witnessed, row_covered, outcome.ray)
         if w * q > p * c:
             raise RuntimeError("probe ray exceeds its threshold")
-        upper, at_upper = x, outcome.ray
+        upper, at_upper, full = x, outcome.ray, table is rows
         return True
 
-    if probe(0):
-        return ThresholdBracket(Fraction(0), Fraction(0), tol, _simplex_point(at_upper))
-    if not probe(upper):
-        raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
+    probe(0)
+    codes = [row.codes for row in kept]
     while upper - lower > 1:
         # plain bisection probes next the midpoint of the smallest dyadic
-        # block of 2**levels cells holding lower + 1 .. upper; a ray at 1 is
-        # a unit vector, which predicts only the top cell
+        # block of 2**levels cells holding lower + 1 .. upper; 1 is feasible
+        # unprobed, and its ray, a unit vector, would predict only the top cell
         levels = (lower ^ (upper - 1)).bit_length()
         predict = levels > 2 and upper < 1 << depth
         cell = _predict(codes, at_upper, lower, upper, depth) if predict else None
@@ -466,6 +501,10 @@ def critical_threshold(
             probe((lower >> levels << levels) + (1 << levels - 1))
         elif (cell == lower or not probe(cell)) and lower == cell < upper - 1:
             probe(cell + 1)  # the cell's lower end is ruled out, its upper open
+    # at 0 the rays of both tables are the unit vector of the first premise no
+    # row witnesses: Bland's rule reaches no other unconstrained column first
+    if upper and not full and not probe(upper):
+        raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
     return ThresholdBracket(
         lower=Fraction(lower, 1 << depth),
         upper=Fraction(upper, 1 << depth),

@@ -12,6 +12,7 @@ import pytest
 
 import pientail as pt
 from conftest import make_query, plain_bisection, status_weights
+from pientail.entailment import SignatureRow
 
 
 class TestFeasibleAt:
@@ -255,7 +256,7 @@ class TestCriticalThreshold:
         # (probes solved, those below the threshold, gamma = 0 first among
         # them), by critical_threshold and then by plain bisection
         assert counts == [
-            (6, 3), (22, 8), (3, 1), (22, 20), (6, 3), (22, 11), (5, 3), (22, 20)
+            (5, 3), (22, 8), (2, 1), (22, 20), (5, 3), (22, 11), (5, 3), (22, 20)
         ]
 
     def test_pinned_cycle_bracket(self):
@@ -425,7 +426,7 @@ class TestWitnessPrunedBisection:
             assert solves[name, fine] == solves[name, coarse], name
         for name in ("paper cycle", "cycle 4", "cycle 6"):
             assert solves[name, fine] <= solves[name, coarse], name
-        assert solves["paper cycle", coarse] == 6
+        assert solves["paper cycle", coarse] == 5
         assert solves["paper cycle", F(2)] == solves["paper cycle", F(1)] == 2
 
     def test_predictions_only_choose_probes(self, monkeypatch, structured_brackets):
@@ -489,24 +490,15 @@ class TestWitnessPrunedBisection:
         rng = random.Random(515151)
         cases = 0
         while cases < 60:
-            k = rng.randint(2, 4)
-            names = [f"x{i}" for i in range(k)]
-            lines = []
-            for i in range(k):
-                ante = [names[i]] + [v for v in names if rng.random() < 0.2]
-                cons = ["A", rng.choice(names)]
-                cons += [v for v in names if rng.random() < 0.2]
-                lines.append(" ".join(ante) + " -> " + " ".join(cons))
-            rules = pt.parse_rules("\n".join(lines))
-            x = rules.universe.attrs(*names)
+            rules, x = _random_graph(rng)
             coarse = plain_bisection(rules, x, F(1, 1024))
             if coarse.upper == 0 or coarse.lower == 1 - F(1, 1024):
                 continue
             cases += 1
             for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves = self._solves(monkeypatch, rules, x, tol)
-                assert bracket == plain_bisection(rules, x, tol), (lines, tol)
-                assert solves <= _most_solves(tol), (lines, tol)
+                assert bracket == plain_bisection(rules, x, tol), (rules, tol)
+                assert solves <= _most_solves(tol), (rules, tol)
 
     def test_witnesses_are_rechecked(
         self, monkeypatch, cycle_premises, cycle_antecedent
@@ -630,9 +622,10 @@ class TestPrediction:
     def test_kernel_is_the_cofactor_vector(self):
         """``_kernel`` of seeded rows of status codes, up to six columns,
         is the cofactor vector of the first rows independent at its point,
-        up to one sign: compared at 20 rational points with Fraction
-        determinants (the grid variable ``x = 2**depth * g`` scales each by
-        ``2**(depth * (size - 1))``), and its signs at 20 dyadic points."""
+        which it returns with it, up to one sign: compared at 20 rational
+        points with Fraction determinants (the grid variable ``x = 2**depth
+        * g`` scales each by ``2**(depth * (size - 1))``), and its signs at
+        20 dyadic points."""
         from pientail import threshold
 
         rng = random.Random(2718)
@@ -649,11 +642,13 @@ class TestPrediction:
             rows += rows[: rng.randint(0, 1)]  # a repeated row is dependent
             rng.shuffle(rows)
             cells = ((), (0, 1), (-1 << depth, 1))
-            lam = threshold._kernel(rows, size, cells, x)
+            kernel = threshold._kernel(rows, size, cells, x)
             chosen = _independent(rows, F(x, 1 << depth))[: size - 1]
             if len(chosen) < size - 1:
-                assert lam is None, rows
+                assert kernel is None, rows
                 continue
+            lam, used = kernel
+            assert used == chosen, rows
             compared += 1
             scale = F(2) ** (depth * (size - 1))
             points = [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(20)]
@@ -714,27 +709,21 @@ class TestPrediction:
 
     def test_predicted_cell_matches_a_scan(self):
         """``_predict`` from the ray of real probes at depth 8 or 10 equals
-        ``_scan_prediction``: on the structured cases up to five premises
-        and on 30 seeded ``x_i ... -> A x_f(i) ...`` rule sets, at two
-        seeded feasible grid points each, with a seeded lower end below."""
+        ``_scan_prediction``, from the full table and from its undominated
+        rows: on the structured cases up to five premises and on 30 seeded
+        ``x_i ... -> A x_f(i) ...`` rule sets, at two seeded feasible grid
+        points each, with a seeded lower end below."""
         from pientail import lp, threshold
 
         rng = random.Random(1414)
         cases = [case for name, case in _structured_cases().items() if name != "cycle 6"]
         while len(cases) < 38:
-            k = rng.randint(2, 4)
-            names = [f"x{i}" for i in range(k)]
-            lines = []
-            for i in range(k):
-                ante = [names[i]] + [v for v in names if rng.random() < 0.2]
-                cons = ["A", rng.choice(names)] + [v for v in names if rng.random() < 0.2]
-                lines.append(" ".join(ante) + " -> " + " ".join(cons))
-            rules = pt.parse_rules("\n".join(lines))
-            cases.append((rules, rules.universe.attrs(*names)))
+            cases.append(_random_graph(rng))
         predicted = 0
         for premises, antecedent in cases:
             rows = threshold._ratio_rows(premises, antecedent, 20)
             codes = [row.codes for row in rows]
+            undominated = [row.codes for row in threshold._undominated(rows)]
             depth = rng.choice((8, 10))
             bracket = pt.critical_threshold(premises, antecedent, F(1, 1 << depth))
             least = int(bracket.upper * 2**depth)
@@ -742,10 +731,202 @@ class TestPrediction:
                 outcome = threshold._feasible(rows, len(premises), F(upper, 1 << depth))
                 assert isinstance(outcome, lp.Unbounded)
                 lower = rng.randrange(upper)
-                got = threshold._predict(codes, outcome.ray, lower, upper, depth)
-                assert got == _scan_prediction(codes, outcome.ray, lower, upper, depth)
-                predicted += got is not None and got > lower
+                for table in (codes, undominated):
+                    got = threshold._predict(table, outcome.ray, lower, upper, depth)
+                    want = _scan_prediction(table, outcome.ray, lower, upper, depth)
+                    assert got == want
+                    predicted += got is not None and got > lower
         assert predicted >= 20
+
+
+_RANK = {
+    pt.CoverStatus.VIOLATED: 0,
+    pt.CoverStatus.NOT_COVERED: 1,
+    pt.CoverStatus.WITNESSED: 2,
+}
+
+
+def _pairwise_undominated(rows):
+    """The rows no other row dominates, by comparing every pair of rows'
+    statuses by rank: violated < not covered < witnessed."""
+    ranks = [[_RANK[s] for s in row.statuses] for row in rows]
+    return [
+        row
+        for r, row in zip(ranks, rows)
+        if not any(s != r and all(map(operator.ge, s, r)) for s in ranks)
+    ]
+
+
+def _random_tables(rng, count):
+    """Ratio tables of seeded random premise sets, with their sizes."""
+    from pientail import threshold
+
+    for _ in range(count):
+        spec = pt.RandomInstanceSpec(
+            num_attrs=rng.randint(2, 6),
+            num_premises=rng.randint(1, 4),
+            seed=rng.randrange(10**9),
+            density=rng.choice([0.3, 0.4, 0.5]),
+        )
+        q = pt.random_query(spec, F(1, 2))
+        antecedent = q.conclusion.antecedent
+        yield threshold._ratio_rows(q.premises, antecedent, 20), q.k
+
+
+def _random_graph(rng):
+    """Seeded rules ``x_i ... -> A x_f(i) ...`` over a random map ``f``
+    (cycles and fans among them), with the antecedent of every ``x_i``:
+    their thresholds often lie strictly inside (0, 1)."""
+    k = rng.randint(2, 4)
+    names = [f"x{i}" for i in range(k)]
+    lines = []
+    for i in range(k):
+        ante = [names[i]] + [v for v in names if rng.random() < 0.2]
+        cons = ["A", rng.choice(names)] + [v for v in names if rng.random() < 0.2]
+        lines.append(" ".join(ante) + " -> " + " ".join(cons))
+    rules = pt.parse_rules("\n".join(lines))
+    return rules, rules.universe.attrs(*names)
+
+
+class TestUndominated:
+    """``critical_threshold`` solves most probes on the ratio rows that no
+    other row dominates; the rows it drops must be implied at every
+    ``gamma``, and every returned result still comes from the full table."""
+
+    def test_matches_a_pairwise_scan(self):
+        """``_undominated`` keeps, in order, exactly the rows that the
+        pairwise definition keeps: on the structured cases' tables, on 200
+        seeded random premise sets' tables, and on 300 seeded tables of
+        distinct random status codes, shuffled."""
+        from pientail import threshold
+
+        rng = random.Random(4711)
+        tables = [
+            threshold._ratio_rows(premises, antecedent, 20)
+            for premises, antecedent in _structured_cases().values()
+        ]
+        tables += [rows for rows, _ in _random_tables(rng, 200)]
+        for _ in range(300):
+            size = rng.randint(1, 8)
+            codes = {
+                tuple(rng.choice((0, 1, 2)) for _ in range(size))
+                for _ in range(rng.randint(0, 40))
+            }
+            codes = rng.sample(sorted(codes), len(codes))
+            tables.append([SignatureRow(c, 0) for c in codes])
+        dropped = 0
+        for rows in tables:
+            kept = threshold._undominated(rows)
+            assert kept == _pairwise_undominated(rows)
+            dropped += len(rows) - len(kept)
+        assert dropped >= 1000
+
+    def test_filtered_probes_hold_for_the_full_table(self):
+        """At ``gamma`` 0, 1/k, two interior rationals, (k-1)/k and 1, the
+        undominated rows are feasible exactly when the full table is, their
+        ray passes every full row, and their Farkas vector, zero on the
+        dropped rows, proves the full table infeasible: checked in
+        Fractions from the rows' statuses, on the structured cases, on 200
+        seeded random premise sets and on 100 seeded random graphs.  At 0
+        both rays give the same multipliers."""
+        from pientail import lp, threshold
+
+        rng = random.Random(9001)
+        tables = [
+            (threshold._ratio_rows(premises, antecedent, 20), len(premises))
+            for premises, antecedent in _structured_cases().values()
+        ]
+        tables += list(_random_tables(rng, 200))
+        for _ in range(100):
+            rules, antecedent = _random_graph(rng)
+            tables.append((threshold._ratio_rows(rules, antecedent, 20), len(rules)))
+        outcomes = {lp.Optimal: 0, lp.Unbounded: 0}
+        for rows, k in tables:
+            kept = threshold._undominated(rows)
+            for gamma in (F(0), F(1, k), F(3, 7), F(5, 8), F(k - 1, k), F(1)):
+                filtered = threshold._feasible(kept, k, gamma)
+                full = threshold._feasible(rows, k, gamma)
+                assert type(filtered) is type(full), (rows, gamma)
+                outcomes[type(filtered)] += 1
+                weight = status_weights(gamma)
+                if isinstance(filtered, lp.Unbounded):
+                    lam = filtered.ray
+                    if gamma == 0:  # where critical_threshold returns it
+                        ray = full.ray
+                        assert [v * sum(ray) for v in lam] == [v * sum(lam) for v in ray]
+                    for row in rows:
+                        cells = [weight[s] for s in row.statuses]
+                        assert sum(map(operator.mul, cells, lam)) <= 0
+                    continue
+                duals = dict(zip(kept, filtered.row_duals))
+                y = [F(duals.get(row, 0), filtered.denominator) for row in rows]
+                assert min(y) >= 0
+                for i in range(k):
+                    total = sum(
+                        v * gamma.denominator * weight[row.statuses[i]]
+                        for v, row in zip(y, rows)
+                    )
+                    assert total >= 1, (rows, gamma)
+        assert min(outcomes.values()) >= 200, outcomes
+
+    def test_a_wrong_filter_never_changes_a_bracket(
+        self, monkeypatch, structured_brackets
+    ):
+        """With ``_undominated`` made to drop one undominated row, in turn
+        each row it keeps, ``critical_threshold`` either raises on a ray
+        that fails the full table or returns plain bisection's bracket."""
+        from pientail import threshold
+
+        real = threshold._undominated
+        raised = returned = 0
+        for name, (premises, antecedent) in _structured_cases().items():
+            if name == "cycle 6":
+                continue
+            tol = F(1, 10**6)
+            want = structured_brackets[name, tol]
+            count = len(real(threshold._ratio_rows(premises, antecedent, 20)))
+            for drop in range(count):
+
+                def undominated(rows, drop=drop):
+                    kept = real(rows)
+                    return kept[:drop] + kept[drop + 1 :]
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(threshold, "_undominated", undominated)
+                    try:
+                        bracket = pt.critical_threshold(premises, antecedent, tol)
+                    except RuntimeError as error:
+                        assert "exceeds its threshold" in str(error)
+                        raised += 1
+                        continue
+                assert bracket == want, (name, drop)
+                returned += 1
+        assert raised >= 5 and returned >= 5, (raised, returned)
+
+    def test_six_cycle_solves_the_full_table_at_most_twice(
+        self, monkeypatch, structured_brackets
+    ):
+        """The 6-cycle's 108 ratio rows have 7 undominated ones; at 1e-6
+        and 1e-30 at most 2 solves use the full table, and the brackets
+        are plain bisection's."""
+        from pientail import threshold
+
+        premises, antecedent = _structured_cases()["cycle 6"]
+        rows = threshold._ratio_rows(premises, antecedent, 20)
+        assert (len(rows), len(threshold._undominated(rows))) == (108, 7)
+        real = threshold._feasible
+        for tol in (F(1, 10**6), F(1, 10**30)):
+            sizes = []
+
+            def feasible(rows, k, gamma):
+                sizes.append(len(rows))
+                return real(rows, k, gamma)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "_feasible", feasible)
+                bracket = pt.critical_threshold(premises, antecedent, tol)
+            assert bracket == structured_brackets["cycle 6", tol]
+            assert sizes.count(108) <= 2 and set(sizes) <= {7, 108}, (tol, sizes)
 
 
 class TestDecideGeneral:
