@@ -24,7 +24,6 @@ from .model import (
 )
 from .homogeneity import (
     ImplicationSet,
-    brute_force_homogeneity,
     enforces_homogeneity,
     horn_closure,
     two_premise_nicety,
@@ -54,13 +53,6 @@ from .threshold import (
     feasible_at,
     max_ratio,
 )
-from .oracle import (
-    RandomInstanceSpec,
-    grid_min_max,
-    random_implication_set,
-    random_query,
-    search_counterexample,
-)
 from .cli import parse_gamma, parse_rules, run
 
 __version__ = "0.1.0"
@@ -78,13 +70,11 @@ __all__ = [
     "Method",
     "PartialImplication",
     "ProperEntailmentResult",
-    "RandomInstanceSpec",
     "Rational",
     "Regime",
     "ThresholdBracket",
     "UniverseMismatchError",
     "as_rational",
-    "brute_force_homogeneity",
     "check_certificate",
     "cover_status",
     "critical_threshold",
@@ -98,18 +88,14 @@ __all__ = [
     "enforces_homogeneity",
     "feasible_at",
     "find_certificate_violation",
-    "grid_min_max",
     "horn_closure",
     "max_ratio",
     "parse_gamma",
     "parse_rules",
     "properly_entails",
     "prune",
-    "random_implication_set",
-    "random_query",
     "run",
     "satisfies",
-    "search_counterexample",
     "support",
     "two_premise_nicety",
     "weight",

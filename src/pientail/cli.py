@@ -19,7 +19,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,6 +38,7 @@ from .model import (
     Dataset,
     HARD_ATTRIBUTE_CAP,
     PartialImplication,
+    _Frozen,
 )
 from .threshold import critical_threshold
 
@@ -49,12 +49,13 @@ class RuleParseError(ValueError):
     """A malformed rule line, carrying its line number when known."""
 
 
-@dataclass(frozen=True)
-class ParsedRule:
+class ParsedRule(_Frozen):
     """A rule as raw token lists, before any universe exists."""
 
-    lhs: tuple[str, ...]
-    rhs: tuple[str, ...]
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: tuple[str, ...], rhs: tuple[str, ...]) -> None:
+        self.__dict__.update(lhs=lhs, rhs=rhs)
 
 
 def _scan_attrs(text: str, line_no: int | None = None) -> tuple[str, ...]:

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import getitem
@@ -71,6 +70,7 @@ from .model import (
     UniverseMismatchError,
     as_rational,
     bit_positions,
+    _Frozen,
     rule_bitmasks,
     satisfies,
 )
@@ -95,13 +95,19 @@ class Method(Enum):
     CHARACTERIZATION = "charact"
 
 
-@dataclass(frozen=True)
-class EntailmentQuery:
+class EntailmentQuery(_Frozen):
     """Premises, conclusion, and the confidence threshold they share."""
 
-    premises: ImplicationSet
-    conclusion: PartialImplication
-    gamma: Fraction
+    _fields = ("premises", "conclusion", "gamma")
+
+    def __init__(
+        self,
+        premises: ImplicationSet,
+        conclusion: PartialImplication,
+        gamma: Fraction | int | str,
+    ) -> None:
+        self.__dict__.update(premises=premises, conclusion=conclusion, gamma=gamma)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.premises.universe != self.conclusion.universe:
@@ -125,8 +131,7 @@ class EntailmentQuery:
         )
 
 
-@dataclass(frozen=True)
-class EntailmentVerdict:
+class EntailmentVerdict(_Frozen):
     """Outcome of a decision, carrying a checkable witness.
 
     ``certificate`` (when the entailment holds) lists one multiplier per
@@ -135,22 +140,32 @@ class EntailmentVerdict:
     ``prune`` and ``properly_entails``, whose verdicts never leave them.
     """
 
-    holds: bool
-    regime: Regime
-    certificate: tuple[Fraction, ...] | None = None
-    counterexample: Dataset | None = None
+    _fields = ("holds", "regime", "certificate", "counterexample")
+
+    def __init__(
+        self,
+        holds: bool,
+        regime: Regime,
+        certificate: tuple[Fraction, ...] | None = None,
+        counterexample: Dataset | None = None,
+    ) -> None:
+        self.__dict__.update(
+            holds=holds, regime=regime, certificate=certificate,
+            counterexample=counterexample,
+        )
 
 
-@dataclass(frozen=True)
-class ConstraintSignature:
+class ConstraintSignature(_Frozen):
     """Cover pattern of one transaction type against conclusion and premises.
 
     Index 0 refers to the conclusion, index i >= 1 to premise i.  Indices
     in neither set are not covered.
     """
 
-    witnessed: frozenset[int]
-    violated: frozenset[int]
+    _fields = ("witnessed", "violated")
+
+    def __init__(self, witnessed: frozenset[int], violated: frozenset[int]) -> None:
+        self.__dict__.update(witnessed=witnessed, violated=violated)
 
 
 # Status codes are the ``CoverStatus`` values; ``_STATUSES[code]`` is the status.
@@ -167,7 +182,8 @@ class SignatureRow(NamedTuple):
     value (0 not covered, 1 violated, 2 witnessed), so that the decision
     paths can index integer weights by it; ``bits`` is the bitmask of the
     witness transaction.  A named tuple, because a table holds hundreds of
-    rows and a named tuple is built in half the time of a dataclass.
+    rows and a named tuple is built in two thirds of the time of a value
+    class.
     """
 
     codes: tuple[int, ...]
@@ -253,7 +269,6 @@ def _integer_weights(gamma: Fraction) -> tuple[int, int, int]:
     return (0, -p, q - p)
 
 
-@dataclass
 class _SharedTable:
     """The signature table that the decides of one ``prune`` call share.
 
@@ -262,8 +277,9 @@ class _SharedTable:
     bitmasks, which fix its statuses, to its column in ``rows``.
     """
 
-    rows: list[SignatureRow] | None = None
-    column: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.rows: list[SignatureRow] | None = None
+        self.column: dict[tuple[int, int], int] = {}
 
 
 # Set by ``prune`` for the length of one call; read only by ``_query_rows``.
@@ -391,14 +407,19 @@ def _dataset_from_ray(
     return data
 
 
-@dataclass(frozen=True)
-class CertificateViolation:
+class CertificateViolation(_Frozen):
     """A constraint broken by a claimed certificate, with its witness."""
 
-    signature: ConstraintSignature
-    witness: AttrSet
-    lhs: Fraction
-    rhs: Fraction
+    _fields = ("signature", "witness", "lhs", "rhs")
+
+    def __init__(
+        self,
+        signature: ConstraintSignature,
+        witness: AttrSet,
+        lhs: Fraction,
+        rhs: Fraction,
+    ) -> None:
+        self.__dict__.update(signature=signature, witness=witness, lhs=lhs, rhs=rhs)
 
 
 def _certificate_violation(
@@ -687,8 +708,7 @@ def decide(
     return decide_general(query, max_attrs=max_attrs)
 
 
-@dataclass(frozen=True)
-class ProperEntailmentResult:
+class ProperEntailmentResult(_Frozen):
     """Whether a held entailment needs all of its premises.
 
     ``minimal_premises`` lists 0-based indices of an inclusion-minimal
@@ -696,9 +716,14 @@ class ProperEntailmentResult:
     entailment is proper when that subset is everything.
     """
 
-    holds: bool
-    proper: bool
-    minimal_premises: tuple[int, ...] | None
+    _fields = ("holds", "proper", "minimal_premises")
+
+    def __init__(
+        self, holds: bool, proper: bool, minimal_premises: tuple[int, ...] | None
+    ) -> None:
+        self.__dict__.update(
+            holds=holds, proper=proper, minimal_premises=minimal_premises
+        )
 
 
 def properly_entails(

@@ -5,31 +5,34 @@ transaction that violates none of the rules is all-or-nothing about them:
 it either witnesses every rule or covers none of them.  Equivalently (and
 this is what makes the property cheap to decide), treating the rules as
 classical implications, the closure of each antecedent must reach every
-attribute occurring in the set.  A brute-force check over all transaction
-types is kept alongside as an oracle for tests.
+attribute occurring in the set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .model import (
     AttrSet,
     AttributeUniverse,
-    DEFAULT_ENUMERATION_CAP,
     PartialImplication,
     UniverseMismatchError,
-    rule_bitmasks,
+    _Frozen,
 )
 
 
-@dataclass(frozen=True)
-class ImplicationSet:
+class ImplicationSet(_Frozen):
     """An ordered set of partial implications over one universe."""
 
-    universe: AttributeUniverse
-    implications: tuple[PartialImplication, ...]
+    _fields = ("universe", "implications")
+
+    def __init__(
+        self,
+        universe: AttributeUniverse,
+        implications: tuple[PartialImplication, ...],
+    ) -> None:
+        self.__dict__.update(universe=universe, implications=implications)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for imp in self.implications:
@@ -93,45 +96,13 @@ def enforces_homogeneity(rules: ImplicationSet) -> bool:
     """Does every rule's antecedent classically derive all occurring attributes?
 
     This closure condition is equivalent to the transaction-level
-    definition of homogeneity; ``brute_force_homogeneity`` checks the
-    latter directly.
+    definition of homogeneity, which the tests check by brute force.
     """
     everything = rules.occurring.bits
     pairs = [(imp.antecedent.bits, imp.consequent.bits) for imp in rules]
     return all(
         _closure(ante, pairs) & everything == everything for ante, _ in pairs
     )
-
-
-def brute_force_homogeneity(
-    rules: ImplicationSet, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    """Transaction-level homogeneity check by exhaustive enumeration.
-
-    Walks every subset of the occurring attributes and tests the defining
-    property: a transaction violating no rule either witnesses all rules
-    or covers none.  Exponential in the number of occurring attributes;
-    exists as an independent oracle for the closure-based test.
-    """
-    occ, pairs = rule_bitmasks(rules, rules.universe, max_attrs=max_attrs)
-    z = 0
-    while True:
-        covered = 0
-        witnessed = 0
-        violates = False
-        for x, xy in pairs:
-            if z & x == x:
-                covered += 1
-                if z & xy == xy:
-                    witnessed += 1
-                else:
-                    violates = True
-                    break
-        if not violates and covered and witnessed < len(pairs):
-            return False
-        if z == occ:
-            return True
-        z = (z - occ) & occ  # the next subset of ``occ`` in increasing order
 
 
 def two_premise_nicety(first: PartialImplication, second: PartialImplication) -> bool:

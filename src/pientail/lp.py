@@ -50,20 +50,29 @@ compared with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Callable, Sequence
 
+from .model import _Frozen
 
-@dataclass(frozen=True)
-class LinearProgram:
+
+class LinearProgram(_Frozen):
     """Minimise ``objective . x`` over ``x >= 0`` subject to ``row . x >= 0``
     for every row of ``constraints``, each a tuple of ``int``."""
 
-    num_vars: int
-    objective: tuple[int, ...]
-    constraints: tuple[tuple[int, ...], ...]
+    _fields = ("num_vars", "objective", "constraints")
+
+    def __init__(
+        self,
+        num_vars: int,
+        objective: tuple[int, ...],
+        constraints: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.__dict__.update(
+            num_vars=num_vars, objective=objective, constraints=constraints
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.objective) != self.num_vars:
@@ -73,16 +82,18 @@ class LinearProgram:
                 raise ValueError("constraint length does not match num_vars")
 
 
-@dataclass(frozen=True)
-class Optimal:
-    row_duals: tuple[int, ...]
-    denominator: int
+class Optimal(_Frozen):
+    _fields = ("row_duals", "denominator")
+
+    def __init__(self, row_duals: tuple[int, ...], denominator: int) -> None:
+        self.__dict__.update(row_duals=row_duals, denominator=denominator)
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: tuple[int, ...]
-    denominator: int
+class Unbounded(_Frozen):
+    _fields = ("ray", "denominator")
+
+    def __init__(self, ray: tuple[int, ...], denominator: int) -> None:
+        self.__dict__.update(ray=ray, denominator=denominator)
 
 
 _INT = {int}

@@ -10,10 +10,10 @@ approximation can leak into a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -64,8 +64,47 @@ def bit_positions(bits: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class AttributeUniverse:
+class _Frozen:
+    """Base of the value classes: what a frozen dataclass gives them, without
+    importing ``dataclasses``.
+
+    A subclass names its fields in ``_fields`` and stores them in its own
+    ``__init__``.  Instances of one class are equal when their field tuples
+    are, the hash is the field tuple's, the repr is the dataclass one, and
+    assigning or deleting an attribute raises ``AttributeError``.  The
+    ``__dict__`` stays, for ``cached_property``, ``pickle`` and ``copy``.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = cls._fields
+        get = attrgetter(*cls._fields)  # the bare value for a single name
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda o: (get(o),))
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:  # equal field tuples, without building them
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AttributeUniverse(_Frozen):
     """An ordered collection of distinct attribute names.
 
     The order fixes the bit position of each attribute and is preserved in
@@ -73,11 +112,13 @@ class AttributeUniverse:
     universe order, not insertion order).
     """
 
-    names: tuple[str, ...]
+    _fields = ("names",)
+
+    def __init__(self, names: Iterable[str]) -> None:
+        self.__dict__["names"] = names if isinstance(names, tuple) else tuple(names)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.names, tuple):
-            object.__setattr__(self, "names", tuple(self.names))
         for name in self.names:
             if not name or any(ch.isspace() for ch in name):
                 raise ValueError(f"invalid attribute name {name!r}")
@@ -117,12 +158,14 @@ class AttributeUniverse:
         return AttrSet(self, (1 << self.size) - 1)
 
 
-@dataclass(frozen=True)
-class AttrSet:
+class AttrSet(_Frozen):
     """A subset of an attribute universe, stored as a bitmask."""
 
-    universe: AttributeUniverse
-    bits: int
+    _fields = ("universe", "bits")
+
+    def __init__(self, universe: AttributeUniverse, bits: int) -> None:
+        self.__dict__.update(universe=universe, bits=bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.bits < (1 << self.universe.size):
@@ -182,8 +225,7 @@ class AttrSet:
         return f"AttrSet({{{', '.join(self.names)}}})"
 
 
-@dataclass(frozen=True)
-class PartialImplication:
+class PartialImplication(_Frozen):
     """A rule ``antecedent -> consequent`` between attribute sets.
 
     The rule is read probabilistically: among transactions containing the
@@ -191,8 +233,11 @@ class PartialImplication:
     Either side may be empty.
     """
 
-    antecedent: AttrSet
-    consequent: AttrSet
+    _fields = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: AttrSet, consequent: AttrSet) -> None:
+        self.__dict__.update(antecedent=antecedent, consequent=consequent)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.antecedent.universe != self.consequent.universe:
@@ -208,7 +253,7 @@ class PartialImplication:
     def span(self) -> AttrSet:
         """Union of antecedent and consequent: the attributes a witness must carry.
 
-        Computed once per rule; the cached value is not a dataclass field, so
+        Computed once per rule; the cached value is not a field, so
         equality and hashing still compare the two sides only.
         """
         return self.antecedent | self.consequent

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
@@ -57,12 +56,12 @@ from .model import (
     DEFAULT_ENUMERATION_CAP,
     PartialImplication,
     UniverseMismatchError,
+    _Frozen,
     as_rational,
 )
 
 
-@dataclass(frozen=True)
-class ThresholdBracket:
+class ThresholdBracket(_Frozen):
     """An enclosing interval for the critical threshold.
 
     ``multipliers`` is a simplex point feasible at ``upper``.  ``lower ==
@@ -71,10 +70,18 @@ class ThresholdBracket:
     tolerance may be 0 itself.
     """
 
-    lower: Fraction
-    upper: Fraction
-    tolerance: Fraction
-    multipliers: tuple[Fraction, ...]
+    _fields = ("lower", "upper", "tolerance", "multipliers")
+
+    def __init__(
+        self,
+        lower: Fraction,
+        upper: Fraction,
+        tolerance: Fraction,
+        multipliers: tuple[Fraction, ...],
+    ) -> None:
+        self.__dict__.update(
+            lower=lower, upper=upper, tolerance=tolerance, multipliers=multipliers
+        )
 
     @property
     def midpoint(self) -> Fraction:

@@ -6,6 +6,7 @@ one-sided: finding one refutes an entailment outright, finding none means
 nothing.  ``grid_min_max`` estimates the critical threshold by evaluating
 the worst-case ratio on a grid over the multiplier simplex; every grid
 point is feasible, so the estimate can only sit above the true value.
+``brute_force_homogeneity`` checks homogeneity on every transaction type.
 A seeded random instance generator lives here too.
 """
 
@@ -17,18 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .entailment import (
+from pientail.entailment import (
     EntailmentQuery, _NOT_COVERED, _WITNESSED, _integer_weights, _query_rows
 )
-from .homogeneity import ImplicationSet
-from .model import (
+from pientail.homogeneity import ImplicationSet
+from pientail.model import (
     AttrSet,
     AttributeUniverse,
     DEFAULT_ENUMERATION_CAP,
     Dataset,
     PartialImplication,
+    rule_bitmasks,
 )
-from .threshold import _ratio_rows
+from pientail.threshold import _ratio_rows
 
 
 def search_counterexample(
@@ -64,7 +66,7 @@ def search_counterexample(
         raise ValueError("gamma denominator too large for the integer search")
 
     try:
-        import numpy as np  # only this search needs it; keeps `import pientail` light
+        import numpy as np  # only this search needs it
     except ImportError as exc:
         raise ImportError(
             "search_counterexample needs numpy, which pientail does not "
@@ -215,3 +217,34 @@ def random_query(spec: RandomInstanceSpec, gamma: Fraction) -> EntailmentQuery:
         x0 = _random_attrs(rng, universe, spec.density)
         y0 = _random_attrs(rng, universe, spec.density)
     return EntailmentQuery(premises, PartialImplication(x0, y0), gamma)
+
+
+def brute_force_homogeneity(
+    rules: ImplicationSet, max_attrs: int = DEFAULT_ENUMERATION_CAP
+) -> bool:
+    """Transaction-level homogeneity check by exhaustive enumeration.
+
+    Walks every subset of the occurring attributes and tests the defining
+    property: a transaction violating no rule either witnesses all rules
+    or covers none.  Exponential in the number of occurring attributes;
+    an independent oracle for the closure-based ``enforces_homogeneity``.
+    """
+    occ, pairs = rule_bitmasks(rules, rules.universe, max_attrs=max_attrs)
+    z = 0
+    while True:
+        covered = 0
+        witnessed = 0
+        violates = False
+        for x, xy in pairs:
+            if z & x == x:
+                covered += 1
+                if z & xy == xy:
+                    witnessed += 1
+                else:
+                    violates = True
+                    break
+        if not violates and covered and witnessed < len(pairs):
+            return False
+        if z == occ:
+            return True
+        z = (z - occ) & occ  # the next subset of ``occ`` in increasing order

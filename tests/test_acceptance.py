@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 
+import oracle
 import pientail as pt
 from conftest import make_query
 
@@ -36,7 +37,7 @@ def run_criterion(n: int, description: str, budget_seconds: float, body) -> None
 
 def random_specs(count: int, rng: random.Random, max_attrs: int = 6, max_premises: int = 3):
     for _ in range(count):
-        yield pt.RandomInstanceSpec(
+        yield oracle.RandomInstanceSpec(
             num_attrs=rng.randint(2, max_attrs),
             num_premises=rng.randint(0, max_premises),
             seed=rng.randrange(10**9),
@@ -51,7 +52,7 @@ def regime_agreement_queries():
     rng = random.Random(BASE_SEED + 6)
     gammas = [F(1, 10), F(1, 4), F(1, 2), F(57, 100), F(2, 3), F(9, 10)]
     return [
-        pt.random_query(spec, rng.choice(gammas))
+        oracle.random_query(spec, rng.choice(gammas))
         for spec in random_specs(500, rng)
     ]
 
@@ -198,8 +199,8 @@ def test_criterion_05_homogeneity_agreement():
             assert not pt.enforces_homogeneity(cycle.subset(pair))
         rng = random.Random(BASE_SEED)
         for spec in random_specs(500, rng, max_attrs=10, max_premises=4):
-            rules = pt.random_implication_set(spec)
-            assert pt.enforces_homogeneity(rules) == pt.brute_force_homogeneity(rules)
+            rules = oracle.random_implication_set(spec)
+            assert pt.enforces_homogeneity(rules) == oracle.brute_force_homogeneity(rules)
 
     run_criterion(
         5,
@@ -276,13 +277,13 @@ def test_criterion_08_single_premise_threshold_independence():
     def body():
         rng = random.Random(BASE_SEED + 8)
         for _ in range(150):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 6),
                 num_premises=1,
                 seed=rng.randrange(10**9),
             )
             answers = {
-                pt.decide(pt.random_query(spec, g)).holds
+                pt.decide(oracle.random_query(spec, g)).holds
                 for g in (F(1, 10), F(1, 2), F(9, 10))
             }
             assert len(answers) == 1
@@ -301,9 +302,9 @@ def test_criterion_09_brute_force_never_contradicts():
         rng = random.Random(BASE_SEED + 9)
         for spec in random_specs(200, rng, max_attrs=5):
             gamma = rng.choice([F(1, 4), F(1, 2), F(3, 5), F(3, 4)])
-            q = pt.random_query(spec, gamma)
+            q = oracle.random_query(spec, gamma)
             holds = pt.decide_lp(q).holds
-            found = pt.search_counterexample(q, max_mult=4, max_support=3)
+            found = oracle.search_counterexample(q, max_mult=4, max_support=3)
             if holds:
                 assert found is None
             if found is not None:
@@ -324,7 +325,7 @@ def test_criterion_10_grid_estimate_brackets_cycle():
     def body():
         rules = pt.parse_rules(CYCLE)
         x = rules.universe.attrs("B", "C", "D", "H")
-        estimate = pt.grid_min_max(rules, x, steps=200)
+        estimate = oracle.grid_min_max(rules, x, steps=200)
         assert F(56984, 100000) - F(1, 10000) <= estimate <= F(576, 1000)
 
     run_criterion(

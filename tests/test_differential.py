@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
+import oracle
 import pientail as pt
 
 METHODS = (pt.Method.AUTO, pt.Method.LP, pt.Method.CHARACTERIZATION)
@@ -106,7 +107,7 @@ def _agree(queries, rng, search=False):
                 _check_witness(query, verdict)
             held += verdicts[0].holds
             failed += not verdicts[0].holds
-            found = pt.search_counterexample(query) if search else None
+            found = oracle.search_counterexample(query) if search else None
             if found is not None:
                 _check_counterexample(query, found)
                 assert not verdicts[0].holds, (query, found)  # nor any other route

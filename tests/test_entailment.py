@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
 import pientail as pt
 from conftest import make_query, status_weights
 
@@ -93,11 +94,11 @@ class TestDecideOnePremise:
     def test_verdict_is_threshold_independent(self):
         rng = random.Random(23)
         for _ in range(100):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 6), num_premises=1, seed=rng.randrange(10**9)
             )
             answers = {
-                pt.decide_one_premise(pt.random_query(spec, g)).holds
+                pt.decide_one_premise(oracle.random_query(spec, g)).holds
                 for g in (F(1, 10), F(1, 2), F(9, 10))
             }
             assert len(answers) == 1
@@ -231,14 +232,14 @@ class TestDispatch:
         rng = random.Random(777)
         gammas = [F(1, 10), F(1, 4), F(1, 2), F(3, 5), F(2, 3), F(9, 10)]
         for _ in range(200):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 6),
                 num_premises=rng.randint(0, 3),
                 seed=rng.randrange(10**9),
                 density=rng.choice([0.3, 0.4, 0.5]),
             )
             gamma = rng.choice(gammas)
-            q = pt.random_query(spec, gamma)
+            q = oracle.random_query(spec, gamma)
             ref = pt.decide_lp(q)
             assert pt.decide(q).holds == ref.holds
             k = q.k
@@ -257,12 +258,12 @@ class TestDispatch:
         rng = random.Random(31)
         grid = [F(1, 10), F(1, 4), F(1, 2), F(3, 5), F(2, 3), F(9, 10)]
         for _ in range(80):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(1, 3),
                 seed=rng.randrange(10**9),
             )
-            answers = [pt.decide_lp(pt.random_query(spec, g)).holds for g in grid]
+            answers = [pt.decide_lp(oracle.random_query(spec, g)).holds for g in grid]
             seen = False
             for holds in answers:
                 assert holds or not seen
@@ -308,9 +309,9 @@ class TestCertificates:
         rng = random.Random(2610)
         found = 0
         for _ in range(200):
-            spec = pt.RandomInstanceSpec(rng.randint(2, 8), rng.randint(1, 4), rng.randrange(10**9))
+            spec = oracle.RandomInstanceSpec(rng.randint(2, 8), rng.randint(1, 4), rng.randrange(10**9))
             gamma = rng.choice([F(0), F(1), F(1, 2), F(rng.randint(1, 99), 100), F(7, 9)])
-            query = pt.random_query(spec, gamma)
+            query = oracle.random_query(spec, gamma)
             lams = [F(rng.randint(0, 6), rng.randint(1, 7)) for _ in range(query.k)]
             want = reference(query, lams)
             got = pt.find_certificate_violation(query, lams)
@@ -341,13 +342,13 @@ class TestCertificates:
     def test_all_verdict_witnesses_verify(self):
         rng = random.Random(101)
         for _ in range(150):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(0, 3),
                 seed=rng.randrange(10**9),
             )
             gamma = rng.choice([F(1, 4), F(1, 2), F(3, 5), F(3, 4)])
-            q = pt.random_query(spec, gamma)
+            q = oracle.random_query(spec, gamma)
             verify_verdict(q, pt.decide(q))
 
 
@@ -383,13 +384,13 @@ class TestProperEntailment:
         checked = 0
         queries = [make_query("A -> B C\nA -> B D", "A C D -> B", F(1, 2))]
         for _ in range(250):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(1, 3),
                 seed=rng.randrange(10**9),
             )
             queries.append(
-                pt.random_query(spec, rng.choice([F(1, 2), F(3, 5), F(2, 3)]))
+                oracle.random_query(spec, rng.choice([F(1, 2), F(3, 5), F(2, 3)]))
             )
         for q in queries:
             if q.k < 1 or q.conclusion.consequent <= q.conclusion.antecedent:
@@ -432,12 +433,12 @@ class TestPrune:
     def test_survivors_entail_everything_dropped(self):
         rng = random.Random(55)
         for _ in range(40):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(1, 4),
                 seed=rng.randrange(10**9),
             )
-            rules = pt.random_implication_set(spec)
+            rules = oracle.random_implication_set(spec)
             gamma = rng.choice([F(1, 2), F(3, 4)])
             kept = pt.prune(rules, gamma)
             for rule in rules:

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import oracle
 import pientail as pt
 from conftest import make_query
 
@@ -43,12 +44,12 @@ class TestHornClosure:
     def test_extensive_monotone_idempotent(self):
         rng = random.Random(11)
         for _ in range(200):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(1, 7),
                 num_premises=rng.randint(0, 4),
                 seed=rng.randrange(10**9),
             )
-            rules = pt.random_implication_set(spec)
+            rules = oracle.random_implication_set(spec)
             u = rules.universe
             small = pt.AttrSet(u, rng.randrange(1 << u.size))
             big = small | pt.AttrSet(u, rng.randrange(1 << u.size))
@@ -69,10 +70,10 @@ class TestEnforcesHomogeneity:
         rng = random.Random(13)
         for _ in range(100):
             n = rng.randint(2, 7)
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=n, num_premises=rng.randint(1, 4), seed=rng.randrange(10**9)
             )
-            base = pt.random_implication_set(spec)
+            base = oracle.random_implication_set(spec)
             u = base.universe
             ante = pt.AttrSet(u, rng.randrange(1 << n))
             rules = pt.ImplicationSet(
@@ -80,39 +81,39 @@ class TestEnforcesHomogeneity:
                 tuple(pt.PartialImplication(ante, imp.consequent) for imp in base),
             )
             assert pt.enforces_homogeneity(rules)
-            assert pt.brute_force_homogeneity(rules)
+            assert oracle.brute_force_homogeneity(rules)
 
     def test_small_sets_trivially_nice(self):
         rules = rules_over("AB", ("A", "B"))
         assert pt.enforces_homogeneity(rules)
-        assert pt.brute_force_homogeneity(rules)
+        assert oracle.brute_force_homogeneity(rules)
         empty = pt.ImplicationSet(pt.AttributeUniverse(("A",)), ())
         assert pt.enforces_homogeneity(empty)
-        assert pt.brute_force_homogeneity(empty)
+        assert oracle.brute_force_homogeneity(empty)
 
     def test_disjoint_pair_is_not_nice(self):
         rules = rules_over("ABCD", ("A", "B"), ("C", "D"))
         assert not pt.enforces_homogeneity(rules)
-        assert not pt.brute_force_homogeneity(rules)
+        assert not oracle.brute_force_homogeneity(rules)
 
     def test_shared_antecedent_pair_is_nice(self):
         rules = rules_over("ABCD", ("A", "BC"), ("A", "BD"))
         assert pt.enforces_homogeneity(rules)
-        assert pt.brute_force_homogeneity(rules)
+        assert oracle.brute_force_homogeneity(rules)
 
     def test_closure_test_matches_brute_force_on_random_sets(self):
         """The cheap closure condition and the exponential transaction
         check must agree everywhere."""
         rng = random.Random(20260814)
         for _ in range(500):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 10),
                 num_premises=rng.randint(1, 4),
                 seed=rng.randrange(10**9),
                 density=rng.choice([0.2, 0.35, 0.5]),
             )
-            rules = pt.random_implication_set(spec)
-            assert pt.enforces_homogeneity(rules) == pt.brute_force_homogeneity(rules)
+            rules = oracle.random_implication_set(spec)
+            assert pt.enforces_homogeneity(rules) == oracle.brute_force_homogeneity(rules)
 
     def test_enumeration_cap(self):
         u = pt.AttributeUniverse(tuple(f"x{i}" for i in range(24)))
@@ -120,7 +121,7 @@ class TestEnforcesHomogeneity:
             u, (pt.PartialImplication(u.attrs("x0"), u.full() - u.attrs("x0")),)
         )
         with pytest.raises(pt.AttributeCapError):
-            pt.brute_force_homogeneity(rules, max_attrs=20)
+            oracle.brute_force_homogeneity(rules, max_attrs=20)
 
 
 class TestTwoPremiseNicety:
@@ -195,13 +196,13 @@ class TestNicetyAndEntailment:
             gamma = Fraction(k - 1, k) if rng.random() < 0.5 else Fraction(9, 10)
             queries.append(pt.EntailmentQuery(rules, conclusion, gamma))
         for _ in range(100):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(2, 3),
                 seed=rng.randrange(10**9),
             )
             gamma = rng.choice([Fraction(1, 2), Fraction(3, 5), Fraction(9, 10)])
-            queries.append(pt.random_query(spec, gamma))
+            queries.append(oracle.random_query(spec, gamma))
         for q in queries:
             if q.conclusion.consequent <= q.conclusion.antecedent:
                 continue

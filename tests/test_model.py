@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 import pientail as pt
 from pientail.model import weight
 
@@ -146,10 +147,10 @@ class TestSatisfies:
         rng = random.Random(20260814)
         for _ in range(1000):
             n = rng.randint(1, 8)
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=n, num_premises=1, seed=rng.randrange(10**9)
             )
-            imp = pt.random_implication_set(spec)[0]
+            imp = oracle.random_implication_set(spec)[0]
             universe = imp.universe
             counts = {}
             for _ in range(rng.randint(0, 6)):
@@ -168,10 +169,10 @@ class TestSatisfies:
         vacuous = 0
         for _ in range(1000):
             n = rng.randint(1, 6)
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=n, num_premises=1, seed=rng.randrange(10**9)
             )
-            imp = pt.random_implication_set(spec)[0]
+            imp = oracle.random_implication_set(spec)[0]
             universe = imp.universe
             counts = {}
             for _ in range(rng.randint(0, 5)):

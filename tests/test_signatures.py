@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
 import pientail as pt
 from conftest import make_query, nonempty_subsets
 from pientail import entailment, lp, threshold
@@ -165,8 +166,8 @@ def test_projected_ratio_rows_match_a_table_per_subset(cycle_query):
     are the rows of a table built for the subset alone, in the same order."""
     rng = random.Random(7141)
     queries = [cycle_query] + [
-        pt.random_query(
-            pt.RandomInstanceSpec(rng.randint(1, 10), rng.randint(1, 4), rng.randrange(10**9)),
+        oracle.random_query(
+            oracle.RandomInstanceSpec(rng.randint(1, 10), rng.randint(1, 4), rng.randrange(10**9)),
             F(1, 2),
         )
         for _ in range(60)

@@ -86,6 +86,50 @@ def test_no_runtime_dependency():
     assert found == []
 
 
+def test_no_dataclasses_import():
+    """The value classes build on ``model._Frozen``: importing
+    ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    about a third of a fresh ``import pientail``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "dataclasses"
+            ]
+    assert found == []
+
+
+IMPORT_ADDS = """
+import sys
+before = set(sys.modules)
+import pientail
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_heavy_module():
+    """A fresh ``import pientail``, which every CLI call pays, loads none of
+    ``dataclasses``, ``inspect`` or ``numpy``."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_ADDS],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "pientail.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "numpy"}), sorted(added)
+
+
 WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError

@@ -16,6 +16,7 @@ import random
 import time
 from fractions import Fraction as F
 
+import oracle
 import pientail as pt
 from conftest import carrying_walk, make_query, nonempty_subsets
 from test_differential import _check_witness
@@ -154,7 +155,7 @@ def _reference_carrying(query):
             antecedents <= x0
             and x0 <= spans
             and y0 <= x0 | common
-            and pt.brute_force_homogeneity(query.premises.subset(indices))
+            and oracle.brute_force_homogeneity(query.premises.subset(indices))
         ):
             out.append(indices)
     return out

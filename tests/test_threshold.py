@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
 import pientail as pt
 from conftest import make_query, plain_bisection, status_weights
 from pientail.entailment import SignatureRow
@@ -56,12 +57,12 @@ class TestFeasibleAt:
     def test_random_upward_closure(self):
         rng = random.Random(909)
         for _ in range(60):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(1, 3),
                 seed=rng.randrange(10**9),
             )
-            q = pt.random_query(spec, F(1, 2))
+            q = oracle.random_query(spec, F(1, 2))
             x = q.conclusion.antecedent
             low, high = sorted(
                 (F(rng.randint(1, 19), 20), F(rng.randint(1, 19), 20))
@@ -117,12 +118,12 @@ class TestFeasibleAt:
                     cases.append((rules, x))
         rng = random.Random(2718)
         for _ in range(40):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 6),
                 num_premises=rng.randint(1, 4),
                 seed=rng.randrange(10**9),
             )
-            q = pt.random_query(spec, F(1, 2))
+            q = oracle.random_query(spec, F(1, 2))
             cases.append((q.premises, q.conclusion.antecedent))
         feasible_count = 0
         for premises, x in cases:
@@ -328,12 +329,12 @@ class TestMaxRatio:
         critical value: feasibility holds at that ratio."""
         rng = random.Random(4242)
         for _ in range(40):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(1, 3),
                 seed=rng.randrange(10**9),
             )
-            q = pt.random_query(spec, F(1, 2))
+            q = oracle.random_query(spec, F(1, 2))
             x = q.conclusion.antecedent
             weights = [F(rng.randint(1, 5)) for _ in range(q.k)]
             total = sum(weights)
@@ -468,13 +469,13 @@ class TestWitnessPrunedBisection:
     def test_random_premise_sets_match_plain_bisection(self, monkeypatch):
         rng = random.Random(110011)
         for _ in range(200):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 6),
                 num_premises=rng.randint(1, 4),
                 seed=rng.randrange(10**9),
                 density=rng.choice([0.3, 0.4, 0.5]),
             )
-            q = pt.random_query(spec, F(1, 2))
+            q = oracle.random_query(spec, F(1, 2))
             x = q.conclusion.antecedent
             for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves = self._solves(monkeypatch, q.premises, x, tol)
@@ -762,13 +763,13 @@ def _random_tables(rng, count):
     from pientail import threshold
 
     for _ in range(count):
-        spec = pt.RandomInstanceSpec(
+        spec = oracle.RandomInstanceSpec(
             num_attrs=rng.randint(2, 6),
             num_premises=rng.randint(1, 4),
             seed=rng.randrange(10**9),
             density=rng.choice([0.3, 0.4, 0.5]),
         )
-        q = pt.random_query(spec, F(1, 2))
+        q = oracle.random_query(spec, F(1, 2))
         antecedent = q.conclusion.antecedent
         yield threshold._ratio_rows(q.premises, antecedent, 20), q.k
 
@@ -949,13 +950,13 @@ class TestDecideGeneral:
         rng = random.Random(13131)
         gammas = [F(1, 5), F(9, 20), F(57, 100), F(7, 10), F(9, 10)]
         for _ in range(300):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 6),
                 num_premises=rng.randint(1, 3),
                 seed=rng.randrange(10**9),
                 density=rng.choice([0.3, 0.4, 0.5]),
             )
-            q = pt.random_query(spec, rng.choice(gammas))
+            q = oracle.random_query(spec, rng.choice(gammas))
             assert pt.decide_general(q).holds == pt.decide_lp(q).holds
 
     def test_range_contract(self):
@@ -974,15 +975,15 @@ class TestGridAgainstBracket:
         exceeds any certified lower bound and is itself feasible."""
         rng = random.Random(6060)
         for _ in range(25):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(1, 3),
                 seed=rng.randrange(10**9),
             )
-            q = pt.random_query(spec, F(1, 2))
+            q = oracle.random_query(spec, F(1, 2))
             x = q.conclusion.antecedent
             bracket = pt.critical_threshold(q.premises, x, tolerance=F(1, 2048))
-            grid = pt.grid_min_max(q.premises, x, steps=60)
+            grid = oracle.grid_min_max(q.premises, x, steps=60)
             assert bracket.lower <= grid <= 1
             if grid > 0:
                 assert pt.feasible_at(grid, q.premises, x) is not None
@@ -990,12 +991,12 @@ class TestGridAgainstBracket:
     def test_bracket_multipliers_certify_the_upper_endpoint(self):
         rng = random.Random(8181)
         for _ in range(30):
-            spec = pt.RandomInstanceSpec(
+            spec = oracle.RandomInstanceSpec(
                 num_attrs=rng.randint(2, 5),
                 num_premises=rng.randint(1, 3),
                 seed=rng.randrange(10**9),
             )
-            q = pt.random_query(spec, F(1, 2))
+            q = oracle.random_query(spec, F(1, 2))
             x = q.conclusion.antecedent
             bracket = pt.critical_threshold(q.premises, x, tolerance=F(1, 256))
             assert bracket.upper - bracket.lower <= F(1, 256) or bracket.upper == 0
