@@ -23,11 +23,11 @@ that lie in the same rules, so its cost grows with the number of
 signatures, not with ``2**n``.  ``threshold.decide_general`` builds one
 such table per query, when a premise subset first needs a cone probe,
 and reads it for every premise subset, for the certificate check and for
-the LP counterexample.  ``prune`` builds at most one table per call: every
-later decide projects the table of the first decide that needs rows onto
-its own rules.  ``prune`` and ``properly_entails`` read only whether each
-decide holds, so inside them a decide that no premise subset carries
-fails without a counterexample, and without rows.
+the LP counterexample.  ``prune`` and ``properly_entails`` read only
+whether each decide holds, so each runs its decides in one batch: a
+decide that no premise subset carries fails without a counterexample and
+without rows, and at most one table is built per call, which every later
+decide that needs rows projects onto its own rules.
 
 From the table to the verified witness the work is in integers.  A row
 holds one status code per rule and the bitmask of a transaction, and with
@@ -269,8 +269,9 @@ def _integer_weights(gamma: Fraction) -> tuple[int, int, int]:
     return (0, -p, q - p)
 
 
-class _SharedTable:
-    """The signature table that the decides of one ``prune`` call share.
+class _Batch:
+    """The decides of one ``prune`` or ``properly_entails`` call, which
+    read only whether each decide holds.
 
     ``rows`` stays None until the first decide that needs rows enumerates
     them over its own rules; ``column`` maps a rule's (antecedent, span)
@@ -282,31 +283,27 @@ class _SharedTable:
         self.column: dict[tuple[int, int], int] = {}
 
 
-# Set by ``prune`` for the length of one call; read only by ``_query_rows``.
-_SHARED_TABLE: ContextVar[_SharedTable | None] = ContextVar(
-    "_SHARED_TABLE", default=None
-)
-# Set by ``prune`` and ``properly_entails``, which read only ``holds``;
-# read only by ``_lp_failure``.
-_VERDICT_ONLY: ContextVar[bool] = ContextVar("_VERDICT_ONLY", default=False)
+# Set by ``prune`` and ``properly_entails`` for the length of one call;
+# read only by ``_query_rows`` and ``_lp_failure``.
+_BATCH: ContextVar[_Batch | None] = ContextVar("_BATCH", default=None)
 
 
 def _query_rows(query: EntailmentQuery, max_attrs: int) -> list[SignatureRow]:
     """The signature rows of ``query``, conclusion first.
 
-    Outside ``prune`` every call enumerates.  Inside, the first call
-    enumerates and later calls project its table (``_project_rows``):
-    ``prune`` guarantees that their rules are among the first call's.
+    Outside a batch (``_BATCH``) every call enumerates.  Inside, the first
+    call enumerates and later calls project its table (``_project_rows``):
+    both batch callers guarantee that their rules are among the first's.
     """
     rules = [query.conclusion, *query.premises]
-    shared = _SHARED_TABLE.get()
-    if shared is not None and shared.rows is not None:
-        columns = [shared.column[r.antecedent.bits, r.span.bits] for r in rules]
-        return _project_rows(shared.rows, columns)
+    batch = _BATCH.get()
+    if batch is not None and batch.rows is not None:
+        columns = [batch.column[r.antecedent.bits, r.span.bits] for r in rules]
+        return _project_rows(batch.rows, columns)
     rows = signature_rows(rules, query.universe, max_attrs=max_attrs)
-    if shared is not None:
-        shared.rows = rows
-        shared.column = {
+    if batch is not None:
+        batch.rows = rows
+        batch.column = {
             (r.antecedent.bits, r.span.bits): j for j, r in enumerate(rules)
         }
     return rows
@@ -573,10 +570,10 @@ def _lp_failure(
 ) -> EntailmentVerdict:
     """The failing verdict, under the structural route's ``regime``, of a
     query that no premise subset carries.  Its counterexample comes from
-    the LP (``lp_verdict``), and an LP verdict that holds is a bug; in a
-    verdict-only context (``_VERDICT_ONLY``) no LP runs and the verdict
-    carries no counterexample."""
-    if _VERDICT_ONLY.get():
+    the LP (``lp_verdict``), and an LP verdict that holds is a bug; inside
+    a batch (``_BATCH``), which reads only ``holds``, no LP runs and the
+    verdict carries no counterexample."""
+    if _BATCH.get() is not None:
         return EntailmentVerdict(False, regime)
     verdict = lp_verdict()
     if verdict.holds:
@@ -734,9 +731,14 @@ def properly_entails(
     """Decide the query and greedily shrink the premise set while it still
     entails.  Entailing subsets are upward closed, so single-removal
     passes reach an inclusion-minimal subset, and the entailment is proper
-    exactly when no single premise can be dropped.  The trial premise sets
-    are not nested, so unlike ``prune`` it shares no table."""
-    token = _VERDICT_ONLY.set(True)
+    exactly when no single premise can be dropped.  Like ``prune``, it
+    runs its decides in one batch (``_BATCH``) and enumerates at most one
+    table.  A trial drops one premise at the same ``gamma``, so a low- or
+    high-band query's trials stay in its band, and rows are needed only
+    under ``Method.LP``, at ``gamma = 1`` or in the general band.  There
+    the query's own decide has enumerated over every trial's rules, or
+    has failed and ended the call."""
+    token = _BATCH.set(_Batch())
     try:
         if not decide(query, method, max_attrs).holds:
             return ProperEntailmentResult(False, proper=False, minimal_premises=None)
@@ -746,7 +748,7 @@ def properly_entails(
             if decide(query.with_premises(trial), method, max_attrs).holds:
                 kept = trial
     finally:
-        _VERDICT_ONLY.reset(token)
+        _BATCH.reset(token)
     return ProperEntailmentResult(
         holds=True,
         proper=len(kept) == query.k,
@@ -771,24 +773,21 @@ def prune(
     kept: list[int] = []
     n = len(rules)
     # Query i involves the rules kept and the rules from i on, a subset of
-    # those of every earlier query.  So the first decide that needs rows
-    # enumerates over a superset of every later decide's rules, and the
-    # later ones project its table.  Only ``holds`` is read, so a decide
-    # that no premise subset carries fails without rows (``_VERDICT_ONLY``):
-    # rows are needed only by a cone probe, ``Method.LP`` or the LP at
-    # ``gamma = 1``.  The first enumeration is the widest, so it is the
+    # those of every earlier query.  So in one batch (``_BATCH``) the first
+    # decide that needs rows enumerates over a superset of every later
+    # decide's rules, and the later ones project its table.  Only ``holds``
+    # is read, so a decide that no premise subset carries fails without
+    # rows: rows are needed only by a cone probe, ``Method.LP`` or the LP
+    # at ``gamma = 1``.  The first enumeration is the widest, so it is the
     # only one the attribute cap can stop, and the decide that makes it
-    # is the first to enumerate without a shared table too.
-    tokens = _SHARED_TABLE.set(_SharedTable()), _VERDICT_ONLY.set(True)
+    # is the first to enumerate outside a batch too.
+    token = _BATCH.set(_Batch())
     try:
         for i in range(n):
             others = kept + list(range(i + 1, n))
-            query = EntailmentQuery(
-                rules.subset(others), rules[i], g
-            )
+            query = EntailmentQuery(rules.subset(others), rules[i], g)
             if not decide(query, method, max_attrs).holds:
                 kept.append(i)
     finally:
-        _SHARED_TABLE.reset(tokens[0])
-        _VERDICT_ONLY.reset(tokens[1])
+        _BATCH.reset(token)
     return rules.subset(kept)

@@ -1,7 +1,7 @@
 """Signature tables: the frontier enumeration against an exhaustive walk
-over every transaction type, one table per ``decide_general`` query and one
-per ``prune`` call, and none for the decides of ``prune`` and
-``properly_entails`` that need no rows."""
+over every transaction type, one table per ``decide_general`` query and at
+most one per ``prune`` or ``properly_entails`` call, and none for the
+decides of ``prune`` and ``properly_entails`` that need no rows."""
 
 import random
 import time
@@ -307,6 +307,95 @@ def _properly_by_single_decides(query, method):
         if pt.decide(query.with_premises(trial), method).holds:
             kept = trial
     return pt.ProperEntailmentResult(True, len(kept) == query.k, tuple(kept))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as error:  # CHARACTERIZATION rejects gamma 0 and 1
+        return type(error)
+
+
+def _properly_corpus(rng, count):
+    """Seeded queries with k from 1 to 6 at 0, 1, 1/k, (k-1)/k and two
+    interior thresholds, over random premises, some repeated.  In a third
+    of them some premises entail the conclusion only together: a fan of
+    ``A -> B c`` against ``A c... -> B`` (from (j-1)/j on) or the cycle of
+    ``cycle_query`` (from about 0.57 on).  In another third the conclusion
+    sits over some premises: their antecedents below it, their spans
+    covering its consequent."""
+    u = pt.AttributeUniverse(tuple("ABCDEFG"))
+
+    def rule(x, y):
+        return pt.PartialImplication(u.attrs(*x), u.attrs(*y))
+
+    def attrs(p, within=u.names):
+        return u.attrs(*[a for a in within if rng.random() < p])
+
+    queries = []
+    while len(queries) < count:
+        k = rng.randint(1, 6)
+        premises = []
+        for _ in range(k):
+            if premises and rng.random() < 0.15:
+                premises.append(rng.choice(premises))
+            else:
+                premises.append(pt.PartialImplication(attrs(0.3), attrs(0.4)))
+        shape = rng.randrange(3)
+        if shape == 0 and k >= 3 and rng.random() < 0.5:
+            premises[:3] = [rule("B", "ACE"), rule("C", "AD"), rule("D", "AB")]
+            conclusion = rule("BCDE", "A")
+        elif shape == 0 and k >= 2:
+            cs = "CDEFG"[: rng.randint(2, min(k, 5))]
+            premises[: len(cs)] = [rule("A", "B" + c) for c in cs]
+            conclusion = rule("A" + cs, "B")
+        elif shape == 1:
+            chosen = rng.sample(premises, rng.randint(1, k))
+            spans = sorted({a for p in chosen for a in p.span.names})
+            x0 = u.attrs(*[a for p in chosen for a in p.antecedent.names])
+            x0 = x0 | attrs(0.5, spans)
+            rest = [a for a in spans if a not in x0.names] or ["G"]
+            y0 = attrs(0.7, rest) | u.attrs(rng.choice(rest))
+            conclusion = pt.PartialImplication(x0, y0)
+        else:
+            conclusion = pt.PartialImplication(attrs(0.3), attrs(0.4))
+        rng.shuffle(premises)
+        rules = pt.ImplicationSet(u, tuple(premises))
+        interior = [F(3, 5), F(rng.randint(1, 29), 30)]
+        for gamma in [F(0), F(1), F(1, k), F(k - 1, k), *interior]:
+            queries.append(pt.EntailmentQuery(rules, conclusion, gamma))
+    return queries
+
+
+def test_properly_entails_shares_one_table(monkeypatch):
+    """On seeded queries, ``properly_entails`` gives what a loop of public
+    decides gives under every method, and its decides enumerate at most
+    one table per call: every trial projects the query's table."""
+    queries = _properly_corpus(random.Random(1913), 300)
+    calls = _count_enumerations(monkeypatch)
+    shared = 0
+    for query in queries:
+        for method in pt.Method:
+            reference = _outcome(lambda: _properly_by_single_decides(query, method))
+            calls.clear()
+            result = _outcome(lambda: pt.properly_entails(query, method))
+            assert result == reference, (query, method)
+            assert len(calls) <= 1, (query, method)
+            if calls and result.holds and query.k >= 2:
+                shared += 1
+    assert len(queries) >= 200 and shared >= 100
+
+
+def test_properly_entails_under_lp_enumerates_once(monkeypatch):
+    """Under ``Method.LP`` every decide needs rows: the query's decide
+    enumerates them over its k + 1 rules and every trial projects them."""
+    query = make_query("A -> B C\nA -> B D\nA -> B\nC -> D", "A C D -> B", F(1, 2))
+    reference = _properly_by_single_decides(query, pt.Method.LP)
+    assert reference.holds
+    calls = _count_enumerations(monkeypatch)
+    assert pt.properly_entails(query, pt.Method.LP) == reference
+    assert len(calls) == 1
+    assert len(calls[0][0]) == query.k + 1 == 5
 
 
 @pytest.mark.parametrize(

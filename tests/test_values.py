@@ -242,9 +242,9 @@ def test_query_gamma_is_coerced_to_a_fraction():
     assert query == pair
 
 
-def test_the_shared_table_is_a_plain_mutable_object():
-    table, other = entailment._SharedTable(), entailment._SharedTable()
-    assert table.rows is None and table.column == {}
-    table.column[(1, 2)] = 0
-    table.rows = []
+def test_the_batch_is_a_plain_mutable_object():
+    batch, other = entailment._Batch(), entailment._Batch()
+    assert batch.rows is None and batch.column == {}
+    batch.column[(1, 2)] = 0
+    batch.rows = []
     assert other.column == {} and other.rows is None
