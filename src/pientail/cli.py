@@ -9,7 +9,7 @@ in the input, and every rational in the output is printed exactly as
 midpoint of a critical-threshold bracket.
 
 Exit codes: 0 holds / true / success, 1 does not hold / false,
-2 usage or parse error, 3 resource cap exceeded.
+2 usage or parse error, 3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .homogeneity import ImplicationSet, enforces_homogeneity
 from .model import (
     AttributeCapError,
     AttributeUniverse,
-    DEFAULT_ENUMERATION_CAP,
     Dataset,
-    HARD_ATTRIBUTE_CAP,
     PartialImplication,
     _Frozen,
 )
@@ -205,13 +203,13 @@ def _emit_verdict(verdict: EntailmentVerdict, gamma: Fraction, as_json: bool) ->
 
 def _cmd_entail(args: argparse.Namespace) -> int:
     query = _load_query(args)
-    verdict = decide(query, Method(args.method), max_attrs=args.max_attrs)
+    verdict = decide(query, Method(args.method))
     return _emit_verdict(verdict, query.gamma, args.json)
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     query = _load_query(args)
-    verdict = decide(query, Method.AUTO, max_attrs=args.max_attrs)
+    verdict = decide(query, Method.AUTO)
     if args.json:
         payload = {
             "holds": verdict.holds,
@@ -233,9 +231,7 @@ def _cmd_gamma_star(args: argparse.Namespace) -> int:
     antecedent_tokens = _scan_attrs(args.antecedent)
     premises = _rule_set(text, antecedent_tokens)
     antecedent = premises.universe.attrs(*antecedent_tokens)
-    bracket = critical_threshold(
-        premises, antecedent, _parse_tolerance(args.tol), max_attrs=args.max_attrs
-    )
+    bracket = critical_threshold(premises, antecedent, _parse_tolerance(args.tol))
     if args.json:
         payload = {
             "gamma_star_lower": _frac(bracket.lower),
@@ -269,7 +265,7 @@ def _cmd_nice(args: argparse.Namespace) -> int:
 
 def _cmd_prune(args: argparse.Namespace) -> int:
     rules = parse_rules(Path(args.rules).read_text())
-    kept = prune_rules(rules, parse_gamma(args.gamma), max_attrs=args.max_attrs)
+    kept = prune_rules(rules, parse_gamma(args.gamma))
     if args.json:
         payload = {
             "kept": [str(rule) for rule in kept],
@@ -287,13 +283,6 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON object")
-    parser.add_argument(
-        "--max-attrs",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help=f"enumeration cap on occurring attributes (default "
-        f"{DEFAULT_ENUMERATION_CAP}, hard limit {HARD_ATTRIBUTE_CAP})",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,12 +353,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if not 1 <= args.max_attrs <= HARD_ATTRIBUTE_CAP:
-        print(
-            f"error: --max-attrs must lie between 1 and {HARD_ATTRIBUTE_CAP}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         return args.handler(args)
     except AttributeCapError as exc:

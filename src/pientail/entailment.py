@@ -64,7 +64,6 @@ from .model import (
     AttrSet,
     AttributeUniverse,
     CoverStatus,
-    DEFAULT_ENUMERATION_CAP,
     Dataset,
     PartialImplication,
     UniverseMismatchError,
@@ -205,9 +204,7 @@ class SignatureRow(NamedTuple):
 
 
 def signature_rows(
-    implications: Sequence[PartialImplication],
-    universe: AttributeUniverse,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    implications: Sequence[PartialImplication], universe: AttributeUniverse
 ) -> list[SignatureRow]:
     """Distinct cover patterns over all transaction types, with witnesses.
 
@@ -231,7 +228,7 @@ def signature_rows(
     classes times the number of states, at most ``3**len(implications)``,
     instead of ``2**width``.
     """
-    occ, pairs = rule_bitmasks(implications, universe, max_attrs)
+    occ, pairs = rule_bitmasks(implications, universe)
     classes: dict[int, int] = {}
     for p in bit_positions(occ):
         bit = 1 << p
@@ -288,7 +285,7 @@ class _Batch:
 _BATCH: ContextVar[_Batch | None] = ContextVar("_BATCH", default=None)
 
 
-def _query_rows(query: EntailmentQuery, max_attrs: int) -> list[SignatureRow]:
+def _query_rows(query: EntailmentQuery) -> list[SignatureRow]:
     """The signature rows of ``query``, conclusion first.
 
     Outside a batch (``_BATCH``) every call enumerates.  Inside, the first
@@ -300,7 +297,7 @@ def _query_rows(query: EntailmentQuery, max_attrs: int) -> list[SignatureRow]:
     if batch is not None and batch.rows is not None:
         columns = [batch.column[r.antecedent.bits, r.span.bits] for r in rules]
         return _project_rows(batch.rows, columns)
-    rows = signature_rows(rules, query.universe, max_attrs=max_attrs)
+    rows = signature_rows(rules, query.universe)
     if batch is not None:
         batch.rows = rows
         batch.column = {
@@ -330,9 +327,7 @@ def _project_rows(rows: list[SignatureRow], columns: list[int]) -> list[Signatur
     return out
 
 
-def decide_lp(
-    query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> EntailmentVerdict:
+def decide_lp(query: EntailmentQuery) -> EntailmentVerdict:
     """Decide by linear programming, for any ``gamma`` in [0, 1].
 
     One variable per distinct constraint signature; minimising the
@@ -342,7 +337,7 @@ def decide_lp(
     back an integer ray whose primitive vector is a counterexample
     dataset.  Both witnesses are re-verified before being returned.
     """
-    return _decide_lp_rows(query, _query_rows(query, max_attrs))
+    return _decide_lp_rows(query, _query_rows(query))
 
 
 def _lp_program(rows: list[SignatureRow], gamma: Fraction) -> lp.LinearProgram:
@@ -447,9 +442,7 @@ def _certificate_violation(
 
 
 def find_certificate_violation(
-    query: EntailmentQuery,
-    multipliers: Sequence[Fraction],
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    query: EntailmentQuery, multipliers: Sequence[Fraction]
 ) -> CertificateViolation | None:
     """First constraint signature (in enumeration order) broken by
     ``multipliers``, or None when they certify the entailment."""
@@ -458,19 +451,17 @@ def find_certificate_violation(
         raise ValueError("need one multiplier per premise")
     if any(lam < 0 for lam in lams):
         raise ValueError("multipliers must be nonnegative")
-    rows = _query_rows(query, max_attrs)
+    rows = _query_rows(query)
     scale = math.lcm(*[lam.denominator for lam in lams])
     numerators = [lam.numerator * (scale // lam.denominator) for lam in lams]
     return _certificate_violation(query, rows, numerators, scale)
 
 
 def check_certificate(
-    query: EntailmentQuery,
-    multipliers: Sequence[Fraction],
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    query: EntailmentQuery, multipliers: Sequence[Fraction]
 ) -> bool:
     """Do ``multipliers`` certify the entailment over every transaction type?"""
-    return find_certificate_violation(query, multipliers, max_attrs) is None
+    return find_certificate_violation(query, multipliers) is None
 
 
 def _tautology_verdict(query: EntailmentQuery) -> EntailmentVerdict:
@@ -547,7 +538,6 @@ def _first_carrying(
 def _uniform_verdict(
     query: EntailmentQuery,
     regime: Regime,
-    max_attrs: int,
     accept: Callable[[tuple[int, ...]], bool] = lambda indices: True,
 ) -> EntailmentVerdict:
     """The verdict where uniform multipliers suffice: a trivial conclusion
@@ -558,7 +548,7 @@ def _uniform_verdict(
         return _tautology_verdict(query)
     indices = _first_carrying(query, accept)
     if indices is None:
-        return _lp_failure(lambda: decide_lp(query, max_attrs), regime)
+        return _lp_failure(lambda: decide_lp(query), regime)
     certificate = [Fraction(0)] * query.k
     for i in indices:
         certificate[i] = Fraction(1, len(indices))
@@ -581,9 +571,7 @@ def _lp_failure(
     return EntailmentVerdict(False, regime, counterexample=verdict.counterexample)
 
 
-def decide_one_premise(
-    query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> EntailmentVerdict:
+def decide_one_premise(query: EntailmentQuery) -> EntailmentVerdict:
     """Decide a query with at most one premise by containment tests alone.
 
     For ``gamma`` strictly between 0 and 1 the verdict does not depend on
@@ -594,15 +582,13 @@ def decide_one_premise(
     if query.k > 1:
         raise ValueError(f"one-premise decider got {query.k} premises")
     if not 0 < query.gamma < 1:
-        return decide_lp(query, max_attrs)
+        return decide_lp(query)
     if query.k == 0:
         return _tautology_verdict(query)
-    return _uniform_verdict(query, Regime.ONE_PREMISE, max_attrs)
+    return _uniform_verdict(query, Regime.ONE_PREMISE)
 
 
-def decide_low_gamma(
-    query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> EntailmentVerdict:
+def decide_low_gamma(query: EntailmentQuery) -> EntailmentVerdict:
     """Decide for thresholds below ``1/k``, where premises cannot combine:
     the entailment holds only if some single premise (or none) suffices."""
     k = query.k
@@ -618,12 +604,10 @@ def decide_low_gamma(
         # The first carrying subset that this takes is a single premise.
         return any(x0 <= premises[i].span for i in indices)
 
-    return _uniform_verdict(query, Regime.LOW_GAMMA, max_attrs, alone)
+    return _uniform_verdict(query, Regime.LOW_GAMMA, alone)
 
 
-def decide_two_premise(
-    query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> EntailmentVerdict:
+def decide_two_premise(query: EntailmentQuery) -> EntailmentVerdict:
     """Decide a two-premise query: the high-gamma decider at ``k = 2``,
     under its own regime label.
 
@@ -633,15 +617,13 @@ def decide_two_premise(
     if query.k != 2:
         raise ValueError(f"two-premise decider got {query.k} premises")
     if query.gamma < Fraction(1, 2):
-        return decide_low_gamma(query, max_attrs)
+        return decide_low_gamma(query)
     if query.gamma == 1:
-        return decide_lp(query, max_attrs)
-    return _uniform_verdict(query, Regime.TWO_PREMISE, max_attrs)
+        return decide_lp(query)
+    return _uniform_verdict(query, Regime.TWO_PREMISE)
 
 
-def decide_high_gamma(
-    query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> EntailmentVerdict:
+def decide_high_gamma(query: EntailmentQuery) -> EntailmentVerdict:
     """Decide for thresholds at or above ``(k-1)/k``.
 
     In this band a premise subset carries the conclusion exactly when the
@@ -654,19 +636,15 @@ def decide_high_gamma(
     if query.gamma == 0:
         return _tautology_verdict(query)
     if query.gamma == 1:
-        return decide_lp(query, max_attrs)
+        return decide_lp(query)
     if query.gamma * k < k - 1:
         raise ValueError(
             f"high-gamma decider needs gamma >= {k - 1}/{k}, got {query.gamma}"
         )
-    return _uniform_verdict(query, Regime.HIGH_GAMMA, max_attrs)
+    return _uniform_verdict(query, Regime.HIGH_GAMMA)
 
 
-def decide(
-    query: EntailmentQuery,
-    method: Method = Method.AUTO,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
-) -> EntailmentVerdict:
+def decide(query: EntailmentQuery, method: Method = Method.AUTO) -> EntailmentVerdict:
     """Decide an entailment query.
 
     ``Method.LP`` always runs the LP route.  ``Method.AUTO`` picks the
@@ -677,7 +655,7 @@ def decide(
     route covers; it also labels the high band at ``k = 2`` two-premise.
     """
     if method is Method.LP:
-        return decide_lp(query, max_attrs)
+        return decide_lp(query)
     structural = method is Method.CHARACTERIZATION
     if structural and not 0 < query.gamma < 1:
         raise ValueError(
@@ -691,18 +669,18 @@ def decide(
     ):
         return _tautology_verdict(query)
     if query.gamma == 1:
-        return decide_lp(query, max_attrs)
+        return decide_lp(query)
     if k == 1:
-        return decide_one_premise(query, max_attrs)
+        return decide_one_premise(query)
     if query.gamma * k < 1:
-        return decide_low_gamma(query, max_attrs)
+        return decide_low_gamma(query)
     if query.gamma * k >= k - 1:
         if structural and k == 2:
-            return decide_two_premise(query, max_attrs)
-        return decide_high_gamma(query, max_attrs)
+            return decide_two_premise(query)
+        return decide_high_gamma(query)
     from .threshold import decide_general
 
-    return decide_general(query, max_attrs=max_attrs)
+    return decide_general(query)
 
 
 class ProperEntailmentResult(_Frozen):
@@ -724,9 +702,7 @@ class ProperEntailmentResult(_Frozen):
 
 
 def properly_entails(
-    query: EntailmentQuery,
-    method: Method = Method.AUTO,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    query: EntailmentQuery, method: Method = Method.AUTO
 ) -> ProperEntailmentResult:
     """Decide the query and greedily shrink the premise set while it still
     entails.  Entailing subsets are upward closed, so single-removal
@@ -740,12 +716,12 @@ def properly_entails(
     has failed and ended the call."""
     token = _BATCH.set(_Batch())
     try:
-        if not decide(query, method, max_attrs).holds:
+        if not decide(query, method).holds:
             return ProperEntailmentResult(False, proper=False, minimal_premises=None)
         kept = list(range(query.k))
         for i in list(kept):
             trial = [j for j in kept if j != i]
-            if decide(query.with_premises(trial), method, max_attrs).holds:
+            if decide(query.with_premises(trial), method).holds:
                 kept = trial
     finally:
         _BATCH.reset(token)
@@ -757,10 +733,7 @@ def properly_entails(
 
 
 def prune(
-    rules: ImplicationSet,
-    gamma: Fraction | int | str,
-    method: Method = Method.AUTO,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    rules: ImplicationSet, gamma: Fraction | int | str, method: Method = Method.AUTO
 ) -> ImplicationSet:
     """Drop rules entailed by the others at ``gamma``, scanning in order.
 
@@ -779,14 +752,14 @@ def prune(
     # is read, so a decide that no premise subset carries fails without
     # rows: rows are needed only by a cone probe, ``Method.LP`` or the LP
     # at ``gamma = 1``.  The first enumeration is the widest, so it is the
-    # only one the attribute cap can stop, and the decide that makes it
+    # only one the enumeration cap can stop, and the decide that makes it
     # is the first to enumerate outside a batch too.
     token = _BATCH.set(_Batch())
     try:
         for i in range(n):
             others = kept + list(range(i + 1, n))
             query = EntailmentQuery(rules.subset(others), rules[i], g)
-            if not decide(query, method, max_attrs).holds:
+            if not decide(query, method).holds:
                 kept.append(i)
     finally:
         _BATCH.reset(token)

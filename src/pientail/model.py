@@ -19,11 +19,10 @@ from typing import Iterable, Iterator, Mapping
 Rational = Fraction
 
 # Decision procedures build one constraint per distinct cover pattern of a
-# transaction type, up to 2**n rows for n attributes.  The hard cap bounds
-# the universe a problem instance may declare; the soft cap bounds how many
-# attributes a single enumeration may touch and can be raised per call up
-# to the hard cap.
-HARD_ATTRIBUTE_CAP = 24
+# transaction type, up to 2**n rows for n attributes.  The universe may hold
+# any number of attributes; this cap bounds how many of them one enumeration
+# may touch, and only ``rule_bitmasks``, which every enumeration calls, reads
+# it.
 DEFAULT_ENUMERATION_CAP = 20
 
 
@@ -32,7 +31,8 @@ class UniverseMismatchError(ValueError):
 
 
 class AttributeCapError(RuntimeError):
-    """Raised when an operation would enumerate more attributes than allowed."""
+    """Raised when an enumeration would touch more attributes than
+    ``DEFAULT_ENUMERATION_CAP``."""
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:
@@ -124,11 +124,6 @@ class AttributeUniverse(_Frozen):
                 raise ValueError(f"invalid attribute name {name!r}")
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate attribute names")
-        if len(self.names) > HARD_ATTRIBUTE_CAP:
-            raise AttributeCapError(
-                f"{len(self.names)} attributes exceed the hard cap of "
-                f"{HARD_ATTRIBUTE_CAP}"
-            )
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -266,15 +261,14 @@ class PartialImplication(_Frozen):
 
 
 def rule_bitmasks(
-    implications: Iterable[PartialImplication],
-    universe: AttributeUniverse,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    implications: Iterable[PartialImplication], universe: AttributeUniverse
 ) -> tuple[int, list[tuple[int, int]]]:
     """Occurring attributes and the ``(antecedent, span)`` bitmasks of each rule.
 
     The occurring attributes are the union of the spans: the attributes an
-    enumeration of transaction types has to look at.  More than
-    ``max_attrs`` of them raise ``AttributeCapError``.
+    enumeration of transaction types has to look at.  Every enumeration
+    calls this, and more than ``DEFAULT_ENUMERATION_CAP`` of them raise
+    ``AttributeCapError``.
     """
     occ = 0
     pairs = []
@@ -285,9 +279,10 @@ def rule_bitmasks(
         occ |= span
         pairs.append((imp.antecedent.bits, span))
     width = occ.bit_count()
-    if width > max_attrs:
+    if width > DEFAULT_ENUMERATION_CAP:
         raise AttributeCapError(
-            f"{width} occurring attributes exceed the enumeration cap of {max_attrs}"
+            f"{width} occurring attributes exceed the enumeration cap of "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
     return occ, pairs
 

@@ -53,7 +53,6 @@ from .entailment import (
 from .homogeneity import ImplicationSet
 from .model import (
     AttrSet,
-    DEFAULT_ENUMERATION_CAP,
     PartialImplication,
     UniverseMismatchError,
     _Frozen,
@@ -88,9 +87,7 @@ class ThresholdBracket(_Frozen):
         return (self.lower + self.upper) / 2
 
 
-def _ratio_rows(
-    premises: ImplicationSet, antecedent: AttrSet, max_attrs: int
-) -> list[SignatureRow]:
+def _ratio_rows(premises: ImplicationSet, antecedent: AttrSet) -> list[SignatureRow]:
     """Distinct premise status patterns over transaction types that do not
     contain all of ``antecedent``: the ratio of a row has the premises it
     witnesses over those it covers."""
@@ -99,7 +96,7 @@ def _ratio_rows(
     if len(premises) < 1:
         raise ValueError("critical threshold needs at least one premise")
     probe = PartialImplication(antecedent, antecedent.universe.empty())
-    rows = signature_rows([probe, *premises], premises.universe, max_attrs=max_attrs)
+    rows = signature_rows([probe, *premises], premises.universe)
     return _project_ratio_rows(rows, range(len(premises)))
 
 
@@ -233,10 +230,7 @@ def _simplex_point(ray: Sequence[int]) -> tuple[Fraction, ...]:
 
 
 def feasible_at(
-    gamma: Fraction | int | str,
-    premises: ImplicationSet,
-    antecedent: AttrSet,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    gamma: Fraction | int | str, premises: ImplicationSet, antecedent: AttrSet
 ) -> tuple[Fraction, ...] | None:
     """Multipliers witnessing that the critical threshold is at most
     ``gamma``, or None when ``gamma`` lies strictly below it.
@@ -248,15 +242,12 @@ def feasible_at(
     g = as_rational(gamma)
     if not 0 <= g <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {g}")
-    outcome = _feasible(_ratio_rows(premises, antecedent, max_attrs), len(premises), g)
+    outcome = _feasible(_ratio_rows(premises, antecedent), len(premises), g)
     return _simplex_point(outcome.ray) if isinstance(outcome, lp.Unbounded) else None
 
 
 def max_ratio(
-    multipliers: Sequence[Fraction],
-    premises: ImplicationSet,
-    antecedent: AttrSet,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
+    multipliers: Sequence[Fraction], premises: ImplicationSet, antecedent: AttrSet
 ) -> Fraction:
     """Worst-case witnessed/covered ratio of fixed simplex multipliers.
 
@@ -273,7 +264,7 @@ def max_ratio(
         raise ValueError("multipliers must sum to 1")
     scale = math.lcm(*[lam.denominator for lam in lams])
     numerators = [lam.numerator * (scale // lam.denominator) for lam in lams]
-    rows = _ratio_rows(premises, antecedent, max_attrs)
+    rows = _ratio_rows(premises, antecedent)
     witnessed, covered = _positions([row.codes for row in rows])
     return Fraction(*_worst_ratio(witnessed, covered, numerators))
 
@@ -439,7 +430,6 @@ def critical_threshold(
     premises: ImplicationSet,
     antecedent: AttrSet,
     tolerance: Fraction | int | str = Fraction(1, 100_000),
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
 ) -> ThresholdBracket:
     """Bracket the critical threshold to within ``tolerance``.
 
@@ -466,7 +456,7 @@ def critical_threshold(
     tol = as_rational(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    rows = _ratio_rows(premises, antecedent, max_attrs)
+    rows = _ratio_rows(premises, antecedent)
     kept = _undominated(rows)
     k = len(premises)
     row_witnessed, row_covered = _positions([row.codes for row in rows])
@@ -520,9 +510,7 @@ def critical_threshold(
     )
 
 
-def decide_general(
-    query: EntailmentQuery, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> EntailmentVerdict:
+def decide_general(query: EntailmentQuery) -> EntailmentVerdict:
     """Decide entailment for any threshold strictly between 0 and 1.
 
     The entailment holds exactly when the conclusion is trivial or some
@@ -545,7 +533,7 @@ def decide_general(
         )
     if query.conclusion.consequent <= query.conclusion.antecedent:
         return _tautology_verdict(query)
-    rows = functools.cache(lambda: _query_rows(query, max_attrs))
+    rows = functools.cache(lambda: _query_rows(query))
 
     @functools.cache
     def probe(indices: tuple[int, ...]) -> lp.Optimal | lp.Unbounded:

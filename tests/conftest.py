@@ -54,7 +54,7 @@ def plain_bisection(premises, antecedent, tolerance) -> pt.ThresholdBracket:
     from pientail import lp, threshold
 
     tol = Fraction(tolerance)
-    rows = threshold._ratio_rows(premises, antecedent, 20)
+    rows = threshold._ratio_rows(premises, antecedent)
 
     def ray(gamma):
         outcome = threshold._feasible(rows, len(premises), gamma)

@@ -25,7 +25,6 @@ from pientail.homogeneity import ImplicationSet
 from pientail.model import (
     AttrSet,
     AttributeUniverse,
-    DEFAULT_ENUMERATION_CAP,
     Dataset,
     PartialImplication,
     rule_bitmasks,
@@ -37,7 +36,6 @@ def search_counterexample(
     query: EntailmentQuery,
     max_mult: int = 4,
     max_support: int = 3,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
 ) -> Dataset | None:
     """Smallest-first exhaustive search for a counterexample dataset.
 
@@ -55,7 +53,7 @@ def search_counterexample(
     # Integer weights: the weights at gamma times its denominator.
     weights = _integer_weights(query.gamma)
     weighted: list[tuple[AttrSet, list[int]]] = []
-    for row in _query_rows(query, max_attrs):
+    for row in _query_rows(query):
         vec = [weights[c] for c in row.codes]
         if any(vec):
             weighted.append((AttrSet(query.universe, row.bits), vec))
@@ -116,7 +114,6 @@ def grid_min_max(
     premises: ImplicationSet,
     antecedent: AttrSet,
     steps: int = 60,
-    max_attrs: int = DEFAULT_ENUMERATION_CAP,
 ) -> Fraction:
     """Minimum over a simplex grid of the worst-case ratio.
 
@@ -135,7 +132,7 @@ def grid_min_max(
     patterns = [
         ([i for i, c in enumerate(row.codes) if c == _WITNESSED],
          [i for i, c in enumerate(row.codes) if c != _NOT_COVERED])
-        for row in _ratio_rows(premises, antecedent, max_attrs)
+        for row in _ratio_rows(premises, antecedent)
     ]
     best_num, best_den = 1, 1  # the worst-case ratio never exceeds 1
     for lams in _compositions(steps, k):
@@ -219,9 +216,7 @@ def random_query(spec: RandomInstanceSpec, gamma: Fraction) -> EntailmentQuery:
     return EntailmentQuery(premises, PartialImplication(x0, y0), gamma)
 
 
-def brute_force_homogeneity(
-    rules: ImplicationSet, max_attrs: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
+def brute_force_homogeneity(rules: ImplicationSet) -> bool:
     """Transaction-level homogeneity check by exhaustive enumeration.
 
     Walks every subset of the occurring attributes and tests the defining
@@ -229,7 +224,7 @@ def brute_force_homogeneity(
     or covers none.  Exponential in the number of occurring attributes;
     an independent oracle for the closure-based ``enforces_homogeneity``.
     """
-    occ, pairs = rule_bitmasks(rules, rules.universe, max_attrs=max_attrs)
+    occ, pairs = rule_bitmasks(rules, rules.universe)
     z = 0
     while True:
         covered = 0

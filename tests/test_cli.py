@@ -12,6 +12,7 @@ from pientail.cli import RuleParseError, parse_gamma, parse_rules, run, scan_rul
 
 PAIR_RULES = "A -> B C\nA -> B D\n"
 CYCLE_RULES = "B -> A C H\nC -> A D\nD -> A B\n"
+CHAIN_RULES = "".join(f"x{i} -> x{i + 1}\n" for i in range(29))  # over x0 .. x29
 
 
 @pytest.fixture
@@ -25,6 +26,13 @@ def pair_file(tmp_path):
 def cycle_file(tmp_path):
     path = tmp_path / "cycle.rules"
     path.write_text(CYCLE_RULES)
+    return str(path)
+
+
+@pytest.fixture
+def chain_file(tmp_path):
+    path = tmp_path / "chain.rules"
+    path.write_text(CHAIN_RULES)
     return str(path)
 
 
@@ -59,10 +67,10 @@ class TestParsing:
         with pytest.raises(RuleParseError, match="invalid attribute token"):
             parse_rules("A -> B,C\n")
 
-    def test_too_many_attributes_hits_hard_cap(self):
-        line = " ".join(f"x{i}" for i in range(25)) + " ->"
-        with pytest.raises(pt.AttributeCapError):
-            parse_rules(line)
+    def test_thirty_attribute_chain_parses(self):
+        rules = parse_rules(CHAIN_RULES)
+        assert len(rules) == 29
+        assert rules.universe.names == tuple(f"x{i}" for i in range(30))
 
     def test_round_trip(self):
         text = "A -> B C\nA ->\n-> B\nlong_name -> other9\n"
@@ -194,15 +202,6 @@ class TestEntailCommand:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
-    def test_max_attrs_flag_validated(self, pair_file, capsys):
-        for bad in ("0", "25"):
-            code = run(
-                ["entail", "--gamma", "1/2", "--premises", pair_file,
-                 "--conclusion", "A C D -> B", "--max-attrs", bad]
-            )
-            assert code == 2
-        capsys.readouterr()
-
 
 class TestCounterexampleCommand:
     def test_found_exit_zero(self, pair_file, capsys):
@@ -311,6 +310,42 @@ class TestPruneCommand:
         assert "enumeration cap" in capsys.readouterr().err
 
 
+class TestWideUniverse:
+    """A rule file over any number of attributes parses; only an
+    enumeration over more than 20 occurring attributes exits 3."""
+
+    def test_nice_prune_and_one_premise_entail(self, chain_file, tmp_path, capsys):
+        assert run(["nice", "--premises", chain_file]) == 1
+        assert capsys.readouterr().out == "does not enforce homogeneity\n"
+        assert run(["prune", "--gamma", "3/5", "--rules", chain_file]) == 0
+        assert capsys.readouterr().out == CHAIN_RULES
+        path = tmp_path / "one.rules"
+        path.write_text("x0 -> " + " ".join(f"x{i}" for i in range(1, 30)) + "\n")
+        code = run(
+            ["entail", "--gamma", "1/2", "--premises", str(path),
+             "--conclusion", "x0 x5 -> x29"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "entailment holds at gamma 1/2 (regime: one-premise)",
+            "certificate multipliers: 1/1",
+        ]
+
+    def test_enumeration_past_the_cap_exits_three(self, chain_file, tmp_path, capsys):
+        """``Method.LP``, the LP at ``gamma = 1`` and the cone probe of the
+        paper cycle, in a file that also holds the chain."""
+        path = tmp_path / "cycle_chain.rules"
+        path.write_text(CYCLE_RULES + CHAIN_RULES)
+        for argv in (
+            ["--gamma", "1", "--premises", chain_file, "--conclusion", "x0 -> x22"],
+            ["--gamma", "1/2", "--premises", chain_file, "--conclusion", "x0 -> x22",
+             "--method", "lp"],
+            ["--gamma", "57/100", "--premises", str(path), "--conclusion", "B C D H -> A"],
+        ):
+            assert run(["entail", *argv]) == 3
+            assert "exceed the enumeration cap of 20" in capsys.readouterr().err
+
+
 class TestTopLevel:
     def test_help_is_success(self, capsys):
         assert run(["--help"]) == 0
@@ -323,6 +358,22 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_max_attrs_is_a_usage_error(self, pair_file, cycle_file, capsys):
+        """The enumeration cap is fixed: no subcommand takes ``--max-attrs``."""
+        for argv in (
+            ["entail", "--gamma", "1/2", "--premises", pair_file,
+             "--conclusion", "A C D -> B"],
+            ["counterexample", "--gamma", "49/100", "--premises", pair_file,
+             "--conclusion", "A C D -> B"],
+            ["gamma-star", "--premises", cycle_file, "--antecedent", "B C D H"],
+            ["nice", "--premises", cycle_file],
+            ["prune", "--gamma", "1/2", "--rules", pair_file],
+        ):
+            assert run(argv) in (0, 1)
+            capsys.readouterr()
+            assert run([*argv, "--max-attrs", "20"]) == 2
+            assert "unrecognized arguments: --max-attrs 20" in capsys.readouterr().err
 
     def test_console_entry_point(self, pair_file):
         proc = subprocess.run(

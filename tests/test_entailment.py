@@ -295,7 +295,7 @@ class TestCertificates:
 
         def reference(query, lams):
             weight = status_weights(query.gamma)
-            for row in _query_rows(query, 20):
+            for row in _query_rows(query):
                 rhs = weight[row.statuses[0]]
                 lhs = sum(
                     (lam * weight[s] for lam, s in zip(lams, row.statuses[1:])),

@@ -121,7 +121,7 @@ class TestEnforcesHomogeneity:
             u, (pt.PartialImplication(u.attrs("x0"), u.full() - u.attrs("x0")),)
         )
         with pytest.raises(pt.AttributeCapError):
-            oracle.brute_force_homogeneity(rules, max_attrs=20)
+            oracle.brute_force_homogeneity(rules)
 
 
 class TestTwoPremiseNicety:

@@ -225,7 +225,7 @@ class TestDuality:
         (1/2, 1/2) at threshold 1/2; build its rows directly and check."""
         from pientail.entailment import _query_rows
 
-        rows = _query_rows(pair_query, 20)
+        rows = _query_rows(pair_query)
         weight = status_weights(pair_query.gamma)
         constraints = []
         for row in rows:
@@ -1002,7 +1002,7 @@ class TestIntegerCellPrograms:
             )
             shapes["k"].add(query.k)
             shapes["width"].add(query.universe.size)
-            rows = _query_rows(query, 20)
+            rows = _query_rows(query)
             for gamma in _boundary_gammas(query.k):
                 program = _lp_program(rows, gamma)
                 got = lp.solve(program)
@@ -1041,7 +1041,7 @@ class TestIntegerCellPrograms:
         rng = random.Random(1907)
         seen = {"Optimal": 0, "Unbounded": 0}
         for query in _seeded_entailment_queries(seed=1907, count=150):
-            rows = _query_rows(query, 20)
+            rows = _query_rows(query)
             for indices in nonempty_subsets(query.k)[:6]:
                 ratio_rows = _project_ratio_rows(rows, indices)
                 for gamma in (F(0), F(1), F(rng.randint(1, 63), 64)):

@@ -44,8 +44,14 @@ class TestAttrSet:
             pt.AttributeUniverse(("A", "A"))
         with pytest.raises(ValueError):
             pt.AttributeUniverse(("A B",))
-        with pytest.raises(pt.AttributeCapError):
-            pt.AttributeUniverse(tuple(f"x{i}" for i in range(25)))
+
+    def test_universe_takes_any_number_of_attributes(self):
+        names = tuple(f"x{i}" for i in range(200))
+        big = pt.AttributeUniverse(names)
+        assert big.size == 200
+        assert big.attrs("x199").bits == 1 << 199
+        assert big.full().bits == (1 << 200) - 1
+        assert str(big.attrs("x0", "x199")) == "x0 x199"
 
     def test_unknown_attribute(self, u):
         with pytest.raises(KeyError):

@@ -173,12 +173,12 @@ def test_projected_ratio_rows_match_a_table_per_subset(cycle_query):
         for _ in range(60)
     ]
     for query in queries:
-        rows = entailment._query_rows(query, 20)
+        rows = entailment._query_rows(query)
         x0 = query.conclusion.antecedent
         for indices in nonempty_subsets(query.k):
             sub = query.premises.subset(indices)
             projected = threshold._project_ratio_rows(rows, indices)
-            assert projected == threshold._ratio_rows(sub, x0, 20), (query, indices)
+            assert projected == threshold._ratio_rows(sub, x0), (query, indices)
 
 
 def test_projected_table_matches_a_table_for_the_chosen_rules():
@@ -471,3 +471,50 @@ def test_prune_past_the_cap_when_no_decide_needs_rows(method):
     assert not pt.properly_entails(query, method).holds
     with pytest.raises(pt.AttributeCapError):
         pt.prune(rules, F(3, 5), pt.Method.LP)
+
+
+CHAIN = "".join(f"x{i} -> x{i + 1}\n" for i in range(29))  # over x0 .. x29
+
+
+@pytest.mark.parametrize("method", [pt.Method.AUTO, pt.Method.CHARACTERIZATION])
+def test_a_thirty_attribute_chain_needs_no_rows(monkeypatch, method):
+    """The universe takes any number of attributes, and only an enumeration
+    is capped: over the 30 attributes of a chain, homogeneity, a
+    one-premise decide and a prune read no signature table."""
+    rules = pt.parse_rules(CHAIN)
+    u = rules.universe
+    assert u.names == tuple(f"x{i}" for i in range(30))
+    calls = _count_enumerations(monkeypatch)
+    assert not pt.enforces_homogeneity(rules)
+    conclusion = pt.PartialImplication(u.attrs("x0"), u.attrs("x1"))
+    one = pt.decide(pt.EntailmentQuery(rules.subset([0]), conclusion, F(1, 2)), method)
+    assert one.holds and one.regime is pt.Regime.ONE_PREMISE
+    assert one.certificate == (F(1),)
+    assert pt.prune(rules, F(3, 5), method) == rules
+    assert calls == []
+
+
+def test_an_enumeration_past_the_cap_still_raises():
+    """Over the chain's universe, a decide that needs rows over more than
+    20 occurring attributes raises: ``Method.LP``, the LP at ``gamma = 1``
+    under ``Method.AUTO``, and the cone probe of a carrying subset, the
+    paper cycle, whose query also holds the chain."""
+    rules = pt.parse_rules(CHAIN)
+    u = rules.universe
+    reach = pt.EntailmentQuery(
+        rules.subset(range(22)), pt.PartialImplication(u.attrs("x0"), u.attrs("x22")), 1
+    )
+    cycle = pt.parse_rules("B -> A C H\nC -> A D\nD -> A B\n" + CHAIN)
+    v = cycle.universe
+    head = pt.PartialImplication(v.attrs("B", "C", "D", "H"), v.attrs("A"))
+    alone = pt.EntailmentQuery(cycle.subset(range(3)), head, F(57, 100))
+    assert pt.decide(alone).regime is pt.Regime.GENERAL_GAMMA_STAR
+    for query, method, width in [
+        (reach, pt.Method.LP, 23),
+        (reach, pt.Method.AUTO, 23),
+        (pt.EntailmentQuery(reach.premises, reach.conclusion, F(1, 2)), pt.Method.LP, 23),
+        (pt.EntailmentQuery(cycle, head, F(57, 100)), pt.Method.AUTO, 35),
+    ]:
+        message = f"{width} occurring attributes exceed the enumeration cap of 20"
+        with pytest.raises(pt.AttributeCapError, match=message):
+            pt.decide(query, method)

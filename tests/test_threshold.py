@@ -86,7 +86,7 @@ class TestFeasibleAt:
             k = len(premises)
             Constraint, Relation = general.Constraint, general.Relation
             constraints = [Constraint((F(1),) * k, Relation.EQ, F(1))]
-            for row in _ratio_rows(premises, antecedent, 20):
+            for row in _ratio_rows(premises, antecedent):
                 coeffs = [F(0)] * k
                 for i, status in enumerate(row.statuses):
                     if status is not pt.CoverStatus.NOT_COVERED:
@@ -511,7 +511,7 @@ class TestWitnessPrunedBisection:
 
         real = threshold._feasible
         at_one = real(
-            threshold._ratio_rows(cycle_premises, cycle_antecedent, 20), 3, F(1)
+            threshold._ratio_rows(cycle_premises, cycle_antecedent), 3, F(1)
         )
         forged = {
             "exceeds its threshold": lambda rows, k, gamma: at_one,
@@ -722,7 +722,7 @@ class TestPrediction:
             cases.append(_random_graph(rng))
         predicted = 0
         for premises, antecedent in cases:
-            rows = threshold._ratio_rows(premises, antecedent, 20)
+            rows = threshold._ratio_rows(premises, antecedent)
             codes = [row.codes for row in rows]
             undominated = [row.codes for row in threshold._undominated(rows)]
             depth = rng.choice((8, 10))
@@ -771,7 +771,7 @@ def _random_tables(rng, count):
         )
         q = oracle.random_query(spec, F(1, 2))
         antecedent = q.conclusion.antecedent
-        yield threshold._ratio_rows(q.premises, antecedent, 20), q.k
+        yield threshold._ratio_rows(q.premises, antecedent), q.k
 
 
 def _random_graph(rng):
@@ -803,7 +803,7 @@ class TestUndominated:
 
         rng = random.Random(4711)
         tables = [
-            threshold._ratio_rows(premises, antecedent, 20)
+            threshold._ratio_rows(premises, antecedent)
             for premises, antecedent in _structured_cases().values()
         ]
         tables += [rows for rows, _ in _random_tables(rng, 200)]
@@ -834,13 +834,13 @@ class TestUndominated:
 
         rng = random.Random(9001)
         tables = [
-            (threshold._ratio_rows(premises, antecedent, 20), len(premises))
+            (threshold._ratio_rows(premises, antecedent), len(premises))
             for premises, antecedent in _structured_cases().values()
         ]
         tables += list(_random_tables(rng, 200))
         for _ in range(100):
             rules, antecedent = _random_graph(rng)
-            tables.append((threshold._ratio_rows(rules, antecedent, 20), len(rules)))
+            tables.append((threshold._ratio_rows(rules, antecedent), len(rules)))
         outcomes = {lp.Optimal: 0, lp.Unbounded: 0}
         for rows, k in tables:
             kept = threshold._undominated(rows)
@@ -885,7 +885,7 @@ class TestUndominated:
                 continue
             tol = F(1, 10**6)
             want = structured_brackets[name, tol]
-            count = len(real(threshold._ratio_rows(premises, antecedent, 20)))
+            count = len(real(threshold._ratio_rows(premises, antecedent)))
             for drop in range(count):
 
                 def undominated(rows, drop=drop):
@@ -913,7 +913,7 @@ class TestUndominated:
         from pientail import threshold
 
         premises, antecedent = _structured_cases()["cycle 6"]
-        rows = threshold._ratio_rows(premises, antecedent, 20)
+        rows = threshold._ratio_rows(premises, antecedent)
         assert (len(rows), len(threshold._undominated(rows))) == (108, 7)
         real = threshold._feasible
         for tol in (F(1, 10**6), F(1, 10**30)):
