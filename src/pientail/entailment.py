@@ -83,6 +83,7 @@ class Regime(Enum):
     LOW_GAMMA = "low-gamma"
     HIGH_GAMMA = "high-gamma"
     GENERAL_GAMMA_STAR = "general-gamma-star"
+    HORN_CLOSURE = "horn-closure"
     LP_DIRECT = "lp-direct"
 
 
@@ -388,9 +389,14 @@ def _dataset_from_ray(
     nonzero = [(row, c) for row, c in zip(rows, ray) if c]
     shrink = math.gcd(*[c for _, c in nonzero])
     universe = query.universe
-    data = Dataset(
+    return _refuting(query, Dataset(
         universe, {AttrSet(universe, row.bits): c // shrink for row, c in nonzero}
-    )
+    ))
+
+
+def _refuting(query: EntailmentQuery, data: Dataset) -> Dataset:
+    """``data``, once re-verified to satisfy every premise and break the
+    conclusion."""
     for premise in query.premises:
         if not satisfies(data, premise, query.gamma):
             raise RuntimeError("counterexample fails a premise on re-verification")
@@ -475,11 +481,35 @@ def _tautology_verdict(query: EntailmentQuery) -> EntailmentVerdict:
     if query.k != 0:
         raise RuntimeError("premises present for a premise-free verdict")
     data = Dataset(query.universe, {query.conclusion.antecedent: 1})
-    if satisfies(data, query.conclusion, query.gamma):
-        raise RuntimeError("single-transaction dataset satisfies the conclusion")
     return EntailmentVerdict(
-        holds=False, regime=Regime.TAUTOLOGY, counterexample=data
+        holds=False, regime=Regime.TAUTOLOGY, counterexample=_refuting(query, data)
     )
+
+
+def _horn_verdict(query: EntailmentQuery) -> EntailmentVerdict:
+    """Decide at ``gamma = 1``, where a dataset satisfies a rule when each
+    of its transactions does, by forward chaining: no rows and no LP.
+
+    The entailment holds exactly when ``Y0`` lies in the closure ``C`` of
+    ``X0`` under the premises; otherwise ``{C: 1}`` refutes it.  Multiplier
+    1 on each premise whose antecedent lies in ``C`` certifies it: a
+    transaction violating the conclusion holds ``X0`` and misses some
+    attribute of ``C``, so the first premise fired from ``X0`` whose
+    consequent it misses is covered and violated, and the weighted sum is
+    at most -1, the conclusion's weight.
+    """
+    x0, y0 = query.conclusion.antecedent.bits, query.conclusion.consequent.bits
+    pairs = [(p.antecedent.bits, p.consequent.bits) for p in query.premises]
+    closed = _closure(x0, pairs)
+    if y0 & ~closed:
+        data = Dataset(query.universe, {AttrSet(query.universe, closed): 1})
+        return EntailmentVerdict(
+            False, Regime.HORN_CLOSURE, counterexample=_refuting(query, data)
+        )
+    fired = [int(not ante & ~closed) for ante, _ in pairs]
+    if y0 & ~_closure(x0, [pair for pair, m in zip(pairs, fired) if m]):
+        raise RuntimeError("the premises given a multiplier do not derive Y0")
+    return EntailmentVerdict(True, Regime.HORN_CLOSURE, tuple(map(Fraction, fired)))
 
 
 def _first_carrying(
@@ -649,10 +679,10 @@ def decide(query: EntailmentQuery, method: Method = Method.AUTO) -> EntailmentVe
 
     ``Method.LP`` always runs the LP route.  ``Method.AUTO`` picks the
     cheapest decision route that covers the query, at any premise count,
-    and falls back to the LP only at the boundary threshold 1.
-    ``Method.CHARACTERIZATION`` insists on a structural route and
-    therefore rejects the boundary thresholds 0 and 1, which only the LP
-    route covers; it also labels the high band at ``k = 2`` two-premise.
+    and decides the boundary threshold 1 by Horn closure, without rows.
+    ``Method.CHARACTERIZATION`` insists on the paper's characterisation
+    and therefore rejects the boundary thresholds 0 and 1; it also labels
+    the high band at ``k = 2`` two-premise.
     """
     if method is Method.LP:
         return decide_lp(query)
@@ -669,7 +699,7 @@ def decide(query: EntailmentQuery, method: Method = Method.AUTO) -> EntailmentVe
     ):
         return _tautology_verdict(query)
     if query.gamma == 1:
-        return decide_lp(query)
+        return _horn_verdict(query)
     if k == 1:
         return decide_one_premise(query)
     if query.gamma * k < 1:
@@ -711,9 +741,9 @@ def properly_entails(
     runs its decides in one batch (``_BATCH``) and enumerates at most one
     table.  A trial drops one premise at the same ``gamma``, so a low- or
     high-band query's trials stay in its band, and rows are needed only
-    under ``Method.LP``, at ``gamma = 1`` or in the general band.  There
-    the query's own decide has enumerated over every trial's rules, or
-    has failed and ended the call."""
+    under ``Method.LP`` or in the general band (``Method.AUTO`` decides
+    ``gamma = 1`` by Horn closure).  There the query's own decide has
+    enumerated over every trial's rules, or has failed and ended the call."""
     token = _BATCH.set(_Batch())
     try:
         if not decide(query, method).holds:
@@ -750,10 +780,10 @@ def prune(
     # decide that needs rows enumerates over a superset of every later
     # decide's rules, and the later ones project its table.  Only ``holds``
     # is read, so a decide that no premise subset carries fails without
-    # rows: rows are needed only by a cone probe, ``Method.LP`` or the LP
-    # at ``gamma = 1``.  The first enumeration is the widest, so it is the
-    # only one the enumeration cap can stop, and the decide that makes it
-    # is the first to enumerate outside a batch too.
+    # rows, and ``Method.AUTO`` decides ``gamma = 1`` by Horn closure: only
+    # a cone probe or ``Method.LP`` needs rows.  The first enumeration is
+    # the widest, so it is the only one the enumeration cap can stop, and
+    # the decide that makes it is the first to enumerate outside a batch too.
     token = _BATCH.set(_Batch())
     try:
         for i in range(n):

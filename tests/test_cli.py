@@ -331,13 +331,30 @@ class TestWideUniverse:
             "certificate multipliers: 1/1",
         ]
 
+    def test_gamma_one_by_horn_closure(self, chain_file, tmp_path, capsys):
+        """``--gamma 1`` reads no rows under ``--method auto``: a 22-rule
+        chain entails its ends and a prune of the whole chain keeps it."""
+        path = tmp_path / "chain22.rules"
+        path.write_text("".join(CHAIN_RULES.splitlines(keepends=True)[:22]))
+        code = run(
+            ["entail", "--gamma", "1", "--premises", str(path), "--conclusion", "x0 -> x22"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "entailment holds at gamma 1/1 (regime: horn-closure)",
+            "certificate multipliers: " + " ".join(["1/1"] * 22),
+        ]
+        assert run(["prune", "--gamma", "1", "--rules", chain_file]) == 0
+        assert capsys.readouterr().out == CHAIN_RULES
+
     def test_enumeration_past_the_cap_exits_three(self, chain_file, tmp_path, capsys):
-        """``Method.LP``, the LP at ``gamma = 1`` and the cone probe of the
+        """``Method.LP``, at ``gamma = 1`` too, and the cone probe of the
         paper cycle, in a file that also holds the chain."""
         path = tmp_path / "cycle_chain.rules"
         path.write_text(CYCLE_RULES + CHAIN_RULES)
         for argv in (
-            ["--gamma", "1", "--premises", chain_file, "--conclusion", "x0 -> x22"],
+            ["--gamma", "1", "--premises", chain_file, "--conclusion", "x0 -> x22",
+             "--method", "lp"],
             ["--gamma", "1/2", "--premises", chain_file, "--conclusion", "x0 -> x22",
              "--method", "lp"],
             ["--gamma", "57/100", "--premises", str(path), "--conclusion", "B C D H -> A"],

@@ -224,7 +224,7 @@ class TestDispatch:
     def test_boundary_thresholds_auto(self):
         assert pt.decide(make_query("A -> B", "C -> D", F(0))).holds
         v = pt.decide(make_query("A -> B\nB -> C", "A -> C", F(1)))
-        assert v.holds and v.regime is pt.Regime.LP_DIRECT
+        assert v.holds and v.regime is pt.Regime.HORN_CLOSURE
 
     def test_agrees_with_lp_across_regimes(self):
         """Auto dispatch, the structural deciders in their bands, and the

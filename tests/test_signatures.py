@@ -496,14 +496,18 @@ def test_a_thirty_attribute_chain_needs_no_rows(monkeypatch, method):
 
 def test_an_enumeration_past_the_cap_still_raises():
     """Over the chain's universe, a decide that needs rows over more than
-    20 occurring attributes raises: ``Method.LP``, the LP at ``gamma = 1``
-    under ``Method.AUTO``, and the cone probe of a carrying subset, the
-    paper cycle, whose query also holds the chain."""
+    20 occurring attributes raises: ``Method.LP``, at ``gamma = 1`` too,
+    and the cone probe of a carrying subset, the paper cycle, whose query
+    also holds the chain.  ``Method.AUTO`` decides ``gamma = 1`` by Horn
+    closure, without rows."""
     rules = pt.parse_rules(CHAIN)
     u = rules.universe
     reach = pt.EntailmentQuery(
         rules.subset(range(22)), pt.PartialImplication(u.attrs("x0"), u.attrs("x22")), 1
     )
+    held = pt.decide(reach)
+    assert held.holds and held.regime is pt.Regime.HORN_CLOSURE
+    assert held.certificate == (F(1),) * 22
     cycle = pt.parse_rules("B -> A C H\nC -> A D\nD -> A B\n" + CHAIN)
     v = cycle.universe
     head = pt.PartialImplication(v.attrs("B", "C", "D", "H"), v.attrs("A"))
@@ -511,7 +515,6 @@ def test_an_enumeration_past_the_cap_still_raises():
     assert pt.decide(alone).regime is pt.Regime.GENERAL_GAMMA_STAR
     for query, method, width in [
         (reach, pt.Method.LP, 23),
-        (reach, pt.Method.AUTO, 23),
         (pt.EntailmentQuery(reach.premises, reach.conclusion, F(1, 2)), pt.Method.LP, 23),
         (pt.EntailmentQuery(cycle, head, F(57, 100)), pt.Method.AUTO, 35),
     ]:

@@ -101,22 +101,31 @@ def _proper_key(result):
     return (result.holds, result.proper, result.minimal_premises)
 
 
-def _outputs():
-    """Every decision entry point on 63 seeded queries, k 0-8."""
+def _cases():
+    """63 seeded queries, k 0-8, each with the thresholds of ``_gammas``
+    and one threshold for ``prune`` and ``properly_entails``."""
     rng = random.Random(6061)
     for n in range(63):
         k = n % 9
         base = _random_query(rng, k)
-        for gamma in _gammas(rng, k):
-            query = pt.EntailmentQuery(base.premises, base.conclusion, gamma)
+        yield base, _gammas(rng, k), F(rng.randint(1, 19), 20)
+
+
+def _outputs():
+    """Every decision entry point on the queries of ``_cases``, but for
+    ``Method.AUTO`` at ``gamma = 1``: ``test_auto_at_one_agrees_with_lp``
+    checks those."""
+    for base, gammas, gamma in _cases():
+        for g in gammas:
+            query = pt.EntailmentQuery(base.premises, base.conclusion, g)
             for method in METHODS:
-                yield _outcome(lambda: _verdict_key(pt.decide(query, method)))
+                if method is not pt.Method.AUTO or g != 1:
+                    yield _outcome(lambda: _verdict_key(pt.decide(query, method)))
             for decider in DIRECT:
                 yield _outcome(lambda: _verdict_key(decider(query)))
         rules = pt.ImplicationSet(
             base.universe, (*base.premises, base.conclusion)
         )
-        gamma = F(rng.randint(1, 19), 20)
         query = pt.EntailmentQuery(base.premises, base.conclusion, gamma)
         for method in METHODS:
             yield _outcome(lambda: _rule_bits(pt.prune(rules, gamma, method)))
@@ -124,8 +133,9 @@ def _outputs():
 
 
 # The digest of ``_outputs`` as computed by the code before the deciders
-# shared one subset scan.
-PINNED_DIGEST = "c89e03512cbe47a2283ac0e7adba614ef96aefea787c72ee1c914720e36d40b6"
+# shared one subset scan, and before ``Method.AUTO`` decided ``gamma = 1``
+# by Horn closure.
+PINNED_DIGEST = "1271d9f3112837674f13415c3d31baa04cb5efc344d85e2c038bf12bebe0a4fd"
 
 
 def test_outputs_are_byte_identical():
@@ -136,6 +146,17 @@ def test_outputs_are_byte_identical():
         count += 1
     assert count >= 3000
     assert h.hexdigest() == PINNED_DIGEST, (count, h.hexdigest())
+
+
+def test_auto_at_one_agrees_with_lp():
+    """The outputs ``_outputs`` leaves out: at ``gamma = 1``,
+    ``Method.AUTO`` gives the verdict of ``Method.LP``, with a witness
+    that checks."""
+    for base, _, _ in _cases():
+        query = pt.EntailmentQuery(base.premises, base.conclusion, 1)
+        verdict = pt.decide(query)
+        assert verdict.holds == pt.decide(query, pt.Method.LP).holds, query
+        _check_witness(query, verdict)
 
 
 def _reference_carrying(query):
