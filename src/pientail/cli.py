@@ -14,14 +14,11 @@ Exit codes: 0 holds / true / success, 1 does not hold / false,
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .entailment import (
     EntailmentQuery,
@@ -39,6 +36,13 @@ from .model import (
     _Frozen,
 )
 from .threshold import critical_threshold
+
+# ``argparse`` and ``json`` are imported where a command first needs them,
+# and rule files are read with the builtin ``open``, so that a library
+# caller's ``import pientail`` loads none of ``argparse``, ``json`` or
+# ``pathlib``.
+if TYPE_CHECKING:
+    import argparse
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -152,6 +156,17 @@ def _dataset_map(dataset: Dataset | None) -> dict[str, int] | None:
     return {str(transaction): count for transaction, count in dataset.items()}
 
 
+def _read(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
+
+
+def _print_json(payload: dict, indent: int | None = 2) -> None:
+    import json
+
+    print(json.dumps(payload, indent=indent))
+
+
 def _print_dataset(dataset: Dataset) -> None:
     for transaction, count in dataset.items():
         label = str(transaction) if transaction else "(empty transaction)"
@@ -159,7 +174,7 @@ def _print_dataset(dataset: Dataset) -> None:
 
 
 def _load_query(args: argparse.Namespace) -> EntailmentQuery:
-    text = Path(args.premises).read_text()
+    text = _read(args.premises)
     conclusion = scan_rule(args.conclusion)
     premises = _rule_set(text, conclusion.lhs, conclusion.rhs)
     universe = premises.universe
@@ -185,7 +200,7 @@ def _emit_verdict(verdict: EntailmentVerdict, gamma: Fraction, as_json: bool) ->
             ),
             "counterexample": _dataset_map(verdict.counterexample),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif verdict.holds:
         print(f"entailment holds at gamma {_frac(gamma)} (regime: {verdict.regime.value})")
         if verdict.certificate is not None:
@@ -216,7 +231,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             "regime": verdict.regime.value,
             "counterexample": _dataset_map(verdict.counterexample),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif verdict.holds:
         print("no counterexample: the entailment holds")
     else:
@@ -227,7 +242,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma_star(args: argparse.Namespace) -> int:
-    text = Path(args.premises).read_text()
+    text = _read(args.premises)
     antecedent_tokens = _scan_attrs(args.antecedent)
     premises = _rule_set(text, antecedent_tokens)
     antecedent = premises.universe.attrs(*antecedent_tokens)
@@ -240,7 +255,7 @@ def _cmd_gamma_star(args: argparse.Namespace) -> int:
             "gamma_star_midpoint_approx": float(bracket.midpoint),
             "lambda": [_frac(m) for m in bracket.multipliers],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(
             f"critical threshold within [{_frac(bracket.lower)}, {_frac(bracket.upper)}]"
@@ -254,24 +269,24 @@ def _cmd_gamma_star(args: argparse.Namespace) -> int:
 
 
 def _cmd_nice(args: argparse.Namespace) -> int:
-    rules = parse_rules(Path(args.premises).read_text())
+    rules = parse_rules(_read(args.premises))
     nice = enforces_homogeneity(rules)
     if args.json:
-        print(json.dumps({"nice": nice}))
+        _print_json({"nice": nice}, indent=None)
     else:
         print("enforces homogeneity" if nice else "does not enforce homogeneity")
     return 0 if nice else 1
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    rules = parse_rules(Path(args.rules).read_text())
+    rules = parse_rules(_read(args.rules))
     kept = prune_rules(rules, parse_gamma(args.gamma))
     if args.json:
         payload = {
             "kept": [str(rule) for rule in kept],
             "dropped": len(rules) - len(kept),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for rule in kept:
             print(rule)
@@ -286,6 +301,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pientail",
         description=(

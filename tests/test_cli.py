@@ -173,13 +173,24 @@ class TestEntailCommand:
         assert "gamma" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
-        code = run(
-            ["entail", "--gamma", "1/2",
-             "--premises", str(tmp_path / "nope.rules"),
-             "--conclusion", "A -> B"]
-        )
-        assert code == 2
-        capsys.readouterr()
+        """Every command that reads a rule file exits 2 on a missing one,
+        with the ``OSError`` message on stderr and nothing on stdout."""
+        nope = str(tmp_path / "nope.rules")
+        for argv in (
+            ["entail", "--gamma", "1/2", "--premises", nope, "--conclusion", "A -> B"],
+            ["counterexample", "--gamma", "1/2", "--premises", nope,
+             "--conclusion", "A -> B"],
+            ["gamma-star", "--premises", nope, "--antecedent", "A"],
+            ["nice", "--premises", nope],
+            ["prune", "--gamma", "1/2", "--rules", nope],
+        ):
+            for extra in ([], ["--json"]):
+                assert run([*argv, *extra]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    f"error: [Errno 2] No such file or directory: {nope!r}\n"
+                )
 
     def test_malformed_rules_file(self, tmp_path, capsys):
         path = tmp_path / "bad.rules"
@@ -403,6 +414,21 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert "entailment holds" in proc.stdout
 
+    def test_package_entry_point(self, pair_file):
+        """``python -m pientail`` runs the CLI: the same stdout as
+        ``python -m pientail.cli`` and nothing on stderr."""
+        args = ["entail", "--gamma", "3/4", "--premises", pair_file,
+                "--conclusion", "A C D -> B"]
+        package, module = (
+            subprocess.run([sys.executable, "-m", entry, *args],
+                           capture_output=True, text=True)
+            for entry in ("pientail", "pientail.cli")
+        )
+        assert package.returncode == 0
+        assert package.stderr == ""
+        assert package.stdout == module.stdout
+        assert package.stdout.startswith("entailment holds at gamma 3/4")
+
 
 class TestParserReuse:
     def test_repeated_calls_give_identical_results(self, pair_file, cycle_file, capsys):
@@ -441,3 +467,86 @@ class TestParserReuse:
         assert one_round() == first
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli._parser()
+
+
+ALL_RULES = "A -> B C\nA -> B D\nA C D -> B\n"
+
+# Each command's exit code, stdout and stderr, byte for byte, without and
+# with ``--json``.
+GOLDEN = {
+    "entail-holds": (
+        ["entail", "--gamma", "1/2", "--premises", "pair", "--conclusion", "A C D -> B"],
+        (0,
+         "entailment holds at gamma 1/2 (regime: high-gamma)\n"
+         "certificate multipliers: 1/2 1/2\n",
+         ""),
+        (0,
+         '{\n  "holds": true,\n  "regime": "high-gamma",\n  "gamma": "1/2",\n'
+         '  "lambda": [\n    "1/2",\n    "1/2"\n  ],\n  "counterexample": null\n}\n',
+         ""),
+    ),
+    "entail-fails": (
+        ["entail", "--gamma", "49/100", "--premises", "pair",
+         "--conclusion", "A C D -> B"],
+        (1,
+         "entailment does not hold at gamma 49/100 (regime: low-gamma)\n"
+         "counterexample dataset:\n  A B C  x49\n  A B D  x49\n  A C D  x2\n",
+         ""),
+        (1,
+         '{\n  "holds": false,\n  "regime": "low-gamma",\n  "gamma": "49/100",\n'
+         '  "lambda": null,\n  "counterexample": {\n    "A B C": 49,\n'
+         '    "A B D": 49,\n    "A C D": 2\n  }\n}\n',
+         ""),
+    ),
+    "counterexample": (
+        ["counterexample", "--gamma", "49/100", "--premises", "pair",
+         "--conclusion", "A C D -> B"],
+        (0, "counterexample dataset:\n  A B C  x49\n  A B D  x49\n  A C D  x2\n", ""),
+        (0,
+         '{\n  "holds": false,\n  "regime": "low-gamma",\n  "counterexample": {\n'
+         '    "A B C": 49,\n    "A B D": 49,\n    "A C D": 2\n  }\n}\n',
+         ""),
+    ),
+    "gamma-star": (
+        ["gamma-star", "--premises", "cycle", "--antecedent", "B C D H",
+         "--tol", "1/1000"],
+        (0,
+         "critical threshold within [583/1024, 73/128] (~0.569824)\n"
+         "multipliers at upper bound: 5329/12369 4015/12369 3025/12369\n",
+         ""),
+        (0,
+         '{\n  "gamma_star_lower": "583/1024",\n  "gamma_star_upper": "73/128",\n'
+         '  "tolerance": "1/1000",\n  "gamma_star_midpoint_approx": 0.56982421875,\n'
+         '  "lambda": [\n    "5329/12369",\n    "4015/12369",\n    "3025/12369"\n'
+         '  ]\n}\n',
+         ""),
+    ),
+    "nice": (
+        ["nice", "--premises", "cycle"],
+        (0, "enforces homogeneity\n", ""),
+        (0, '{"nice": true}\n', ""),
+    ),
+    "prune": (
+        ["prune", "--gamma", "1/2", "--rules", "all"],
+        (0, "A -> B C\nA -> B D\n", "# dropped 1 redundant rule(s)\n"),
+        (0,
+         '{\n  "kept": [\n    "A -> B C",\n    "A -> B D"\n  ],\n  "dropped": 1\n}\n',
+         ""),
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_output_is_pinned(self, name, as_json, tmp_path, capsys):
+        files = {"pair": PAIR_RULES, "cycle": CYCLE_RULES, "all": ALL_RULES}
+        for stem, text in files.items():
+            (tmp_path / f"{stem}.rules").write_text(text)
+        argv, text_output, json_output = GOLDEN[name]
+        argv = [str(tmp_path / f"{a}.rules") if a in files else a for a in argv]
+        code = run([*argv, "--json"] if as_json else argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            json_output if as_json else text_output
+        )
