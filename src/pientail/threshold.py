@@ -90,14 +90,22 @@ class ThresholdBracket(_Frozen):
 def _ratio_rows(premises: ImplicationSet, antecedent: AttrSet) -> list[SignatureRow]:
     """Distinct premise status patterns over transaction types that do not
     contain all of ``antecedent``: the ratio of a row has the premises it
-    witnesses over those it covers."""
+    witnesses over those it covers.
+
+    The table's rows are distinct and every row kept has the same code in
+    column 0, so dropping that column keeps them distinct and in order: the
+    rows ``_project_ratio_rows`` would give, without its projection."""
     if premises.universe != antecedent.universe:
         raise UniverseMismatchError("premises and antecedent universes differ")
     if len(premises) < 1:
         raise ValueError("critical threshold needs at least one premise")
     probe = PartialImplication(antecedent, antecedent.universe.empty())
     rows = signature_rows([probe, *premises], premises.universe)
-    return _project_ratio_rows(rows, range(len(premises)))
+    return [
+        SignatureRow(row.codes[1:], row.bits)
+        for row in rows
+        if row.codes[0] == _NOT_COVERED
+    ]
 
 
 def _project_ratio_rows(
@@ -170,9 +178,10 @@ def _feasible(
     return lp.solve(_cone_program(rows, k, gamma))
 
 
-def _positions(
-    codes: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
+_Positions = tuple[list[list[int]], list[list[int]]]
+
+
+def _positions(codes: Sequence[Sequence[int]]) -> _Positions:
     """The positions each sequence of status ``codes`` witnesses, and those
     it covers: per ratio row, the premises; per premise, the rows."""
     return (
@@ -442,7 +451,7 @@ def critical_threshold(
     The loop keeps two checked facts on the grid, in integers: ``lower``,
     the largest point ruled out by an infeasible probe or its re-checked
     Farkas bound, and ``upper``, the smallest feasible point probed, with
-    its ray re-checked on every row (1, where every ratio is at most 1, is
+    its ray checked on every row (1, where every ratio is at most 1, is
     feasible unprobed).  ``_predict`` chooses the next probes from that
     ray, or else (also with two bisection levels left) the next midpoint
     of plain bisection the facts leave open.  A poor prediction can cost
@@ -452,6 +461,12 @@ def critical_threshold(
     feasible exactly where the full table is, with Farkas vectors that,
     zero elsewhere, are the full table's.  Only probes whose ray closes the
     bracket, at ``lower + 1`` or at ``upper > 0`` last, see the full table.
+    A full-table ray is checked on every row by ``lp.solve``, which
+    substitutes it into the probe's rows: row by row, ``(gamma C - W)
+    lambda >= 0`` is the ratio check.  A ray of the undominated rows is
+    also checked by its worst ratio (``_worst_ratio``) over every row, the
+    only check that reads the rows they dropped.  Each table's positions
+    are built once per call, when a probe first needs them.
     """
     tol = as_rational(tolerance)
     if tol <= 0:
@@ -459,30 +474,34 @@ def critical_threshold(
     rows = _ratio_rows(premises, antecedent)
     kept = _undominated(rows)
     k = len(premises)
-    row_witnessed, row_covered = _positions([row.codes for row in rows])
-    depth = 0
-    while tol.numerator << depth < tol.denominator:
-        depth += 1
+    by_premise: dict[bool, _Positions] = {}  # per table, for _farkas_bound
+    by_row: _Positions | None = None  # the full table's, for _worst_ratio
+    depth = (-(-tol.denominator // tol.numerator) - 1).bit_length()  # 2**-D <= tol
     lower, upper, at_upper, full = 0, 1 << depth, (), False
 
     def probe(x: int) -> bool:
         """Probe ``x / 2**depth`` and move ``lower`` or ``upper`` to it, on
         the full table where a feasible probe closes the bracket."""
-        nonlocal lower, upper, at_upper, full
+        nonlocal lower, upper, at_upper, full, by_row
         gamma = Fraction(x, 1 << depth)
         p, q = gamma.numerator, gamma.denominator
-        table = rows if x == lower + 1 else kept
+        on_rows = x == lower + 1
+        table = rows if on_rows else kept
         outcome = _feasible(table, k, gamma)
         if isinstance(outcome, lp.Optimal):
-            by_premise = _positions([[row.codes[i] for row in table] for i in range(k)])
-            w, c = _farkas_bound(*by_premise, p, q, outcome.row_duals)
+            if on_rows not in by_premise:
+                columns = [[row.codes[i] for row in table] for i in range(k)]
+                by_premise[on_rows] = _positions(columns)
+            w, c = _farkas_bound(*by_premise[on_rows], p, q, outcome.row_duals)
             lower = max(lower, x, -(-w << depth) // c - 1)
             return False
-        # over every row: a ray of the undominated rows must pass the rest
-        w, c = _worst_ratio(row_witnessed, row_covered, outcome.ray)
-        if w * q > p * c:
-            raise RuntimeError("probe ray exceeds its threshold")
-        upper, at_upper, full = x, outcome.ray, table is rows
+        if not on_rows:  # a ray of the undominated rows must pass the rest
+            if by_row is None:
+                by_row = _positions([row.codes for row in rows])
+            w, c = _worst_ratio(*by_row, outcome.ray)
+            if w * q > p * c:
+                raise RuntimeError("probe ray exceeds its threshold")
+        upper, at_upper, full = x, outcome.ray, on_rows
         return True
 
     probe(0)

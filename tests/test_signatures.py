@@ -181,6 +181,28 @@ def test_projected_ratio_rows_match_a_table_per_subset(cycle_query):
             assert projected == threshold._ratio_rows(sub, x0), (query, indices)
 
 
+def test_sliced_ratio_rows_match_the_projection():
+    """``_ratio_rows`` drops column 0 of the table of ``X0 -> {}`` and the
+    premises by slicing; on 300 seeded premise sets (sides may be empty,
+    rules may repeat, ``X0`` may be empty) its rows, order and witnesses
+    are those ``_project_ratio_rows`` projects from that table."""
+    rng = random.Random(2603)
+    shapes = {"empty side": 0, "duplicate": 0, "empty X0": 0}
+    for width in [i % 9 for i in range(300)]:
+        u, implications = _instance(rng, width)
+        premises = pt.ImplicationSet(u, tuple(implications))
+        x0 = u.attrs(*[a for a in u.names if rng.random() < 0.3])
+        table = signature_rows([pt.PartialImplication(x0, u.empty()), *premises], u)
+        projected = threshold._project_ratio_rows(table, range(len(premises)))
+        assert threshold._ratio_rows(premises, x0) == projected, (implications, x0)
+        shapes["empty side"] += any(
+            not imp.antecedent.bits or not imp.consequent.bits for imp in implications
+        )
+        shapes["duplicate"] += len(set(implications)) < len(implications)
+        shapes["empty X0"] += not x0.bits
+    assert min(shapes.values()) >= 20, shapes
+
+
 def test_projected_table_matches_a_table_for_the_chosen_rules():
     """``_project_rows`` onto any list of columns, repeats and reorders
     allowed, gives the rows, order and witnesses of a table enumerated

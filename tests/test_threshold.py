@@ -430,6 +430,36 @@ class TestWitnessPrunedBisection:
         assert solves["paper cycle", coarse] == 5
         assert solves["paper cycle", F(2)] == solves["paper cycle", F(1)] == 2
 
+    def test_probe_sequences_are_pinned(self, monkeypatch):
+        """Each probe of a tolerance 1e-6 bracket, as its grid point, the
+        rows of the table it is solved on and its outcome: the paper's
+        cycle (4 undominated rows of 12) and ``x_i -> A x_{i+1}`` over
+        three attributes (4 of 10)."""
+        from pientail import lp, threshold
+
+        opt, unb = lp.Optimal, lp.Unbounded
+        pinned = {
+            "paper cycle": (
+                _structured_cases()["paper cycle"],
+                [(0, 4, opt), (524288, 12, opt), (786432, 4, unb),
+                 (597520, 4, opt), (597521, 12, unb)],
+            ),
+            "cycle 3": (_cycle(3), [(0, 4, opt), (524288, 10, unb)]),
+        }
+        real = threshold._feasible
+        for name, ((premises, antecedent), want) in pinned.items():
+            probes = []
+
+            def feasible(rows, k, gamma):
+                outcome = real(rows, k, gamma)
+                probes.append((gamma * 2**20, len(rows), type(outcome)))
+                return outcome
+
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "_feasible", feasible)
+                pt.critical_threshold(premises, antecedent, F(1, 10**6))
+            assert probes == want, name
+
     def test_predictions_only_choose_probes(self, monkeypatch, structured_brackets):
         """``_predict`` only chooses where to probe: with no prediction, or
         with one fixed cell named whenever it lies in ``[lower, upper)``
@@ -928,6 +958,73 @@ class TestUndominated:
                 bracket = pt.critical_threshold(premises, antecedent, tol)
             assert bracket == structured_brackets["cycle 6", tol]
             assert sizes.count(108) <= 2 and set(sizes) <= {7, 108}, (tol, sizes)
+
+
+def _random_premises(rng):
+    """Seeded rules over 1 to 8 attributes, 1 to 6 of them, some repeated
+    and some with an empty side, with a seeded antecedent."""
+    u = pt.AttributeUniverse(tuple("ABCDEFGH"[: rng.randint(1, 8)]))
+
+    def attrs(density):
+        return u.attrs(*[a for a in u.names if rng.random() < density])
+
+    rules = []
+    for _ in range(rng.randint(1, 6)):
+        if rules and rng.random() < 0.2:
+            rules.append(rng.choice(rules))
+        else:
+            rules.append(pt.PartialImplication(attrs(0.3), attrs(0.4)))
+    return pt.ImplicationSet(u, tuple(rules)), attrs(0.5)
+
+
+class TestRayCheck:
+    """``critical_threshold`` checks a ray solved on the full table only in
+    ``lp.solve``, which substitutes it into the probe's rows, and a ray of
+    the undominated rows also by its worst ratio over every row: the two
+    checks must reject the same rays."""
+
+    def test_substitution_rejects_what_the_worst_ratio_rejects(self):
+        """On 300 seeded ratio tables, at ``gamma`` 0, 1, 1/k, (k-1)/k and
+        three seeded values, ``lp._check_ray`` on the cone program raises
+        for a nonnegative, nonzero integer ray exactly when its worst ratio
+        over the same rows exceeds ``gamma``: for the probe's own ray (when
+        there is one), each unit vector and seeded rays."""
+        from pientail import lp, threshold
+
+        rng = random.Random(6174)
+        counts = {"rejected": 0, "passed": 0, "tight": 0, "duplicate": 0}
+        for _ in range(300):
+            premises, antecedent = _random_premises(rng)
+            k = len(premises)
+            counts["duplicate"] += len(set(premises)) < k
+            rows = threshold._ratio_rows(premises, antecedent)
+            witnessed, covered = threshold._positions([row.codes for row in rows])
+            gammas = [F(0), F(1), F(1, k), F(k - 1, k)]
+            gammas += [F(rng.randint(0, q), q) for q in rng.sample(range(1, 12), 3)]
+            for gamma in gammas:
+                program = threshold._cone_program(rows, k, gamma)
+                rays = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+                outcome = threshold._feasible(rows, k, gamma)
+                if isinstance(outcome, lp.Unbounded):
+                    rays.append(outcome.ray)
+                for _ in range(4):
+                    ray = [rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(k)]
+                    ray[rng.randrange(k)] += 1
+                    rays.append(tuple(ray))
+                for ray in rays:
+                    w, c = threshold._worst_ratio(witnessed, covered, ray)
+                    exceeds = w * gamma.denominator > gamma.numerator * c
+                    try:
+                        lp._check_ray(program, {j: v for j, v in enumerate(ray) if v})
+                    except RuntimeError as error:
+                        assert "escapes the feasible cone" in str(error)
+                        assert exceeds, (premises, antecedent, gamma, ray)
+                        counts["rejected"] += 1
+                    else:
+                        assert not exceeds, (premises, antecedent, gamma, ray)
+                        counts["passed"] += 1
+                        counts["tight"] += c > 0 and F(w, c) == gamma
+        assert min(counts.values()) >= 50, counts
 
 
 class TestDecideGeneral:
