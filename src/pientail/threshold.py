@@ -20,7 +20,8 @@ unbounded exactly when multipliers exist), so decisions never
 depend on any numeric tolerance; ``critical_threshold`` merely reports a
 dyadic bracket for the value itself, which is in general irrational, and
 probes where cofactor polynomials of its last feasible ray predict it,
-solving most probes on the ratio rows that no other row dominates.
+solving most probes on the ratio rows that no other row dominates and
+none at 0, which the table settles.
 """
 
 from __future__ import annotations
@@ -452,15 +453,19 @@ def critical_threshold(
     the largest point ruled out by an infeasible probe or its re-checked
     Farkas bound, and ``upper``, the smallest feasible point probed, with
     its ray checked on every row (1, where every ratio is at most 1, is
-    feasible unprobed).  ``_predict`` chooses the next probes from that
-    ray, or else (also with two bisection levels left) the next midpoint
-    of plain bisection the facts leave open.  A poor prediction can cost
-    solves but never change the result.
+    feasible unprobed).  At 0, where a row's cells are -1 where it
+    witnesses a premise and 0 elsewhere, the table decides: the first
+    premise no row witnesses gives Bland's rule's unit ray, and else every
+    undominated row, weighted 1, is a Farkas vector.  ``_predict`` chooses
+    the next probes from that ray, or else (also with two bisection levels
+    left) the next midpoint of plain bisection the facts leave open.  A
+    poor prediction can cost solves but never change the result.
 
     Probes run on the rows no other row dominates (``_undominated``):
     feasible exactly where the full table is, with Farkas vectors that,
-    zero elsewhere, are the full table's.  Only probes whose ray closes the
-    bracket, at ``lower + 1`` or at ``upper > 0`` last, see the full table.
+    zero elsewhere, are the full table's.  Only probes whose ray can close
+    the bracket see the full table: at ``lower + 1``, unless it is a
+    predicted cell's lower end, expected to fail, and at ``upper`` last.
     A full-table ray is checked on every row by ``lp.solve``, which
     substitutes it into the probe's rows: row by row, ``(gamma C - W)
     lambda >= 0`` is the ratio check.  A ray of the undominated rows is
@@ -474,18 +479,29 @@ def critical_threshold(
     rows = _ratio_rows(premises, antecedent)
     kept = _undominated(rows)
     k = len(premises)
-    by_premise: dict[bool, _Positions] = {}  # per table, for _farkas_bound
+    columns = [[row.codes[i] for row in kept] for i in range(k)]
+    by_premise = {False: _positions(columns)}  # per table, for _farkas_bound
     by_row: _Positions | None = None  # the full table's, for _worst_ratio
     depth = (-(-tol.denominator // tol.numerator) - 1).bit_length()  # 2**-D <= tol
     lower, upper, at_upper, full = 0, 1 << depth, (), False
 
-    def probe(x: int) -> bool:
+    def check(ray: Sequence[int], p: int, q: int) -> None:
+        """Raise unless the ray of the undominated rows passes every row."""
+        nonlocal by_row
+        if by_row is None:
+            by_row = _positions([row.codes for row in rows])
+        w, c = _worst_ratio(*by_row, ray)
+        if w * q > p * c:
+            raise RuntimeError("probe ray exceeds its threshold")
+
+    def probe(x: int, closes: bool = True) -> bool:
         """Probe ``x / 2**depth`` and move ``lower`` or ``upper`` to it, on
-        the full table where a feasible probe closes the bracket."""
-        nonlocal lower, upper, at_upper, full, by_row
+        the full table where a feasible probe closes the bracket, unless
+        ``closes`` is False because it is expected to fail."""
+        nonlocal lower, upper, at_upper, full
         gamma = Fraction(x, 1 << depth)
         p, q = gamma.numerator, gamma.denominator
-        on_rows = x == lower + 1
+        on_rows = closes and x == lower + 1
         table = rows if on_rows else kept
         outcome = _feasible(table, k, gamma)
         if isinstance(outcome, lp.Optimal):
@@ -495,16 +511,20 @@ def critical_threshold(
             w, c = _farkas_bound(*by_premise[on_rows], p, q, outcome.row_duals)
             lower = max(lower, x, -(-w << depth) // c - 1)
             return False
-        if not on_rows:  # a ray of the undominated rows must pass the rest
-            if by_row is None:
-                by_row = _positions([row.codes for row in rows])
-            w, c = _worst_ratio(*by_row, outcome.ray)
-            if w * q > p * c:
-                raise RuntimeError("probe ray exceeds its threshold")
+        if not on_rows:
+            check(outcome.ray, p, q)
         upper, at_upper, full = x, outcome.ray, on_rows
         return True
 
-    probe(0)
+    witnessed = by_premise[False][0]
+    if [] in witnessed:  # Bland's rule returns the first all-zero column's ray
+        free = witnessed.index([])
+        at_upper = tuple([int(i == free) for i in range(k)])
+        check(at_upper, 0, 1)
+        upper, full = 0, True
+    else:  # every undominated row, weighted 1, is a Farkas vector
+        w, c = _farkas_bound(*by_premise[False], 0, 1, [1] * len(kept))
+        lower = max(0, -(-w << depth) // c - 1)
     codes = [row.codes for row in kept]
     while upper - lower > 1:
         # plain bisection probes next the midpoint of the smallest dyadic
@@ -515,11 +535,9 @@ def critical_threshold(
         cell = _predict(codes, at_upper, lower, upper, depth) if predict else None
         if cell is None:
             probe((lower >> levels << levels) + (1 << levels - 1))
-        elif (cell == lower or not probe(cell)) and lower == cell < upper - 1:
+        elif (cell == lower or not probe(cell, False)) and lower == cell < upper - 1:
             probe(cell + 1)  # the cell's lower end is ruled out, its upper open
-    # at 0 the rays of both tables are the unit vector of the first premise no
-    # row witnesses: Bland's rule reaches no other unconstrained column first
-    if upper and not full and not probe(upper):
+    if not full and not probe(upper):
         raise RuntimeError("no multipliers at 1, where every ratio is at most 1")
     return ThresholdBracket(
         lower=Fraction(lower, 1 << depth),

@@ -2,11 +2,14 @@
 bisection bracketing, multiplier ratio evaluation, and the general
 decision procedure built on them."""
 
+import importlib
 import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -254,10 +257,10 @@ class TestCriticalThreshold:
                     )
                     assert total >= 1
             counts.append((len(probes), bounded))
-        # (probes solved, those below the threshold, gamma = 0 first among
-        # them), by critical_threshold and then by plain bisection
+        # (probes solved, those below the threshold), by critical_threshold,
+        # which settles gamma = 0 from the table, and then by plain bisection
         assert counts == [
-            (5, 3), (22, 8), (2, 1), (22, 20), (5, 3), (22, 11), (5, 3), (22, 20)
+            (4, 2), (22, 8), (1, 0), (22, 20), (3, 1), (22, 11), (1, 0), (22, 20)
         ]
 
     def test_pinned_cycle_bracket(self):
@@ -382,7 +385,8 @@ def structured_brackets():
 
 
 def _most_solves(tolerance):
-    """Plain bisection's solves: the probes at 0 and 1 and one per step."""
+    """Plain bisection's solves: the probes at 0 and 1 and one per step.
+    ``critical_threshold`` probes no 0, so it may solve one fewer."""
     return 2 + (tolerance.denominator - 1).bit_length()
 
 
@@ -417,7 +421,7 @@ class TestWitnessPrunedBisection:
                     monkeypatch, premises, antecedent, tol
                 )
                 assert bracket == structured_brackets[name, tol], (name, tol)
-                assert solves[name, tol] <= _most_solves(tol), (name, tol)
+                assert solves[name, tol] <= _most_solves(tol) - 1, (name, tol)
         # rational values (1/2 for the 3-cycle, 3/4 for the 5-cycle and the
         # 4-fan) are settled by witnesses, and the irrational ones of the
         # paper's cycle and the 4- and 6-cycles by predicted probes: a finer
@@ -427,24 +431,30 @@ class TestWitnessPrunedBisection:
             assert solves[name, fine] == solves[name, coarse], name
         for name in ("paper cycle", "cycle 4", "cycle 6"):
             assert solves[name, fine] <= solves[name, coarse], name
-        assert solves["paper cycle", coarse] == 5
-        assert solves["paper cycle", F(2)] == solves["paper cycle", F(1)] == 2
+        assert solves["paper cycle", coarse] == 4
+        assert solves["paper cycle", F(2)] == solves["paper cycle", F(1)] == 1
 
     def test_probe_sequences_are_pinned(self, monkeypatch):
         """Each probe of a tolerance 1e-6 bracket, as its grid point, the
         rows of the table it is solved on and its outcome: the paper's
         cycle (4 undominated rows of 12) and ``x_i -> A x_{i+1}`` over
-        three attributes (4 of 10)."""
+        three attributes (4 of 10) and six (7 of 108).  None solves ``gamma
+        = 0``, and the 6-cycle's predicted cell, though at ``lower + 1``,
+        is solved on the undominated rows: it is expected to fail."""
         from pientail import lp, threshold
 
         opt, unb = lp.Optimal, lp.Unbounded
         pinned = {
             "paper cycle": (
                 _structured_cases()["paper cycle"],
-                [(0, 4, opt), (524288, 12, opt), (786432, 4, unb),
-                 (597520, 4, opt), (597521, 12, unb)],
+                [(524288, 12, opt), (786432, 4, unb), (597520, 4, opt),
+                 (597521, 12, unb)],
             ),
-            "cycle 3": (_cycle(3), [(0, 4, opt), (524288, 10, unb)]),
+            "cycle 3": (_cycle(3), [(524288, 10, unb)]),
+            "cycle 6": (
+                _cycle(6),
+                [(917504, 7, unb), (838860, 7, opt), (838861, 108, unb)],
+            ),
         }
         real = threshold._feasible
         for name, ((premises, antecedent), want) in pinned.items():
@@ -459,6 +469,75 @@ class TestWitnessPrunedBisection:
                 patch.setattr(threshold, "_feasible", feasible)
                 pt.critical_threshold(premises, antecedent, F(1, 10**6))
             assert probes == want, name
+
+    def test_gamma_zero_is_settled_from_the_table(self, monkeypatch):
+        """``critical_threshold`` solves no probe at ``gamma = 0`` and lands
+        on the side of ``_feasible(rows, k, 0)``: on the structured cases,
+        200 seeded random premise sets and 100 seeded random graphs.  Where
+        that probe is feasible the bracket is ``[0, 0]`` with its unit
+        multipliers; elsewhere the all-ones vector of the undominated rows
+        sets ``lower``, and, zero on the dropped rows, it passes a Farkas
+        check in Fractions over the full table."""
+        from pientail import lp, threshold
+
+        rng = random.Random(3030)
+        cases = list(_structured_cases().values())
+        cases += _random_premise_sets(rng, 200)
+        cases += [_random_graph(rng) for _ in range(100)]
+        real_feasible, real_bound = threshold._feasible, threshold._farkas_bound
+        sides = {True: 0, False: 0}
+        for premises, antecedent in cases:
+            rows = threshold._ratio_rows(premises, antecedent)
+            k = len(premises)
+            kept = threshold._undominated(rows)
+            at_zero = real_feasible(rows, k, F(0))
+            gammas, duals_at_zero = [], []
+
+            def feasible(rows, k, gamma):
+                gammas.append(gamma)
+                return real_feasible(rows, k, gamma)
+
+            def bound(witnessed, covered, p, q, y):
+                if p == 0:
+                    duals_at_zero.append(list(y))
+                return real_bound(witnessed, covered, p, q, y)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "_feasible", feasible)
+                patch.setattr(threshold, "_farkas_bound", bound)
+                bracket = pt.critical_threshold(premises, antecedent, F(1, 1024))
+            assert 0 not in gammas
+            zero = isinstance(at_zero, lp.Unbounded)
+            sides[zero] += 1
+            if zero:
+                assert (bracket.upper, gammas, duals_at_zero) == (0, [], [])
+                assert bracket.multipliers == threshold._simplex_point(at_zero.ray)
+                continue
+            assert bracket.upper > 0 and duals_at_zero == [[1] * len(kept)]
+            y = [F(row in kept) for row in rows]
+            weight = status_weights(F(0))
+            for i in range(k):
+                total = sum(v * weight[row.statuses[i]] for v, row in zip(y, rows))
+                assert total >= 1, (premises, antecedent)
+        assert min(sides.values()) >= 50, sides
+
+    def test_the_bench_tracer_counts_each_layer(self, monkeypatch):
+        """The traced benchmark rebinds the library's layers by name
+        (``bench/tracing.py``).  Under its ``Tracer`` the paper cycle's
+        1e-6 bracket counts 4 probes and 4 ``lp.solve`` calls, so a layer
+        renamed or bypassed fails here."""
+        from pientail import threshold
+
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        tracer = importlib.import_module("tracing").Tracer(sys.modules)
+        premises, antecedent = _structured_cases()["paper cycle"]
+        with tracer:
+            threshold.critical_threshold(premises, antecedent, F(1, 10**6))
+        metrics = tracer.layer_metrics()
+        assert metrics["threshold.critical_threshold.calls"] == 1
+        assert metrics["threshold.critical_threshold.probes"] == 4
+        assert metrics["lp.solve.calls"] == 4
 
     def test_predictions_only_choose_probes(self, monkeypatch, structured_brackets):
         """``_predict`` only chooses where to probe: with no prediction, or
@@ -510,14 +589,14 @@ class TestWitnessPrunedBisection:
             for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves = self._solves(monkeypatch, q.premises, x, tol)
                 assert bracket == plain_bisection(q.premises, x, tol), (spec, tol)
-                assert solves <= _most_solves(tol), (spec, tol)
+                assert solves <= _most_solves(tol) - 1, (spec, tol)
 
     def test_random_graphs_match_plain_bisection(self, monkeypatch):
         """Most random premise sets have threshold 0 or 1.  Rules
         ``x_i ... -> A x_f(i) ...`` over a random map ``f`` (cycles and fans
         among them) reach values strictly inside, where Farkas vectors
         settle midpoints: 60 of those, drawn from a seeded stream.  No run
-        solves more than plain bisection's steps."""
+        solves more than one probe per bisection step and one more."""
         rng = random.Random(515151)
         cases = 0
         while cases < 60:
@@ -529,22 +608,25 @@ class TestWitnessPrunedBisection:
             for tol in TOLERANCES + EDGE_TOLERANCES:
                 bracket, solves = self._solves(monkeypatch, rules, x, tol)
                 assert bracket == plain_bisection(rules, x, tol), (rules, tol)
-                assert solves <= _most_solves(tol), (rules, tol)
+                assert solves <= _most_solves(tol) - 1, (rules, tol)
 
     def test_witnesses_are_rechecked(
         self, monkeypatch, cycle_premises, cycle_antecedent
     ):
         """A probe outcome that does not prove its side raises instead of
-        settling midpoints: a ray whose worst ratio exceeds the probed
-        value, and row duals that are no Farkas certificate."""
+        settling midpoints: a ray of the undominated rows whose worst ratio
+        exceeds the probed value, and row duals that are no Farkas
+        certificate.  A forged ray of the full table would pass here:
+        ``lp.solve`` checks that one (``lp._check_ray``)."""
         from pientail import lp, threshold
 
         real = threshold._feasible
-        at_one = real(
-            threshold._ratio_rows(cycle_premises, cycle_antecedent), 3, F(1)
-        )
+        full = threshold._ratio_rows(cycle_premises, cycle_antecedent)
+        at_one = real(full, 3, F(1))
         forged = {
-            "exceeds its threshold": lambda rows, k, gamma: at_one,
+            "exceeds its threshold": lambda rows, k, gamma: (
+                real(rows, k, gamma) if len(rows) == len(full) else at_one
+            ),
             "no Farkas certificate": lambda rows, k, gamma: lp.Optimal(
                 (0,) * len(rows), 1
             ),
@@ -788,10 +870,8 @@ def _pairwise_undominated(rows):
     ]
 
 
-def _random_tables(rng, count):
-    """Ratio tables of seeded random premise sets, with their sizes."""
-    from pientail import threshold
-
+def _random_premise_sets(rng, count):
+    """Seeded random premise sets, each with its conclusion's antecedent."""
     for _ in range(count):
         spec = oracle.RandomInstanceSpec(
             num_attrs=rng.randint(2, 6),
@@ -800,8 +880,15 @@ def _random_tables(rng, count):
             density=rng.choice([0.3, 0.4, 0.5]),
         )
         q = oracle.random_query(spec, F(1, 2))
-        antecedent = q.conclusion.antecedent
-        yield threshold._ratio_rows(q.premises, antecedent), q.k
+        yield q.premises, q.conclusion.antecedent
+
+
+def _random_tables(rng, count):
+    """Ratio tables of seeded random premise sets, with their sizes."""
+    from pientail import threshold
+
+    for premises, antecedent in _random_premise_sets(rng, count):
+        yield threshold._ratio_rows(premises, antecedent), len(premises)
 
 
 def _random_graph(rng):
