@@ -24,14 +24,19 @@ entering column, which is the row Bland's ratio test picks.  Every run
 terminates and takes the pivots of the full rational tableau, and what it
 reads off by label is that tableau's.
 
-The tableau is stored in one of two layouts, picked from the program's
-shape alone.  A program with at least as many rows as columns (every
+The tableau is held in one of two ways, picked from the program's shape
+alone.  A program with at least as many rows as columns (every
 critical-threshold probe: R ratio rows over k premises) keeps k column lists
 of R + 1 cells, so a pivot rewrites k lists instead of R + 1 short ones.  A
 wider program (most ``decide_lp`` programs: one row per premise, one column
-per signature) keeps its row lists.  Both run the same Bareiss step on every
-cell and share the Bland loop, so the pivots, rays, duals and denominator
-are the same:
+per signature) runs the revised simplex (Dantzig and Orchard-Hays 1954): it
+keeps only an integer row operator ``W`` of m + 1 rows, the full tableau
+being ``W`` times the program's own ``[-G | I ; c | 0]``, prices columns
+in label order only up to the first negative reduced cost, builds only the
+entering column, and sends each row of ``W`` through the Bareiss step, so
+a pivot rewrites m + 1 rows of m cells instead of m + 1 rows of n.  Both
+apply Bland's rule to the same rational tableau, so the pivots, rays,
+duals and denominator are the same:
 
 * ``Optimal``   - the optimum is 0, at the origin; ``row_duals[r]`` over
                   ``denominator`` is the dual ``y_r >= 0``, ``A^T y <= c``;
@@ -50,9 +55,8 @@ compared with.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain
-from typing import Callable, Sequence
+from itertools import chain, compress, count, repeat
+from operator import gt, mul, sub
 
 from .model import _Frozen
 
@@ -115,30 +119,29 @@ def _eliminate(
 
 
 def _pivot(
-    rows: list[list[int]], basic: list[int], nonbasic: list[int], r: int, c: int, d: int
+    w: list[list[int]], basic: list[int], r: int, label: int, col: list[int], d: int
 ) -> int:
-    """Pivot on the positive ``rows[r][c]`` (the cost row is last), swap the
-    labels ``basic[r]`` and ``nonbasic[c]``, and return the new denominator.
-
-    The pivot row keeps its numerators, which over ``p`` read as the row
-    divided by the pivot."""
-    pivot_row = rows[r]
-    p = pivot_row[c]
-    for i, row in enumerate(rows):
+    """Pivot the revised tableau on the positive ``col[r]``, where ``col`` is
+    the entering column (the cost cell last): send every row of the row
+    operator ``w`` but the pivot row through the Bareiss step, make
+    ``label`` row r's basic variable, and return the new denominator."""
+    p = col[r]
+    pivot_row = w[r]
+    for i, f in enumerate(col):
         if i != r:
-            f = row[c]
-            rows[i] = row = _eliminate(row, pivot_row, f, p, d)
-            row[c] = -f
-    pivot_row[c] = d
-    basic[r], nonbasic[c] = nonbasic[c], basic[r]
+            w[i] = _eliminate(w[i], pivot_row, f, p, d)
+    basic[r] = label
     return p
 
 
 def _pivot_columns(
     cols: list[list[int]], basic: list[int], nonbasic: list[int], r: int, c: int, d: int
 ) -> int:
-    """``_pivot`` on the tableau stored by columns (the cost cell last in
-    each): the same step on every cell, one column list at a time."""
+    """Pivot on the positive ``cols[c][r]`` of the tableau stored by columns
+    (the cost cell last in each), swap the labels ``basic[r]`` and
+    ``nonbasic[c]``, and return the new denominator: the Bareiss step on
+    every other column, and the leaving variable's column (``d`` in row r,
+    minus the old pivot column elsewhere) over the entering one."""
     pivot_col = cols[c]
     p = pivot_col[r]
     for j, col in enumerate(cols):
@@ -170,77 +173,94 @@ def _check_ray(lp: LinearProgram, ray: dict[int, int]) -> None:
 def solve(lp: LinearProgram) -> Optimal | Unbounded:
     """Solve the homogeneous integer program ``lp`` exactly and return a
     verified outcome, on a tableau stored by columns when it has at least as
-    many rows as columns and by rows otherwise."""
+    many rows as columns and as a revised tableau otherwise."""
     if not set(map(type, chain(lp.objective, *lp.constraints))) <= _INT:
         raise TypeError("solve takes int cells only")
     if len(lp.constraints) >= lp.num_vars:
         return _solve_columns(lp)
-    return _solve_rows(lp)
+    return _solve_revised(lp)
 
 
-def _solve_rows(lp: LinearProgram) -> Optimal | Unbounded:
-    """``solve`` on the tableau stored as m + 1 row lists of n cells."""
-    rows = [[-v for v in row] for row in lp.constraints]
-    rows.append(list(lp.objective))
-    return _bland(
-        lp,
-        lambda: rows[-1],
-        lambda c: [row[c] for row in rows],
-        partial(_pivot, rows),
-    )
+def _solve_revised(lp: LinearProgram) -> Optimal | Unbounded:
+    """``solve`` on the revised tableau: the row operator ``w``, m + 1 rows
+    of m cells, and the program's own rows ``g``.  The full tableau is ``w``
+    times ``[-g | I ; c | 0]``, where ``w``'s unstored last column is 0 but
+    for the cost row's ``d``, so the reduced cost of structural j is ``d
+    c_j - w[m] . g[:, j]``, that of surplus ``n + r`` is ``w[m][r]`` (0
+    while it is basic), and an entering column is built from its own cells
+    alone.  Row r, ``g_r . x >= 0``, is the row of its surplus (label
+    n + r), which starts basic."""
+    n, m, c, g = lp.num_vars, len(lp.constraints), lp.objective, lp.constraints
+    w = [[int(i == r) for r in range(m)] for i in range(m + 1)]
+    basic = [n + r for r in range(m)]
+    d = 1
+    while True:
+        # the structural costs in label order, lazily, up to the first negative
+        y = w[m]
+        costs = map(mul, c, repeat(d))
+        for row, v in zip(g, y):
+            if v:
+                costs = map(sub, costs, map(mul, row, repeat(v)))
+        label = next(compress(count(), map(gt, repeat(0), costs)), None)
+        if label is not None:
+            cells = [-row[label] for row in g]
+            col = [sum(map(mul, row, cells)) for row in w]
+            col[m] += d * c[label]
+        else:
+            r = next(compress(range(m), map(gt, repeat(0), y)), None)
+            if r is None:
+                # the dual value of row r is its surplus's reduced cost over d
+                return Optimal(tuple(y), d)
+            label, col = n + r, [row[r] for row in w]
+        blocking = [b for b, v in zip(basic, col) if v > 0]
+        if not blocking:
+            return _unbounded(lp, basic, label, col, d)
+        d = _pivot(w, basic, basic.index(min(blocking)), label, col, d)
 
 
 def _solve_columns(lp: LinearProgram) -> Optimal | Unbounded:
-    """``solve`` on the tableau stored as n column lists of m + 1 cells."""
-    # each column ends in its cost cell, the objective's entry negated twice
-    negated_cost = [-v for v in lp.objective]
-    cols = [[-v for v in col] for col in zip(*lp.constraints, negated_cost)]
-    return _bland(
-        lp,
-        lambda: [col[-1] for col in cols],
-        cols.__getitem__,
-        partial(_pivot_columns, cols),
-    )
-
-
-def _bland(
-    lp: LinearProgram,
-    cost: Callable[[], Sequence[int]],
-    column: Callable[[int], Sequence[int]],
-    pivot: Callable[[list[int], list[int], int, int, int], int],
-) -> Optimal | Unbounded:
-    """Bland's rule from the surplus basis, over a tableau read through
-    ``cost`` (the reduced costs, by nonbasic position), ``column`` (a
-    nonbasic column, by basic row, the cost cell after them) and ``pivot``
-    (which returns the new denominator).
+    """``solve`` on the tableau stored as n column lists of m + 1 cells.
 
     Row r, ``g.x >= 0``, enters the tableau as ``-g``, the row of its
-    surplus ``s_r = g.x`` (label n + r), which starts basic; the cost row,
-    last, holds the reduced costs of the objective."""
+    surplus ``s_r = g.x`` (label n + r), which starts basic; each column
+    ends in its cost cell, the objective's entry negated twice."""
     n, m = lp.num_vars, len(lp.constraints)
+    negated_cost = [-v for v in lp.objective]
+    cols = [[-v for v in col] for col in zip(*lp.constraints, negated_cost)]
     basic = [n + r for r in range(m)]
     nonbasic = list(range(n))
     d = 1
     while True:
-        improving = [label for label, v in zip(nonbasic, cost()) if v < 0]
+        improving = [label for label, col in zip(nonbasic, cols) if col[-1] < 0]
         if not improving:
             break
         entering = nonbasic.index(min(improving))
-        col = column(entering)
+        col = cols[entering]
         blocking = [label for label, v in zip(basic, col) if v > 0]
         if not blocking:
-            # Along the ray the entering variable grows by one unit of the
-            # rational tableau, and each basic one by minus its column.
-            label = nonbasic[entering]
-            ray = {label: d} if label < n else {}
-            for b, v in zip(basic, col):
-                if b < n and v:
-                    ray[b] = -v
-            _check_ray(lp, ray)
-            return Unbounded(tuple([ray.get(j, 0) for j in range(n)]), d)
-        d = pivot(basic, nonbasic, basic.index(min(blocking)), entering, d)
+            return _unbounded(lp, basic, nonbasic[entering], col, d)
+        r = basic.index(min(blocking))
+        d = _pivot_columns(cols, basic, nonbasic, r, entering, d)
 
     # The dual value of row r is the reduced cost of its surplus column over
     # d (0 while the surplus is basic).
-    reduced = dict(zip(nonbasic, cost()))
+    reduced = dict(zip(nonbasic, [col[-1] for col in cols]))
     return Optimal(tuple([reduced.get(n + r, 0) for r in range(m)]), d)
+
+
+def _unbounded(
+    lp: LinearProgram, basic: list[int], label: int, col: list[int], d: int
+) -> Unbounded:
+    """The checked ray of an entering ``label`` whose column ``col`` has no
+    positive entry: along it ``label`` grows by one unit of the rational
+    tableau, and each basic variable by minus its column."""
+    n = lp.num_vars
+    ray = {label: d} if label < n else {}
+    for b, v in zip(basic, col):
+        if b < n and v:
+            ray[b] = -v
+    _check_ray(lp, ray)
+    cells = [0] * n
+    for b, v in ray.items():
+        cells[b] = v
+    return Unbounded(tuple(cells), d)

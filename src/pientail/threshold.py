@@ -509,7 +509,7 @@ def critical_threshold(
                 columns = [[row.codes[i] for row in table] for i in range(k)]
                 by_premise[on_rows] = _positions(columns)
             w, c = _farkas_bound(*by_premise[on_rows], p, q, outcome.row_duals)
-            lower = max(lower, x, -(-w << depth) // c - 1)
+            lower = max(lower, x, -((-w << depth) // c) - 1)
             return False
         if not on_rows:
             check(outcome.ray, p, q)
@@ -524,7 +524,7 @@ def critical_threshold(
         upper, full = 0, True
     else:  # every undominated row, weighted 1, is a Farkas vector
         w, c = _farkas_bound(*by_premise[False], 0, 1, [1] * len(kept))
-        lower = max(0, -(-w << depth) // c - 1)
+        lower = max(0, -((-w << depth) // c) - 1)
     codes = [row.codes for row in kept]
     while upper - lower > 1:
         # plain bisection probes next the midpoint of the smallest dyadic

@@ -699,16 +699,22 @@ class TestKernelContract:
 
 def _pivot_paths(program, general_form, monkeypatch, solver=lp):
     """The (entering label, leaving label) pivots of ``solver.solve`` (the
-    kernel, in either of its layouts, or the general solver) on ``program``
-    and of ``reference_solve`` on ``general_form``, whose full tableau
-    labels each column by its index, followed by the two outcomes."""
+    kernel, on its revised or its column tableau, or the general solver) on
+    ``program`` and of ``reference_solve`` on ``general_form``, whose full
+    tableau labels each column by its index, followed by the two outcomes."""
     kernel, reference = [], []
     real_reference = _reference_pivot
 
-    def spy(real_pivot):
-        def pivot(lines, basic, nonbasic, r, c, d):
-            kernel.append((nonbasic[c], basic[r]))
-            return real_pivot(lines, basic, nonbasic, r, c, d)
+    def by_position(lines, basic, nonbasic, r, c, d):
+        return nonbasic[c], basic[r]
+
+    def by_label(w, basic, r, label, col, d):
+        return label, basic[r]
+
+    def spy(real_pivot, labels):
+        def pivot(*args):
+            kernel.append(labels(*args))
+            return real_pivot(*args)
 
         return pivot
 
@@ -717,9 +723,14 @@ def _pivot_paths(program, general_form, monkeypatch, solver=lp):
         return real_reference(rows, cost, basis, r, c)
 
     with monkeypatch.context() as patch:
-        for name in ("_pivot", "_pivot_columns"):
+        # the kernel's revised seam takes the entering label and column
+        seams = {
+            "_pivot": by_label if solver is lp else by_position,
+            "_pivot_columns": by_position,
+        }
+        for name, labels in seams.items():
             if hasattr(solver, name):
-                patch.setattr(solver, name, spy(getattr(solver, name)))
+                patch.setattr(solver, name, spy(getattr(solver, name), labels))
         patch.setattr(sys.modules[__name__], "_reference_pivot", reference_spy)
         outcome = solver.solve(program)
         reference_outcome = reference_solve(general_form)
@@ -737,19 +748,21 @@ class TestPivotPath:
             assert path == reference
             pivots += len(path)
         assert pivots >= 1000
-        pivots = 0
+        pivots = {"tall": 0, "wide": 0}
         for program, general_form in _homogeneous_shapes(
             _seeded_programs(seed=2024, count=600)
         ):
             kernel, reference, _, _ = _pivot_paths(program, general_form, monkeypatch)
             assert kernel == reference
-            pivots += len(kernel)
-        assert pivots >= 300
+            tall = len(program.constraints) >= program.num_vars
+            pivots["tall" if tall else "wide"] += len(kernel)
+        # both seams must record: a spy that misses one layout sees no pivots
+        assert sum(pivots.values()) >= 300 and min(pivots.values()) >= 100, pivots
 
     def test_cycle_probes(self, monkeypatch, cycle_premises, cycle_antecedent):
         """Every probe solved for a tolerance 1e-6 bracket, on the paper's
         cycle and on ``x_i -> A x_{i+1}`` cycles of length 3 to 5, by
-        ``critical_threshold`` (4, 1, 3 and 1 of them, most on the
+        ``critical_threshold`` (4, 1, 2 and 1 of them, most on the
         undominated rows: the table settles 0, predicted probes and earlier
         witnesses the rest, and 1 needs no solve) and by plain bisection
         (all 22 steps): the kernel on the ``>=`` rows it is handed, the
@@ -764,7 +777,7 @@ class TestPivotPath:
             )
             names = [f"x{i}" for i in range(length)]
             cases.append((rules, rules.universe.attrs(*names)))
-        for (premises, antecedent), solved in zip(cases, (4, 1, 3, 1)):
+        for (premises, antecedent), solved in zip(cases, (4, 1, 2, 1)):
             programs = {}  # each distinct program once, in order
             for run, count in ((pt.critical_threshold, solved), (plain_bisection, 22)):
                 recorded = []
@@ -839,12 +852,13 @@ def _bench_programs(monkeypatch, tmp_path, seeds, rounds):
 
 class TestLayouts:
     """``solve`` stores the tableau by columns when a program has at least
-    as many rows as columns and by rows otherwise; either layout gives the
-    same outcome, numerators and denominator on every program."""
+    as many rows as columns and as a revised tableau (a row operator over
+    the program's own rows) otherwise; either layout gives the same
+    outcome, numerators and denominator on every program."""
 
     def test_edge_shapes(self, monkeypatch):
         chosen = []
-        for name in ("_solve_rows", "_solve_columns"):
+        for name in ("_solve_revised", "_solve_columns"):
             real = getattr(lp, name)
             monkeypatch.setattr(
                 lp, name, lambda p, name=name, real=real: chosen.append(name) or real(p)
@@ -854,10 +868,10 @@ class TestLayouts:
             chosen.clear()
             out = lp.solve(program)
             tall = len(program.constraints) >= program.num_vars
-            assert chosen == ["_solve_columns" if tall else "_solve_rows"]
-            by_rows, by_columns = lp._solve_rows(program), lp._solve_columns(program)
-            assert by_rows == by_columns == out
-            assert type(out) is type(by_rows)
+            assert chosen == ["_solve_columns" if tall else "_solve_revised"]
+            revised, by_columns = lp._solve_revised(program), lp._solve_columns(program)
+            assert revised == by_columns == out
+            assert type(out) is type(revised)
             _assert_same_outcome(program, out, reference_solve(_cone_form(program)))
             seen[type(out).__name__] += 1
         assert min(seen.values()) >= 100
@@ -868,12 +882,67 @@ class TestLayouts:
         for workload, recorded in programs.items():
             assert recorded, workload
             for program in recorded:
-                by_rows, by_columns = lp._solve_rows(program), lp._solve_columns(program)
-                assert type(by_rows) is type(by_columns), workload
-                assert by_rows == by_columns, workload
+                revised, by_columns = lp._solve_revised(program), lp._solve_columns(program)
+                assert type(revised) is type(by_columns), workload
+                assert revised == by_columns, workload
                 tall = len(program.constraints) >= program.num_vars
                 shapes["tall" if tall else "wide"] += 1
         assert min(shapes.values()) >= 300, shapes
+
+
+def _large_k_programs(monkeypatch, ks, seeds):
+    """The programs ``decide(query, Method.LP)`` hands to ``lp.solve`` for
+    seeded queries with k premises over 10 attributes, drawn at the
+    benchmark generator's densities with a planted cycle of two or three
+    premises whose conclusion is asked at a threshold in hundredths."""
+    import pientail as pt
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    run = importlib.import_module("run")
+    workloads = run.workloads
+    programs = []
+    real_solve = lp.solve
+
+    def record(program):
+        programs.append(program)
+        return real_solve(program)
+
+    names = tuple(f"a{i}" for i in range(10))
+    for k in ks:
+        for seed in seeds:
+            rng = random.Random(f"large-k:{k}:{seed}")
+            premises = [workloads._random_rule(rng, names) for _ in range(k)]
+            conclusion = workloads._plant_cycle(rng, names, premises)
+            gamma = F(rng.randint(1, 99), 100)
+            query = workloads.Query(names, tuple(premises), conclusion, gamma)
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "solve", record)
+                pt.decide(run._query(pt, query), pt.Method.LP)
+    return programs
+
+
+class TestLargeK:
+    """``decide_lp`` programs at k = 12 to 16: one row per premise and
+    hundreds of signature columns, so the revised tableau solves them.  It
+    must return the column tableau's outcome, numerators and denominator,
+    and the reference's outcome, taking the reference's pivots."""
+
+    def test_matches_the_column_tableau_and_the_reference(self, monkeypatch):
+        programs = _large_k_programs(monkeypatch, ks=range(12, 17), seeds=(1, 2))
+        pivots, seen = 0, set()
+        for program in programs:
+            assert len(program.constraints) < program.num_vars
+            kernel, reference, got, want = _pivot_paths(
+                program, _cone_form(program), monkeypatch
+            )
+            assert kernel == reference
+            by_columns = lp._solve_columns(program)
+            assert type(got) is type(by_columns) and got == by_columns
+            _assert_same_outcome(program, got, want)
+            pivots += len(kernel)
+            seen.add(type(got).__name__)
+        assert len(programs) == 10 and pivots >= 100, pivots
+        assert seen == {"Optimal", "Unbounded"}
 
 
 class TestVerification:

@@ -260,7 +260,7 @@ class TestCriticalThreshold:
         # (probes solved, those below the threshold), by critical_threshold,
         # which settles gamma = 0 from the table, and then by plain bisection
         assert counts == [
-            (4, 2), (22, 8), (1, 0), (22, 20), (3, 1), (22, 11), (1, 0), (22, 20)
+            (4, 2), (22, 8), (1, 0), (22, 20), (2, 0), (22, 11), (1, 0), (22, 20)
         ]
 
     def test_pinned_cycle_bracket(self):
@@ -439,8 +439,8 @@ class TestWitnessPrunedBisection:
         rows of the table it is solved on and its outcome: the paper's
         cycle (4 undominated rows of 12) and ``x_i -> A x_{i+1}`` over
         three attributes (4 of 10) and six (7 of 108).  None solves ``gamma
-        = 0``, and the 6-cycle's predicted cell, though at ``lower + 1``,
-        is solved on the undominated rows: it is expected to fail."""
+        = 0``; the 6-cycle's ``lower`` comes from the table's Farkas vector
+        at 0, so only its closing probe reads the full table."""
         from pientail import lp, threshold
 
         opt, unb = lp.Optimal, lp.Unbounded
@@ -451,10 +451,7 @@ class TestWitnessPrunedBisection:
                  (597521, 12, unb)],
             ),
             "cycle 3": (_cycle(3), [(524288, 10, unb)]),
-            "cycle 6": (
-                _cycle(6),
-                [(917504, 7, unb), (838860, 7, opt), (838861, 108, unb)],
-            ),
+            "cycle 6": (_cycle(6), [(917504, 7, unb), (838861, 108, unb)]),
         }
         real = threshold._feasible
         for name, ((premises, antecedent), want) in pinned.items():
