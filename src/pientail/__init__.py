@@ -37,11 +37,7 @@ from .entailment import (
     Regime,
     check_certificate,
     decide,
-    decide_high_gamma,
-    decide_low_gamma,
     decide_lp,
-    decide_one_premise,
-    decide_two_premise,
     find_certificate_violation,
     properly_entails,
     prune,
@@ -80,11 +76,7 @@ __all__ = [
     "critical_threshold",
     "decide",
     "decide_general",
-    "decide_high_gamma",
-    "decide_low_gamma",
     "decide_lp",
-    "decide_one_premise",
-    "decide_two_premise",
     "enforces_homogeneity",
     "feasible_at",
     "find_certificate_violation",

@@ -38,15 +38,14 @@ certificates are checked as integer multipliers over one scale, and a ray
 divided by the gcd of its entries is a counterexample's counts.
 ``Fraction``, ``AttrSet`` and ``Dataset`` are built once, for the result.
 
-Besides the LP route, structural deciders answer the same question from
-the premise subsets that carry the conclusion: at most one premise
-(threshold-independent), ``gamma < 1/k`` (single premises only), and
-``gamma >= (k-1)/k`` (any subset, with a two-premise label at ``k = 2``),
-each certified by uniform multipliers over the first subset found; the
-band in between is handled in ``threshold`` by the critical-threshold
-characterisation over the same subsets.  All of them take the first
-carrying subset from ``_first_carrying``, at any k, and ``decide`` picks
-among them with one ladder.
+Besides the LP route, ``decide`` answers the same question from the
+premise subsets that carry the conclusion, with one route per regime: at
+most one premise (threshold-independent), ``gamma < 1/k`` (single
+premises only) and ``gamma >= (k-1)/k`` (any subset), each certified by
+uniform multipliers over the first subset found, and the band in between
+in ``threshold`` by the critical-threshold characterisation over the same
+subsets.  Every route takes the first carrying subset from
+``_first_carrying``, at any k.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class Regime(Enum):
 
     TAUTOLOGY = "tautology"
     ONE_PREMISE = "one-premise"
-    TWO_PREMISE = "two-premise"
     LOW_GAMMA = "low-gamma"
     HIGH_GAMMA = "high-gamma"
     GENERAL_GAMMA_STAR = "general-gamma-star"
@@ -92,7 +90,6 @@ class Method(Enum):
 
     AUTO = "auto"
     LP = "lp"
-    CHARACTERIZATION = "charact"
 
 
 class EntailmentQuery(_Frozen):
@@ -570,12 +567,10 @@ def _uniform_verdict(
     regime: Regime,
     accept: Callable[[tuple[int, ...]], bool] = lambda indices: True,
 ) -> EntailmentVerdict:
-    """The verdict where uniform multipliers suffice: a trivial conclusion
-    holds; otherwise the first carrying subset that ``accept`` takes, with
-    equal multipliers over it, certifies the entailment, and with none the
-    entailment fails (``_lp_failure``)."""
-    if query.conclusion.consequent <= query.conclusion.antecedent:
-        return _tautology_verdict(query)
+    """The verdict where uniform multipliers suffice: the first carrying
+    subset that ``accept`` takes, with equal multipliers over it,
+    certifies the entailment, and with none the entailment fails
+    (``_lp_failure``)."""
     indices = _first_carrying(query, accept)
     if indices is None:
         return _lp_failure(lambda: decide_lp(query), regime)
@@ -601,96 +596,19 @@ def _lp_failure(
     return EntailmentVerdict(False, regime, counterexample=verdict.counterexample)
 
 
-def decide_one_premise(query: EntailmentQuery) -> EntailmentVerdict:
-    """Decide a query with at most one premise by containment tests alone.
-
-    For ``gamma`` strictly between 0 and 1 the verdict does not depend on
-    ``gamma``: the premise antecedent must sit inside the conclusion
-    antecedent, and the premise span must cover the conclusion's.  The
-    boundary values are delegated to the LP route.
-    """
-    if query.k > 1:
-        raise ValueError(f"one-premise decider got {query.k} premises")
-    if not 0 < query.gamma < 1:
-        return decide_lp(query)
-    if query.k == 0:
-        return _tautology_verdict(query)
-    return _uniform_verdict(query, Regime.ONE_PREMISE)
-
-
-def decide_low_gamma(query: EntailmentQuery) -> EntailmentVerdict:
-    """Decide for thresholds below ``1/k``, where premises cannot combine:
-    the entailment holds only if some single premise (or none) suffices."""
-    k = query.k
-    if k < 1:
-        raise ValueError("low-gamma decider needs at least one premise")
-    if query.gamma == 0:
-        return _tautology_verdict(query)
-    if query.gamma * k >= 1:
-        raise ValueError(f"low-gamma decider needs gamma < 1/{k}, got {query.gamma}")
-    x0, premises = query.conclusion.antecedent, query.premises
-
-    def alone(indices: tuple[int, ...]) -> bool:
-        # The first carrying subset that this takes is a single premise.
-        return any(x0 <= premises[i].span for i in indices)
-
-    return _uniform_verdict(query, Regime.LOW_GAMMA, alone)
-
-
-def decide_two_premise(query: EntailmentQuery) -> EntailmentVerdict:
-    """Decide a two-premise query: the high-gamma decider at ``k = 2``,
-    under its own regime label.
-
-    Thresholds below 1/2 are routed to the low-gamma decider, and 1 to the
-    LP route.
-    """
-    if query.k != 2:
-        raise ValueError(f"two-premise decider got {query.k} premises")
-    if query.gamma < Fraction(1, 2):
-        return decide_low_gamma(query)
-    if query.gamma == 1:
-        return decide_lp(query)
-    return _uniform_verdict(query, Regime.TWO_PREMISE)
-
-
-def decide_high_gamma(query: EntailmentQuery) -> EntailmentVerdict:
-    """Decide for thresholds at or above ``(k-1)/k``.
-
-    In this band a premise subset carries the conclusion exactly when the
-    structural combination conditions hold for it, and uniform multipliers
-    over the first such subset (``_first_carrying``) certify the entailment.
-    """
-    k = query.k
-    if k < 1:
-        raise ValueError("high-gamma decider needs at least one premise")
-    if query.gamma == 0:
-        return _tautology_verdict(query)
-    if query.gamma == 1:
-        return decide_lp(query)
-    if query.gamma * k < k - 1:
-        raise ValueError(
-            f"high-gamma decider needs gamma >= {k - 1}/{k}, got {query.gamma}"
-        )
-    return _uniform_verdict(query, Regime.HIGH_GAMMA)
-
-
 def decide(query: EntailmentQuery, method: Method = Method.AUTO) -> EntailmentVerdict:
     """Decide an entailment query.
 
-    ``Method.LP`` always runs the LP route.  ``Method.AUTO`` picks the
-    cheapest decision route that covers the query, at any premise count,
-    and decides the boundary threshold 1 by Horn closure, without rows.
-    ``Method.CHARACTERIZATION`` insists on the paper's characterisation
-    and therefore rejects the boundary thresholds 0 and 1; it also labels
-    the high band at ``k = 2`` two-premise.
+    ``Method.LP`` always runs the LP route.  ``Method.AUTO`` takes one
+    route per regime, at any premise count: ``gamma = 0``, no premises and
+    a trivial conclusion need no search, ``gamma = 1`` is Horn closure,
+    and otherwise uniform multipliers over the first carrying subset
+    settle one premise, ``gamma < 1/k`` (single premises only) and
+    ``gamma >= (k-1)/k``, and ``threshold.decide_general`` the band
+    between.
     """
     if method is Method.LP:
         return decide_lp(query)
-    structural = method is Method.CHARACTERIZATION
-    if structural and not 0 < query.gamma < 1:
-        raise ValueError(
-            "structural deciders cover only thresholds strictly between 0 and 1"
-        )
     k = query.k
     if (
         query.gamma == 0
@@ -701,13 +619,18 @@ def decide(query: EntailmentQuery, method: Method = Method.AUTO) -> EntailmentVe
     if query.gamma == 1:
         return _horn_verdict(query)
     if k == 1:
-        return decide_one_premise(query)
+        return _uniform_verdict(query, Regime.ONE_PREMISE)
     if query.gamma * k < 1:
-        return decide_low_gamma(query)
+        # Premises cannot combine below 1/k: the first carrying subset
+        # that this takes is a single premise.
+        x0, premises = query.conclusion.antecedent, query.premises
+        return _uniform_verdict(
+            query,
+            Regime.LOW_GAMMA,
+            lambda indices: any(x0 <= premises[i].span for i in indices),
+        )
     if query.gamma * k >= k - 1:
-        if structural and k == 2:
-            return decide_two_premise(query)
-        return decide_high_gamma(query)
+        return _uniform_verdict(query, Regime.HIGH_GAMMA)
     from .threshold import decide_general
 
     return decide_general(query)

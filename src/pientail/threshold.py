@@ -555,9 +555,9 @@ def decide_general(query: EntailmentQuery) -> EntailmentVerdict:
     conditions and has critical threshold at most ``gamma``; in that case
     the feasibility multipliers of the subset, padded with zeros,
     certify the full entailment.  A subset's critical threshold only falls
-    as premises join it, so the search of the other structural deciders
-    (``_first_carrying``) can take the cone probe, run once per subset, as
-    its test.  The query's signature table is enumerated at most once,
+    as premises join it, so the search of the band routes of
+    ``entailment.decide`` (``_first_carrying``) can take the cone probe,
+    run once per subset, as its test.  The query's signature table is enumerated at most once,
     when the first subset is probed: each subset's ratio rows are
     projected from it, and the certificate check and the LP counterexample
     reuse it.

@@ -81,6 +81,39 @@ def plain_bisection(premises, antecedent, tolerance) -> pt.ThresholdBracket:
     )
 
 
+def band_edges(query: pt.EntailmentQuery) -> list[pt.EntailmentQuery]:
+    """``query`` at the band edges ``1/k`` and ``(k-1)/k`` and 1/1000 below
+    each, where they lie in [0, 1]; none without premises."""
+    if not query.k:
+        return []
+    edges = set()
+    for edge in (Fraction(1, query.k), Fraction(query.k - 1, query.k)):
+        edges |= {edge, edge - Fraction(1, 1000)}
+    return [
+        pt.EntailmentQuery(query.premises, query.conclusion, g)
+        for g in sorted(edges)
+        if 0 <= g <= 1
+    ]
+
+
+def band_regime(query: pt.EntailmentQuery) -> pt.Regime:
+    """The route ``decide`` labels ``query`` with under ``Method.AUTO``:
+    the cases that need no search, then Horn closure at 1, then one
+    premise, then the bands below ``1/k``, from ``(k-1)/k`` and between."""
+    gamma, k, conclusion = query.gamma, query.k, query.conclusion
+    if gamma == 0 or k == 0 or conclusion.consequent <= conclusion.antecedent:
+        return pt.Regime.TAUTOLOGY
+    if gamma == 1:
+        return pt.Regime.HORN_CLOSURE
+    if k == 1:
+        return pt.Regime.ONE_PREMISE
+    if gamma < Fraction(1, k):
+        return pt.Regime.LOW_GAMMA
+    if gamma >= Fraction(k - 1, k):
+        return pt.Regime.HIGH_GAMMA
+    return pt.Regime.GENERAL_GAMMA_STAR
+
+
 def carrying_walk(query: pt.EntailmentQuery) -> Iterator[tuple[int, ...]]:
     """The reference for ``entailment._first_carrying``: every premise
     subset that carries the conclusion, as an index tuple, in increasing

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import oracle
 import pientail as pt
-from conftest import make_query
+from conftest import band_edges, band_regime, make_query
 
 PAIR = "A -> B C\nA -> B D"
 PAIR_CONCLUSION = "A C D -> B"
@@ -108,7 +108,8 @@ def test_criterion_01_pair_example_verdicts():
         for gamma in (F(1, 2), F(3, 4)):
             q = make_query(PAIR, PAIR_CONCLUSION, gamma)
             assert pt.decide_lp(q).holds
-            assert pt.decide_high_gamma(q).holds
+            verdict = pt.decide(q)
+            assert verdict.holds and verdict.regime is pt.Regime.HIGH_GAMMA
         q = make_query(PAIR, PAIR_CONCLUSION, F(49, 100))
         verdict = pt.decide_lp(q)
         assert not verdict.holds
@@ -213,25 +214,30 @@ def test_criterion_05_homogeneity_agreement():
 
 def test_criterion_06_cross_regime_agreement():
     def body():
+        routes = set()
         for q in regime_agreement_queries():
             reference = pt.decide_lp(q).holds
-            gamma, k = q.gamma, q.k
             assert pt.decide(q).holds == reference
-            if k <= 1:
-                assert pt.decide_one_premise(q).holds == reference
-            if k >= 1 and gamma * k < 1:
-                assert pt.decide_low_gamma(q).holds == reference
-            if k == 2 and gamma >= F(1, 2):
-                assert pt.decide_two_premise(q).holds == reference
-            if k >= 1 and gamma * k >= k - 1:
-                assert pt.decide_high_gamma(q).holds == reference
-            if k >= 1:
+            if q.k >= 1:
                 assert pt.decide_general(q).holds == reference
+            for edge in band_edges(q):
+                verdict = pt.decide(edge)
+                assert verdict.regime is band_regime(edge), edge
+                assert verdict.holds == pt.decide_lp(edge).holds, edge
+                routes.add((verdict.regime, verdict.holds))
+        bands = (
+            pt.Regime.ONE_PREMISE,
+            pt.Regime.LOW_GAMMA,
+            pt.Regime.HIGH_GAMMA,
+            pt.Regime.GENERAL_GAMMA_STAR,
+            pt.Regime.HORN_CLOSURE,
+        )
+        assert routes >= {(r, h) for r in bands for h in (True, False)}, routes
 
     run_criterion(
         6,
         "every decision route agrees with the LP in its regime on 500 "
-        "seeded random queries",
+        "seeded random queries and at their band edges",
         60.0,
         body,
     )

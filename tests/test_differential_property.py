@@ -139,10 +139,7 @@ def test_routes_agree_on_generated_queries():
         patterns = _patterns(n, rules)
         for gamma in _gammas(len(premises), interior):
             query = pt.EntailmentQuery(premise_set, conclusion, gamma)
-            methods = [pt.Method.AUTO, pt.Method.LP]
-            if 0 < gamma < 1:
-                methods.append(pt.Method.CHARACTERIZATION)
-            verdicts = [pt.decide(query, m) for m in methods]
+            verdicts = [pt.decide(query, m) for m in pt.Method]
             assert len({v.holds for v in verdicts}) == 1, (query, verdicts)
             for verdict in verdicts:
                 if verdict.holds:

@@ -1,5 +1,5 @@
-"""Entailment deciders: LP route, structural routes, certificates,
-counterexamples, proper entailment, and pruning."""
+"""Entailment: the LP route, the structural routes of ``decide``,
+certificates, counterexamples, proper entailment, and pruning."""
 
 import random
 from fractions import Fraction as F
@@ -8,7 +8,7 @@ import pytest
 
 import oracle
 import pientail as pt
-from conftest import make_query, status_weights
+from conftest import band_edges, band_regime, make_query, status_weights
 
 
 def verify_verdict(query, verdict):
@@ -79,7 +79,7 @@ class TestDecideLp:
 class TestDecideOnePremise:
     def test_containment_entailment(self):
         q = make_query("A -> B C", "A C -> B", F(1, 2))
-        verdict = pt.decide_one_premise(q)
+        verdict = pt.decide(q)
         assert verdict.holds
         assert verdict.regime is pt.Regime.ONE_PREMISE
         assert verdict.certificate == (F(1),)
@@ -87,8 +87,9 @@ class TestDecideOnePremise:
 
     def test_antecedent_must_shrink(self):
         q = make_query("A B -> C", "A -> C", F(1, 2))
-        verdict = pt.decide_one_premise(q)
+        verdict = pt.decide(q)
         assert not verdict.holds
+        assert verdict.regime is pt.Regime.ONE_PREMISE
         verify_verdict(q, verdict)
 
     def test_verdict_is_threshold_independent(self):
@@ -98,72 +99,67 @@ class TestDecideOnePremise:
                 num_attrs=rng.randint(2, 6), num_premises=1, seed=rng.randrange(10**9)
             )
             answers = {
-                pt.decide_one_premise(oracle.random_query(spec, g)).holds
+                pt.decide(oracle.random_query(spec, g)).holds
                 for g in (F(1, 10), F(1, 2), F(9, 10))
             }
             assert len(answers) == 1
 
-    def test_premise_count_contract(self, pair_query):
-        with pytest.raises(ValueError):
-            pt.decide_one_premise(pair_query)
-
 
 class TestDecideTwoPremise:
     def test_pair_example_holds(self, pair_query):
-        verdict = pt.decide_two_premise(pair_query)
+        verdict = pt.decide(pair_query)
         assert verdict.holds
-        assert verdict.regime is pt.Regime.TWO_PREMISE
+        assert verdict.regime is pt.Regime.HIGH_GAMMA
         assert verdict.certificate == (F(1, 2), F(1, 2))
         verify_verdict(pair_query, verdict)
 
     def test_extra_attribute_breaks_combination(self):
         q = make_query("A -> B C\nA -> B D", "A C D E -> B", F(1, 2))
-        verdict = pt.decide_two_premise(q)
+        verdict = pt.decide(q)
         assert not verdict.holds
+        assert verdict.regime is pt.Regime.HIGH_GAMMA
         assert pt.decide_lp(q).holds == verdict.holds
         verify_verdict(q, verdict)
 
     def test_single_premise_escape(self):
         q = make_query("A -> B\nC -> D", "A B -> B", F(3, 4))
-        assert pt.decide_two_premise(q).holds  # tautology
+        assert pt.decide(q).regime is pt.Regime.TAUTOLOGY
         q = make_query("A -> B C\nC -> D", "A -> B", F(3, 4))
-        verdict = pt.decide_two_premise(q)
+        verdict = pt.decide(q)
         assert verdict.holds
         assert verdict.certificate == (F(1), F(0))
 
     def test_low_threshold_routes_to_low_gamma(self):
         q = make_query("A -> B C\nA -> B D", "A C D -> B", F(2, 5))
-        verdict = pt.decide_two_premise(q)
+        verdict = pt.decide(q)
         assert not verdict.holds
+        assert verdict.regime is pt.Regime.LOW_GAMMA
         assert pt.decide_lp(q).holds == verdict.holds
 
 
 class TestDecideLowGamma:
     def test_single_premise_carries(self):
         q = make_query("A -> B C\nC -> D", "A -> B", F(1, 3))
-        verdict = pt.decide_low_gamma(q)
+        verdict = pt.decide(q)
         assert verdict.holds
+        assert verdict.regime is pt.Regime.LOW_GAMMA
         assert verdict.certificate == (F(1), F(0))
         verify_verdict(q, verdict)
 
     def test_combination_is_impossible_below_one_over_k(self):
         # holds from 1/2 on, so it must fail below the combination band
         q = make_query("A -> B C\nA -> B D", "A C D -> B", F(2, 5))
-        verdict = pt.decide_low_gamma(q)
+        verdict = pt.decide(q)
         assert not verdict.holds
+        assert verdict.regime is pt.Regime.LOW_GAMMA
         verify_verdict(q, verdict)
-
-    def test_range_contract(self):
-        q = make_query("A -> B C\nA -> B D", "A C D -> B", F(1, 2))
-        with pytest.raises(ValueError):
-            pt.decide_low_gamma(q)
 
 
 class TestDecideHighGamma:
     def test_pair_example_both_thresholds(self):
         for gamma in (F(1, 2), F(3, 4)):
             q = make_query("A -> B C\nA -> B D", "A C D -> B", gamma)
-            verdict = pt.decide_high_gamma(q)
+            verdict = pt.decide(q)
             assert verdict.holds
             assert verdict.regime is pt.Regime.HIGH_GAMMA
             assert verdict.certificate == (F(1, 2), F(1, 2))
@@ -171,22 +167,19 @@ class TestDecideHighGamma:
 
     def test_cycle_example_at_two_thirds(self):
         q = make_query("B -> A C H\nC -> A D\nD -> A B", "B C D H -> A", F(2, 3))
-        verdict = pt.decide_high_gamma(q)
+        verdict = pt.decide(q)
         assert verdict.holds
+        assert verdict.regime is pt.Regime.HIGH_GAMMA
         assert verdict.certificate == (F(1, 3), F(1, 3), F(1, 3))
         verify_verdict(q, verdict)
 
     def test_disjoint_premises_do_not_combine(self):
         q = make_query("A -> B\nC -> D", "A C -> B D", F(1, 2))
-        verdict = pt.decide_high_gamma(q)
+        verdict = pt.decide(q)
         assert not verdict.holds
+        assert verdict.regime is pt.Regime.HIGH_GAMMA
         assert pt.decide_lp(q).holds == verdict.holds
         verify_verdict(q, verdict)
-
-    def test_range_contract(self):
-        q = make_query("A -> B C\nA -> B D", "A C D -> B", F(2, 5))
-        with pytest.raises(ValueError):
-            pt.decide_high_gamma(q)
 
 
 class TestDispatch:
@@ -211,24 +204,16 @@ class TestDispatch:
         verdict = pt.decide(pair_query, pt.Method.LP)
         assert verdict.regime is pt.Regime.LP_DIRECT
 
-    def test_method_characterization_uses_two_premise_route(self, pair_query):
-        verdict = pt.decide(pair_query, pt.Method.CHARACTERIZATION)
-        assert verdict.regime is pt.Regime.TWO_PREMISE
-
-    def test_method_characterization_rejects_boundaries(self):
-        for gamma in (F(0), F(1)):
-            q = make_query("A -> B", "A -> B", gamma)
-            with pytest.raises(ValueError):
-                pt.decide(q, pt.Method.CHARACTERIZATION)
-
     def test_boundary_thresholds_auto(self):
         assert pt.decide(make_query("A -> B", "C -> D", F(0))).holds
         v = pt.decide(make_query("A -> B\nB -> C", "A -> C", F(1)))
         assert v.holds and v.regime is pt.Regime.HORN_CLOSURE
 
     def test_agrees_with_lp_across_regimes(self):
-        """Auto dispatch, the structural deciders in their bands, and the
-        LP must return the same yes/no everywhere."""
+        """Auto dispatch, ``decide_general`` and the LP must return the
+        same yes/no everywhere, also at the band edges ``1/k`` and
+        ``(k-1)/k`` and 1/1000 below each, where ``decide`` takes the
+        route of each edge's band."""
         rng = random.Random(777)
         gammas = [F(1, 10), F(1, 4), F(1, 2), F(3, 5), F(2, 3), F(9, 10)]
         for _ in range(200):
@@ -242,17 +227,12 @@ class TestDispatch:
             q = oracle.random_query(spec, gamma)
             ref = pt.decide_lp(q)
             assert pt.decide(q).holds == ref.holds
-            k = q.k
-            if k <= 1:
-                assert pt.decide_one_premise(q).holds == ref.holds
-            if k >= 1 and gamma * k < 1:
-                assert pt.decide_low_gamma(q).holds == ref.holds
-            if k == 2 and gamma >= F(1, 2):
-                assert pt.decide_two_premise(q).holds == ref.holds
-            if k >= 1 and gamma * k >= k - 1:
-                assert pt.decide_high_gamma(q).holds == ref.holds
-            if k >= 1:
+            if q.k >= 1:
                 assert pt.decide_general(q).holds == ref.holds
+            for edge in band_edges(q):
+                verdict = pt.decide(edge)
+                assert verdict.regime is band_regime(edge), edge
+                assert verdict.holds == pt.decide_lp(edge).holds, edge
 
     def test_holds_is_monotone_in_gamma(self):
         rng = random.Random(31)

@@ -1,13 +1,14 @@
-"""The premise-subset search behind the structural deciders.
+"""The premise-subset search behind the structural routes of ``decide``.
 
-Every structural decider reads the first premise subset that carries the
+Every structural route reads the first premise subset that carries the
 conclusion, and that its test accepts, from one search,
 ``entailment._first_carrying``.  These tests pin it against the walk over
 all candidate subsets (``conftest.carrying_walk``), which is itself pinned
 against a reference that tries every nonempty subset with ``AttrSet``
 operations and brute-force homogeneity.  They also pin the outputs of
-every decision entry point to a digest, and bound the search's work at
-large premise counts.
+``decide`` under each method, ``decide_general``, ``prune`` and
+``properly_entails`` to a digest, and bound the search's work at large
+premise counts.
 """
 
 import hashlib
@@ -22,14 +23,8 @@ from conftest import carrying_walk, make_query, nonempty_subsets
 from test_differential import _check_witness
 from pientail.entailment import _first_carrying
 
-METHODS = (pt.Method.AUTO, pt.Method.LP, pt.Method.CHARACTERIZATION)
-DIRECT = (
-    pt.decide_one_premise,
-    pt.decide_low_gamma,
-    pt.decide_two_premise,
-    pt.decide_high_gamma,
-    pt.decide_general,
-)
+METHODS = (pt.Method.AUTO, pt.Method.LP)
+DIRECT = (pt.decide_general,)
 
 
 def _subset(rng, names, density):
@@ -132,10 +127,10 @@ def _outputs():
             yield _outcome(lambda: _proper_key(pt.properly_entails(query, method)))
 
 
-# The digest of ``_outputs`` as computed by the code before the deciders
-# shared one subset scan, and before ``Method.AUTO`` decided ``gamma = 1``
-# by Horn closure.
-PINNED_DIGEST = "1271d9f3112837674f13415c3d31baa04cb5efc344d85e2c038bf12bebe0a4fd"
+# The digest of ``_outputs`` as computed by the code before ``decide``
+# became the only dispatch ladder, when four structural deciders and a
+# third method still stood beside it; those entry points are left out.
+PINNED_DIGEST = "78b48e8be7cee20fe089f2337f528556d99c92d93f77fb7c67fd22cc17bffb34"
 
 
 def test_outputs_are_byte_identical():
@@ -144,7 +139,7 @@ def test_outputs_are_byte_identical():
     for output in _outputs():
         h.update(repr(output).encode() + b"\n")
         count += 1
-    assert count >= 3000
+    assert count == 1323
     assert h.hexdigest() == PINNED_DIGEST, (count, h.hexdigest())
 
 
@@ -205,7 +200,8 @@ def _support(verdict):
 def test_scan_matches_the_reference():
     """The walk against the brute-force reference, and the search's first
     subset against the walk's: with every subset accepted, with the cone
-    probe, and with single premises only (the low-gamma decider)."""
+    probe, and with single premises only (the low-gamma route of
+    ``decide``)."""
     rng = random.Random(2010)
     shapes = {"several": 0, "carried": 0, "duplicate": 0, "empty side": 0}
     for n in range(360):
@@ -218,7 +214,7 @@ def test_scan_matches_the_reference():
         assert _first_carrying(query, feasible) == probed, query
         conclusion = query.conclusion
         if query.k and not conclusion.consequent <= conclusion.antecedent:
-            low = pt.decide_low_gamma(
+            low = pt.decide(
                 pt.EntailmentQuery(query.premises, conclusion, F(1, 10 * query.k))
             )
             single = next((s for s in want if len(s) == 1), None)
@@ -232,17 +228,17 @@ def test_scan_matches_the_reference():
         )
     assert min(shapes.values()) >= 30, shapes
 
-    # At k = 2 the two-premise decider is the high-gamma one, label aside.
+    # At k = 2 from 1/2 on, ``decide`` takes the high-gamma route.
     held = 0
     for _ in range(150):
         gamma = F(1, 2) + F(rng.randrange(50), 100)
         query = _random_query(rng, 2, gamma)
-        two = _verdict_key(pt.decide_two_premise(query))
-        high = _verdict_key(pt.decide_high_gamma(query))
-        assert two[:1] + two[2:] == high[:1] + high[2:], query
-        if two[1] != "tautology":
-            assert (two[1], high[1]) == ("two-premise", "high-gamma")
-        held += two[0]
+        verdict = pt.decide(query)
+        assert verdict.holds == pt.decide(query, pt.Method.LP).holds, query
+        _check_witness(query, verdict)
+        if verdict.regime is not pt.Regime.TAUTOLOGY:
+            assert verdict.regime is pt.Regime.HIGH_GAMMA, query
+        held += verdict.holds
     assert 20 <= held <= 130
 
 
@@ -279,9 +275,8 @@ def _chain_cycle_query(rng):
 def test_search_matches_the_walk_on_chains_and_cycles():
     """A seeded differential where many first subsets have several
     premises: 40 chain and cycle queries, k up to 20, at thresholds on and
-    just below ``1/k`` and ``(k-1)/k`` and between them.  AUTO and
-    CHARACTERIZATION reach the ``Method.LP`` verdict, and every witness
-    checks out.  Where the walk is affordable, the search's first subset
+    just below ``1/k`` and ``(k-1)/k`` and between them.  ``decide``
+    reaches the ``Method.LP`` verdict, and every witness checks out.  Where the walk is affordable, the search's first subset
     is the walk's: with every subset accepted at most 12 eligible premises,
     and with the cone probe, between the edges, at most 8."""
     rng = random.Random(2121)
@@ -304,10 +299,9 @@ def test_search_matches_the_walk_on_chains_and_cycles():
             query = pt.EntailmentQuery(base.premises, base.conclusion, gamma)
             want = pt.decide(query, pt.Method.LP)
             _check_witness(query, want)
-            for method in (pt.Method.AUTO, pt.Method.CHARACTERIZATION):
-                got = pt.decide(query, method)
-                assert got.holds == want.holds, (query, method)
-                _check_witness(query, got)
+            got = pt.decide(query)
+            assert got.holds == want.holds, query
+            _check_witness(query, got)
             if len(eligible) <= 8 and low <= gamma < high:
                 feasible = _cone_probe(query)
                 hit = next((s for s in walk if feasible(s)), None)
@@ -346,7 +340,7 @@ def test_characterization_scans_only_the_eligible_premises(monkeypatch):
         query = make_query("\n".join(WIDE_RULES), WIDE_CONCLUSION, gamma)
         assert query.k == 24
         probed.clear()
-        verdict = pt.decide(query, pt.Method.CHARACTERIZATION)
+        verdict = pt.decide(query)
         assert probed == [3]
         assert verdict.regime is pt.Regime.GENERAL_GAMMA_STAR
         assert verdict.holds is holds
@@ -358,7 +352,6 @@ def test_characterization_scans_only_the_eligible_premises(monkeypatch):
             data = verdict.counterexample
             assert all(pt.satisfies(data, p, gamma) for p in query.premises)
             assert not pt.satisfies(data, query.conclusion, gamma)
-        assert pt.decide(query) == verdict  # AUTO takes the same route at any k
     assert time.perf_counter() - start < SCAN_BUDGET_S
 
 
@@ -368,7 +361,7 @@ def test_cli_characterization_scans_only_the_eligible_premises(tmp_path, capsys)
     start = time.perf_counter()
     code = pt.run(
         ["entail", "--gamma", "57/100", "--premises", str(path),
-         "--conclusion", WIDE_CONCLUSION, "--method", "charact", "--json"]
+         "--conclusion", WIDE_CONCLUSION, "--json"]
     )
     assert time.perf_counter() - start < SCAN_BUDGET_S
     assert code == 0
@@ -381,14 +374,14 @@ def test_single_premise_scan_is_linear_in_the_eligible_premises():
     """30 eligible premises against ``A B -> C``, and the search peels once
     per premise instead of walking the 2**30 subsets: with no span covering
     ``B`` nothing carries, and with the last premise ``A -> B C`` that
-    premise alone carries, as the low-gamma decider finds."""
+    premise alone carries, as the low-gamma route finds."""
     start = time.perf_counter()
     query = make_query("A -> C\n" * 30, "A B -> C", F(1, 100))
     assert _first_carrying(query, _accept_all) is None
-    verdict = pt.decide_low_gamma(query)
+    verdict = pt.decide(query)
     assert (verdict.holds, verdict.regime) == (False, pt.Regime.LOW_GAMMA)
     query = make_query("A -> C\n" * 29 + "A -> B C", "A B -> C", F(1, 100))
-    verdict = pt.decide_low_gamma(query)
+    verdict = pt.decide(query)
     assert (verdict.holds, verdict.regime) == (True, pt.Regime.LOW_GAMMA)
     assert _support(verdict) == (29,)
     assert time.perf_counter() - start < SCAN_BUDGET_S
@@ -400,17 +393,15 @@ def test_scan_ends_when_no_subset_can_cover_the_antecedent():
     and 20 copies each of ``A -> C`` and ``B -> C``, where every subset
     that covers ``A B`` mixes the two rules and fails homogeneity.  A walk
     over the ``2**k`` submasks took 6.8 s on the second family at k = 18;
-    the search must settle both at once under AUTO and CHARACTERIZATION
-    and give the LP verdict."""
+    the search must settle both at once and give the LP verdict."""
     for rules in ("A -> C\n" * 24, "A -> C\nB -> C\n" * 20):
         k = rules.count("\n")
         query = make_query(rules, "A B -> C", F(k - 1, k))
         lp = pt.decide(query, pt.Method.LP)
-        for method in (pt.Method.AUTO, pt.Method.CHARACTERIZATION):
-            start = time.perf_counter()
-            assert _first_carrying(query, _accept_all) is None
-            verdict = pt.decide(query, method)
-            assert time.perf_counter() - start < 2.0, (k, method)
-            assert verdict.regime is pt.Regime.HIGH_GAMMA and not verdict.holds
-            assert verdict.counterexample == lp.counterexample
-            _check_witness(query, verdict)
+        start = time.perf_counter()
+        assert _first_carrying(query, _accept_all) is None
+        verdict = pt.decide(query)
+        assert time.perf_counter() - start < 2.0, k
+        assert verdict.regime is pt.Regime.HIGH_GAMMA and not verdict.holds
+        assert verdict.counterexample == lp.counterexample
+        _check_witness(query, verdict)
