@@ -14,7 +14,6 @@ from .model import (
     CoverStatus,
     Dataset,
     PartialImplication,
-    Rational,
     UniverseMismatchError,
     as_rational,
     cover_status,
@@ -26,7 +25,6 @@ from .homogeneity import (
     ImplicationSet,
     enforces_homogeneity,
     horn_closure,
-    two_premise_nicety,
 )
 from .entailment import (
     ConstraintSignature,
@@ -66,7 +64,6 @@ __all__ = [
     "Method",
     "PartialImplication",
     "ProperEntailmentResult",
-    "Rational",
     "Regime",
     "ThresholdBracket",
     "UniverseMismatchError",
@@ -89,6 +86,5 @@ __all__ = [
     "run",
     "satisfies",
     "support",
-    "two_premise_nicety",
     "weight",
 ]

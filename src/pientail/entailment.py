@@ -66,6 +66,7 @@ from .model import (
     Dataset,
     PartialImplication,
     UniverseMismatchError,
+    as_gamma,
     as_rational,
     bit_positions,
     _Frozen,
@@ -103,16 +104,11 @@ class EntailmentQuery(_Frozen):
         conclusion: PartialImplication,
         gamma: Fraction | int | str,
     ) -> None:
-        self.__dict__.update(premises=premises, conclusion=conclusion, gamma=gamma)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.premises.universe != self.conclusion.universe:
+        if premises.universe != conclusion.universe:
             raise UniverseMismatchError("premises and conclusion universes differ")
-        g = as_rational(self.gamma)
-        if not 0 <= g <= 1:
-            raise ValueError(f"gamma must lie in [0, 1], got {g}")
-        object.__setattr__(self, "gamma", g)
+        self.__dict__.update(
+            premises=premises, conclusion=conclusion, gamma=as_gamma(gamma)
+        )
 
     @property
     def k(self) -> int:
@@ -599,7 +595,8 @@ def _lp_failure(
 def decide(query: EntailmentQuery, method: Method = Method.AUTO) -> EntailmentVerdict:
     """Decide an entailment query.
 
-    ``Method.LP`` always runs the LP route.  ``Method.AUTO`` takes one
+    ``Method.LP`` always runs the LP route, and any ``method`` that is not
+    a ``Method`` raises ``TypeError``.  ``Method.AUTO`` takes one
     route per regime, at any premise count: ``gamma = 0``, no premises and
     a trivial conclusion need no search, ``gamma = 1`` is Horn closure,
     and otherwise uniform multipliers over the first carrying subset
@@ -607,8 +604,10 @@ def decide(query: EntailmentQuery, method: Method = Method.AUTO) -> EntailmentVe
     ``gamma >= (k-1)/k``, and ``threshold.decide_general`` the band
     between.
     """
-    if method is Method.LP:
-        return decide_lp(query)
+    if method is not Method.AUTO:
+        if method is Method.LP:
+            return decide_lp(query)
+        raise TypeError(f"method must be a Method, got {method!r}")
     k = query.k
     if (
         query.gamma == 0
@@ -654,27 +653,25 @@ class ProperEntailmentResult(_Frozen):
         )
 
 
-def properly_entails(
-    query: EntailmentQuery, method: Method = Method.AUTO
-) -> ProperEntailmentResult:
+def properly_entails(query: EntailmentQuery) -> ProperEntailmentResult:
     """Decide the query and greedily shrink the premise set while it still
     entails.  Entailing subsets are upward closed, so single-removal
     passes reach an inclusion-minimal subset, and the entailment is proper
     exactly when no single premise can be dropped.  Like ``prune``, it
     runs its decides in one batch (``_BATCH``) and enumerates at most one
     table.  A trial drops one premise at the same ``gamma``, so a low- or
-    high-band query's trials stay in its band, and rows are needed only
-    under ``Method.LP`` or in the general band (``Method.AUTO`` decides
-    ``gamma = 1`` by Horn closure).  There the query's own decide has
-    enumerated over every trial's rules, or has failed and ended the call."""
+    high-band query's trials stay in its band, and rows are needed only in
+    the general band (``gamma = 1`` is decided by Horn closure).  There the
+    query's own decide has enumerated over every trial's rules, or has
+    failed and ended the call."""
     token = _BATCH.set(_Batch())
     try:
-        if not decide(query, method).holds:
+        if not decide(query).holds:
             return ProperEntailmentResult(False, proper=False, minimal_premises=None)
         kept = list(range(query.k))
         for i in list(kept):
             trial = [j for j in kept if j != i]
-            if decide(query.with_premises(trial), method).holds:
+            if decide(query.with_premises(trial)).holds:
                 kept = trial
     finally:
         _BATCH.reset(token)
@@ -685,9 +682,7 @@ def properly_entails(
     )
 
 
-def prune(
-    rules: ImplicationSet, gamma: Fraction | int | str, method: Method = Method.AUTO
-) -> ImplicationSet:
+def prune(rules: ImplicationSet, gamma: Fraction | int | str) -> ImplicationSet:
     """Drop rules entailed by the others at ``gamma``, scanning in order.
 
     Each rule is tested against all rules kept so far plus all rules not
@@ -695,7 +690,7 @@ def prune(
     at a fixed threshold, the surviving set still entails everything that
     was dropped.
     """
-    g = as_rational(gamma)
+    g = as_gamma(gamma)
     kept: list[int] = []
     n = len(rules)
     # Query i involves the rules kept and the rules from i on, a subset of
@@ -703,16 +698,16 @@ def prune(
     # decide that needs rows enumerates over a superset of every later
     # decide's rules, and the later ones project its table.  Only ``holds``
     # is read, so a decide that no premise subset carries fails without
-    # rows, and ``Method.AUTO`` decides ``gamma = 1`` by Horn closure: only
-    # a cone probe or ``Method.LP`` needs rows.  The first enumeration is
-    # the widest, so it is the only one the enumeration cap can stop, and
-    # the decide that makes it is the first to enumerate outside a batch too.
+    # rows, and ``gamma = 1`` is decided by Horn closure: only a cone probe
+    # needs rows.  The first enumeration is the widest, so it is the only
+    # one the enumeration cap can stop, and the decide that makes it is the
+    # first to enumerate outside a batch too.
     token = _BATCH.set(_Batch())
     try:
         for i in range(n):
             others = kept + list(range(i + 1, n))
             query = EntailmentQuery(rules.subset(others), rules[i], g)
-            if not decide(query, method).holds:
+            if not decide(query).holds:
                 kept.append(i)
     finally:
         _BATCH.reset(token)

@@ -31,15 +31,12 @@ class ImplicationSet(_Frozen):
         universe: AttributeUniverse,
         implications: tuple[PartialImplication, ...],
     ) -> None:
-        self.__dict__.update(universe=universe, implications=implications)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for imp in self.implications:
-            if imp.universe != self.universe:
+        for imp in implications:
+            if imp.universe != universe:
                 raise UniverseMismatchError(
                     "implication belongs to a different universe"
                 )
+        self.__dict__.update(universe=universe, implications=implications)
 
     def __len__(self) -> int:
         return len(self.implications)
@@ -103,14 +100,3 @@ def enforces_homogeneity(rules: ImplicationSet) -> bool:
     return all(
         _closure(ante, pairs) & everything == everything for ante, _ in pairs
     )
-
-
-def two_premise_nicety(first: PartialImplication, second: PartialImplication) -> bool:
-    """Homogeneity specialised to a pair of rules.
-
-    A pair enforces homogeneity exactly when each antecedent is contained
-    in the other rule's span.
-    """
-    if first.universe != second.universe:
-        raise UniverseMismatchError("implications belong to different universes")
-    return first.antecedent <= second.span and second.antecedent <= first.span

@@ -73,17 +73,14 @@ class LinearProgram(_Frozen):
         objective: tuple[int, ...],
         constraints: tuple[tuple[int, ...], ...],
     ) -> None:
+        if len(objective) != num_vars:
+            raise ValueError("objective length does not match num_vars")
+        for row in constraints:
+            if len(row) != num_vars:
+                raise ValueError("constraint length does not match num_vars")
         self.__dict__.update(
             num_vars=num_vars, objective=objective, constraints=constraints
         )
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length does not match num_vars")
-        for row in self.constraints:
-            if len(row) != self.num_vars:
-                raise ValueError("constraint length does not match num_vars")
 
 
 class Optimal(_Frozen):

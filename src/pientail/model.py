@@ -16,8 +16,6 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
-
 # Decision procedures build one constraint per distinct cover pattern of a
 # transaction type, up to 2**n rows for n attributes.  The universe may hold
 # any number of attributes; this cap bounds how many of them one enumeration
@@ -52,6 +50,14 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
+def as_gamma(value: Fraction | int | str) -> Fraction:
+    """``as_rational`` of a confidence threshold, which must lie in [0, 1]."""
+    g = as_rational(value)
+    if not 0 <= g <= 1:
+        raise ValueError(f"gamma must lie in [0, 1], got {g}")
+    return g
+
+
 def bit_positions(bits: int) -> list[int]:
     """Positions of the set bits of ``bits``, ascending."""
     out = []
@@ -68,11 +74,11 @@ class _Frozen:
     """Base of the value classes: what a frozen dataclass gives them, without
     importing ``dataclasses``.
 
-    A subclass names its fields in ``_fields`` and stores them in its own
-    ``__init__``.  Instances of one class are equal when their field tuples
-    are, the hash is the field tuple's, the repr is the dataclass one, and
-    assigning or deleting an attribute raises ``AttributeError``.  The
-    ``__dict__`` stays, for ``cached_property``, ``pickle`` and ``copy``.
+    A subclass names its fields in ``_fields``, and its ``__init__`` checks
+    and stores them.  Instances of one class are equal when their field
+    tuples are, the hash is the field tuple's, the repr is the dataclass
+    one, and assigning or deleting an attribute raises ``AttributeError``.
+    The ``__dict__`` stays, for ``cached_property``, ``pickle`` and ``copy``.
     """
 
     _fields: tuple[str, ...]
@@ -115,15 +121,13 @@ class AttributeUniverse(_Frozen):
     _fields = ("names",)
 
     def __init__(self, names: Iterable[str]) -> None:
-        self.__dict__["names"] = names if isinstance(names, tuple) else tuple(names)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for name in self.names:
+        names = names if isinstance(names, tuple) else tuple(names)
+        for name in names:
             if not name or any(ch.isspace() for ch in name):
                 raise ValueError(f"invalid attribute name {name!r}")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate attribute names")
+        self.__dict__["names"] = names
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -159,12 +163,9 @@ class AttrSet(_Frozen):
     _fields = ("universe", "bits")
 
     def __init__(self, universe: AttributeUniverse, bits: int) -> None:
+        if not 0 <= bits < (1 << universe.size):
+            raise ValueError(f"bitmask {bits:#x} outside universe")
         self.__dict__.update(universe=universe, bits=bits)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.universe.size):
-            raise ValueError(f"bitmask {self.bits:#x} outside universe")
 
     def _check(self, other: AttrSet) -> None:
         if self.universe != other.universe:
@@ -231,14 +232,11 @@ class PartialImplication(_Frozen):
     _fields = ("antecedent", "consequent")
 
     def __init__(self, antecedent: AttrSet, consequent: AttrSet) -> None:
-        self.__dict__.update(antecedent=antecedent, consequent=consequent)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.antecedent.universe != self.consequent.universe:
+        if antecedent.universe != consequent.universe:
             raise UniverseMismatchError(
                 "antecedent and consequent belong to different universes"
             )
+        self.__dict__.update(antecedent=antecedent, consequent=consequent)
 
     @property
     def universe(self) -> AttributeUniverse:
@@ -323,9 +321,7 @@ def weight(
     neutral.  A dataset satisfies the rule at ``gamma`` exactly when the
     multiplicity-weighted sum of these contributions is nonnegative.
     """
-    g = as_rational(gamma)
-    if not 0 <= g <= 1:
-        raise ValueError(f"gamma must lie in [0, 1], got {g}")
+    g = as_gamma(gamma)
     status = cover_status(transaction, implication)
     if status is CoverStatus.WITNESSED:
         return 1 - g
@@ -414,9 +410,7 @@ def satisfies(
     least ``gamma``.  Computed in integers: with ``gamma = p/q``, the
     fraction ``both / ante`` is compared as ``both * q >= p * ante``.
     """
-    g = as_rational(gamma)
-    if not 0 <= g <= 1:
-        raise ValueError(f"gamma must lie in [0, 1], got {g}")
+    g = as_gamma(gamma)
     if dataset.universe != implication.universe:
         raise UniverseMismatchError("dataset and implication universes differ")
     ante = support(dataset, implication.antecedent)

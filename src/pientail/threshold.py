@@ -57,6 +57,7 @@ from .model import (
     PartialImplication,
     UniverseMismatchError,
     _Frozen,
+    as_gamma,
     as_rational,
 )
 
@@ -249,9 +250,7 @@ def feasible_at(
     the critical threshold is attained, so this single feasibility test
     decides the comparison exactly.
     """
-    g = as_rational(gamma)
-    if not 0 <= g <= 1:
-        raise ValueError(f"gamma must lie in [0, 1], got {g}")
+    g = as_gamma(gamma)
     outcome = _feasible(_ratio_rows(premises, antecedent), len(premises), g)
     return _simplex_point(outcome.ray) if isinstance(outcome, lp.Unbounded) else None
 
@@ -464,8 +463,7 @@ def critical_threshold(
     Probes run on the rows no other row dominates (``_undominated``):
     feasible exactly where the full table is, with Farkas vectors that,
     zero elsewhere, are the full table's.  Only probes whose ray can close
-    the bracket see the full table: at ``lower + 1``, unless it is a
-    predicted cell's lower end, expected to fail, and at ``upper`` last.
+    the bracket see the full table: at ``lower + 1`` and at ``upper`` last.
     A full-table ray is checked on every row by ``lp.solve``, which
     substitutes it into the probe's rows: row by row, ``(gamma C - W)
     lambda >= 0`` is the ratio check.  A ray of the undominated rows is
@@ -494,14 +492,13 @@ def critical_threshold(
         if w * q > p * c:
             raise RuntimeError("probe ray exceeds its threshold")
 
-    def probe(x: int, closes: bool = True) -> bool:
+    def probe(x: int) -> bool:
         """Probe ``x / 2**depth`` and move ``lower`` or ``upper`` to it, on
-        the full table where a feasible probe closes the bracket, unless
-        ``closes`` is False because it is expected to fail."""
+        the full table where a feasible probe closes the bracket."""
         nonlocal lower, upper, at_upper, full
         gamma = Fraction(x, 1 << depth)
         p, q = gamma.numerator, gamma.denominator
-        on_rows = closes and x == lower + 1
+        on_rows = x == lower + 1
         table = rows if on_rows else kept
         outcome = _feasible(table, k, gamma)
         if isinstance(outcome, lp.Optimal):
@@ -535,7 +532,7 @@ def critical_threshold(
         cell = _predict(codes, at_upper, lower, upper, depth) if predict else None
         if cell is None:
             probe((lower >> levels << levels) + (1 << levels - 1))
-        elif (cell == lower or not probe(cell, False)) and lower == cell < upper - 1:
+        elif (cell == lower or not probe(cell)) and lower == cell < upper - 1:
             probe(cell + 1)  # the cell's lower end is ruled out, its upper open
     if not full and not probe(upper):
         raise RuntimeError("no multipliers at 1, where every ratio is at most 1")

@@ -114,6 +114,34 @@ def band_regime(query: pt.EntailmentQuery) -> pt.Regime:
     return pt.Regime.GENERAL_GAMMA_STAR
 
 
+def prune_reference(rules, gamma, method: pt.Method) -> pt.ImplicationSet:
+    """The reference for ``prune``: its scan, with an independent
+    ``decide(query, method)`` at every step, each enumerating its own
+    table."""
+    kept = []
+    for i in range(len(rules)):
+        others = kept + list(range(i + 1, len(rules)))
+        query = pt.EntailmentQuery(rules.subset(others), rules[i], gamma)
+        if not pt.decide(query, method).holds:
+            kept.append(i)
+    return rules.subset(kept)
+
+
+def properly_entails_reference(
+    query: pt.EntailmentQuery, method: pt.Method
+) -> pt.ProperEntailmentResult:
+    """The reference for ``properly_entails``: its greedy shrink, with an
+    independent ``decide(query, method)`` at every step."""
+    if not pt.decide(query, method).holds:
+        return pt.ProperEntailmentResult(False, False, None)
+    kept = list(range(query.k))
+    for i in list(kept):
+        trial = [j for j in kept if j != i]
+        if pt.decide(query.with_premises(trial), method).holds:
+            kept = trial
+    return pt.ProperEntailmentResult(True, len(kept) == query.k, tuple(kept))
+
+
 def carrying_walk(query: pt.EntailmentQuery) -> Iterator[tuple[int, ...]]:
     """The reference for ``entailment._first_carrying``: every premise
     subset that carries the conclusion, as an index tuple, in increasing

@@ -203,6 +203,9 @@ class TestDispatch:
     def test_method_lp_forces_lp(self, pair_query):
         verdict = pt.decide(pair_query, pt.Method.LP)
         assert verdict.regime is pt.Regime.LP_DIRECT
+        for method in ("lp", None):  # not a ``Method``: refused, not AUTO
+            with pytest.raises(TypeError, match="method must be a Method"):
+                pt.decide(pair_query, method)
 
     def test_boundary_thresholds_auto(self):
         assert pt.decide(make_query("A -> B", "C -> D", F(0))).holds

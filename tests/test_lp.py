@@ -1137,8 +1137,8 @@ class TestTracerSeam:
         built, solved = [], []
 
         class Recorded(lp.LinearProgram):
-            def __post_init__(self):
-                super().__post_init__()
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 built.append(self)
 
         real_solve = lp.solve

@@ -11,7 +11,12 @@ import pytest
 
 import oracle
 import pientail as pt
-from conftest import make_query, nonempty_subsets
+from conftest import (
+    make_query,
+    nonempty_subsets,
+    properly_entails_reference,
+    prune_reference,
+)
 from pientail import entailment, lp, threshold
 from pientail.entailment import signature_rows
 from pientail.model import bit_positions
@@ -217,25 +222,15 @@ def test_projected_table_matches_a_table_for_the_chosen_rules():
         assert projected == signature_rows(chosen, u), (implications, columns)
 
 
-def _prune_by_single_decides(rules, gamma, method):
-    """``prune`` as a loop of independent decides, each enumerating its own
-    table."""
-    kept = []
-    for i in range(len(rules)):
-        others = kept + list(range(i + 1, len(rules)))
-        query = pt.EntailmentQuery(rules.subset(others), rules[i], gamma)
-        if not pt.decide(query, method).holds:
-            kept.append(i)
-    return rules.subset(kept)
-
-
 def test_prune_enumerates_one_table(monkeypatch):
-    """Every decide of a 5-rule prune under ``Method.LP`` needs rows; the
-    first enumerates them and the other four project that table."""
+    """The first decide of a 5-rule prune at 3/5 probes a carrying subset,
+    so it enumerates rows over its 5 rules, and every later decide that
+    needs rows projects that table.  The prune keeps what the LP route
+    keeps."""
     rules = pt.parse_rules("A -> B C\nA -> B D\nA C D -> B\nB -> E\nC E -> D")
-    reference = _prune_by_single_decides(rules, F(3, 5), pt.Method.LP)
+    reference = prune_reference(rules, F(3, 5), pt.Method.LP)
     calls = _count_enumerations(monkeypatch)
-    assert pt.prune(rules, F(3, 5), pt.Method.LP) == reference
+    assert pt.prune(rules, F(3, 5)) == reference
     assert len(calls) == 1
     assert len(calls[0][0]) == 5  # the first query's conclusion and 4 premises
 
@@ -260,13 +255,13 @@ def test_prune_matches_a_decide_per_query():
         rule_set = pt.ImplicationSet(u, tuple(rules))
         k = len(rules) - 1
         gamma = rng.choice([F(1, 2), F(3, 5), F(k - 1, k) if k > 1 else F(2, 3), F(rng.randint(1, 19), 20)])
+        kept = pt.prune(rule_set, gamma)
         for method in pt.Method:
-            kept = pt.prune(rule_set, gamma, method)
-            assert kept == _prune_by_single_decides(rule_set, gamma, method), (
+            assert kept == prune_reference(rule_set, gamma, method), (
                 rule_set, gamma, method
             )
-            dropped += len(rules) - len(kept)
-    assert dropped >= 100
+        dropped += len(rules) - len(kept)
+    assert dropped >= 50
 
 
 def _wide_rule_set(first_trivial):
@@ -288,22 +283,25 @@ def _wide_rule_set(first_trivial):
 @pytest.mark.parametrize("method", [pt.Method.AUTO])
 def test_prune_enumerates_only_when_a_decide_needs_rows(method):
     """A trivial rule 0 is decided without rows, so no table includes it
-    and the prune succeeds.  (``Method.LP`` enumerates for every decide,
+    and the prune succeeds.  (The LP route enumerates for every decide,
     so there the first decide raises.)"""
     rules = _wide_rule_set(first_trivial=True)
-    kept = pt.prune(rules, F(3, 5), method)
-    assert kept == _prune_by_single_decides(rules, F(3, 5), method)
+    kept = pt.prune(rules, F(3, 5))
+    assert kept == prune_reference(rules, F(3, 5), method)
     assert rules[0] not in kept.implications and len(kept) >= 2
     with pytest.raises(pt.AttributeCapError):
-        pt.prune(rules, F(3, 5), pt.Method.LP)
+        prune_reference(rules, F(3, 5), pt.Method.LP)
 
 
-@pytest.mark.parametrize("method", list(pt.Method))
+@pytest.mark.parametrize("method", [pt.Method.AUTO])
 def test_prune_raises_for_a_kept_rule_past_the_cap(method):
     """A wide rule that is kept is too wide for the first table that
-    includes it."""
+    includes it, in ``prune`` and in its decides one by one."""
+    rules = _wide_rule_set(first_trivial=False)
     with pytest.raises(pt.AttributeCapError):
-        pt.prune(_wide_rule_set(first_trivial=False), F(3, 5), method)
+        pt.prune(rules, F(3, 5))
+    with pytest.raises(pt.AttributeCapError):
+        prune_reference(rules, F(3, 5), method)
 
 
 def _count_solves(monkeypatch):
@@ -316,18 +314,6 @@ def _count_solves(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", counting)
     return solved
-
-
-def _properly_by_single_decides(query, method):
-    """``properly_entails`` as a loop of public decides."""
-    if not pt.decide(query, method).holds:
-        return pt.ProperEntailmentResult(False, False, None)
-    kept = list(range(query.k))
-    for i in list(kept):
-        trial = [j for j in kept if j != i]
-        if pt.decide(query.with_premises(trial), method).holds:
-            kept = trial
-    return pt.ProperEntailmentResult(True, len(kept) == query.k, tuple(kept))
 
 
 def _properly_corpus(rng, count):
@@ -389,27 +375,13 @@ def test_properly_entails_shares_one_table(monkeypatch):
     calls = _count_enumerations(monkeypatch)
     shared = 0
     for query in queries:
+        calls.clear()
+        result = pt.properly_entails(query)
+        assert len(calls) <= 1, query
+        shared += bool(calls) and result.holds and query.k >= 2
         for method in pt.Method:
-            reference = _properly_by_single_decides(query, method)
-            calls.clear()
-            result = pt.properly_entails(query, method)
-            assert result == reference, (query, method)
-            assert len(calls) <= 1, (query, method)
-            if calls and result.holds and query.k >= 2:
-                shared += 1
-    assert len(queries) >= 200 and shared >= 100
-
-
-def test_properly_entails_under_lp_enumerates_once(monkeypatch):
-    """Under ``Method.LP`` every decide needs rows: the query's decide
-    enumerates them over its k + 1 rules and every trial projects them."""
-    query = make_query("A -> B C\nA -> B D\nA -> B\nC -> D", "A C D -> B", F(1, 2))
-    reference = _properly_by_single_decides(query, pt.Method.LP)
-    assert reference.holds
-    calls = _count_enumerations(monkeypatch)
-    assert pt.properly_entails(query, pt.Method.LP) == reference
-    assert len(calls) == 1
-    assert len(calls[0][0]) == query.k + 1 == 5
+            assert result == properly_entails_reference(query, method), (query, method)
+    assert len(queries) >= 200 and shared >= 10
 
 
 @pytest.mark.parametrize(
@@ -426,9 +398,9 @@ def test_prune_without_rows_solves_nothing(monkeypatch, text, gamma, method):
     hold through uniform multipliers, enumerate no table and solve no
     program inside ``prune``, which keeps what public decides keep."""
     rules = pt.parse_rules(text)
-    reference = _prune_by_single_decides(rules, gamma, method)
+    reference = prune_reference(rules, gamma, method)
     calls, solved = _count_enumerations(monkeypatch), _count_solves(monkeypatch)
-    assert pt.prune(rules, gamma, method) == reference
+    assert pt.prune(rules, gamma) == reference
     assert calls == [] and solved == []
 
 
@@ -439,7 +411,7 @@ def test_properly_entails_without_rows_solves_nothing(monkeypatch, pair_query):
     chain = make_query("A -> B\nB -> C\nC -> D", "A -> D", F(1, 2))
     below = pt.EntailmentQuery(pair_query.premises, pair_query.conclusion, F(49, 100))
     queries = [pair_query, below, chain]
-    references = [_properly_by_single_decides(q, pt.Method.AUTO) for q in queries]
+    references = [properly_entails_reference(q, pt.Method.AUTO) for q in queries]
     assert references[0] == pt.ProperEntailmentResult(True, True, (0, 1))
     calls, solved = _count_enumerations(monkeypatch), _count_solves(monkeypatch)
     assert [pt.properly_entails(q) for q in queries] == references
@@ -478,13 +450,16 @@ def test_public_decide_keeps_its_counterexample(pair_query, cycle_query):
 def test_prune_past_the_cap_when_no_decide_needs_rows(method):
     """Over 22 attributes, a prune and a ``properly_entails`` whose decides
     all fail structurally enumerate nothing, so the cap does not stop
-    them; ``Method.LP`` enumerates for its first decide and raises."""
+    them.  Outside them a failing decide enumerates for its counterexample,
+    and the LP route for its first decide, and both raise."""
     rules = _wide_rule_set(first_trivial=False).subset([0, 1, 2])
-    assert pt.prune(rules, F(3, 5), method) == rules
+    assert pt.prune(rules, F(3, 5)) == rules
     query = pt.EntailmentQuery(rules.subset([1, 2]), rules[0], F(3, 5))
-    assert not pt.properly_entails(query, method).holds
+    assert not pt.properly_entails(query).holds
     with pytest.raises(pt.AttributeCapError):
-        pt.prune(rules, F(3, 5), pt.Method.LP)
+        pt.decide(query, method)
+    with pytest.raises(pt.AttributeCapError):
+        prune_reference(rules, F(3, 5), pt.Method.LP)
 
 
 CHAIN = "".join(f"x{i} -> x{i + 1}\n" for i in range(29))  # over x0 .. x29
@@ -504,7 +479,7 @@ def test_a_thirty_attribute_chain_needs_no_rows(monkeypatch, method):
     one = pt.decide(pt.EntailmentQuery(rules.subset([0]), conclusion, F(1, 2)), method)
     assert one.holds and one.regime is pt.Regime.ONE_PREMISE
     assert one.certificate == (F(1),)
-    assert pt.prune(rules, F(3, 5), method) == rules
+    assert pt.prune(rules, F(3, 5)) == rules
     assert calls == []
 
 

@@ -221,6 +221,15 @@ def test_validation_errors_are_unchanged():
         pt.EntailmentQuery(query.premises, query.conclusion, -1)
     with pytest.raises(TypeError, match="refusing float 0.5"):
         pt.EntailmentQuery(query.premises, query.conclusion, 0.5)
+    v = query.universe
+    for call in (
+        lambda: pt.weight(v.empty(), query.conclusion, 2),
+        lambda: pt.satisfies(pt.Dataset(v), query.conclusion, 2),
+        lambda: pt.feasible_at(2, query.premises, query.conclusion.antecedent),
+        lambda: pt.prune(pt.ImplicationSet(v, ()), 2),
+    ):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\], got 2"):
+            call()
     other = pt.AttributeUniverse(("A", "B", "C", "D", "E"))
     with pytest.raises(pt.UniverseMismatchError):
         pt.EntailmentQuery(
