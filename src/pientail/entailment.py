@@ -15,19 +15,21 @@ the whole question is linear-programming duality:
   rational recession ray to integers yields a finite counterexample
   dataset that satisfies every premise and breaks the conclusion.
 
-Transactions only matter through their cover pattern against the k+1 rules
-involved, so the ``2**n`` transaction types collapse to at most ``3**(k+1)``
-distinct constraint signatures before any program is built.
+Transactions only matter through their cover pattern against the k+1
+rules involved, so the ``2**n`` transaction types collapse to at most
+``3**(k+1)`` distinct constraint signatures before any program is built.
 ``signature_rows`` finds them with a frontier over classes of attributes
 that lie in the same rules, so its cost grows with the number of
-signatures, not with ``2**n``.  ``threshold.decide_general`` builds one
-such table per query, when a premise subset first needs a cone probe,
-and reads it for every premise subset, for the certificate check and for
-the LP counterexample.  ``prune`` and ``properly_entails`` read only
-whether each decide holds, so each runs its decides in one batch: a
-decide that no premise subset carries fails without a counterexample and
-without rows, and at most one table is built per call, which every later
-decide that needs rows projects onto its own rules.
+signatures, not with ``2**n``, and taking the classes in top-bit order
+keeps it in witness order without a comparison or a sort.
+``threshold.decide_general`` builds one such table per query, when a
+premise subset first needs a cone probe, and reads it for every premise
+subset, for the certificate check and for the LP counterexample.
+``prune`` and ``properly_entails`` read only whether each decide holds,
+so each runs its decides in one batch: a decide that no premise subset
+carries fails without a counterexample and without rows, and at most one
+table is built per call, which every later decide that needs rows
+projects onto its own rules.
 
 From the table to the verified witness the work is in integers.  A row
 holds one status code per rule and the bitmask of a transaction, and with
@@ -54,7 +56,7 @@ import math
 from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
-from operator import getitem
+from operator import concat, getitem, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import lp
@@ -166,6 +168,12 @@ _STATUSES = tuple(CoverStatus)
 _NOT_COVERED = CoverStatus.NOT_COVERED.value
 _VIOLATED = CoverStatus.VIOLATED.value
 _WITNESSED = CoverStatus.WITNESSED.value
+# Codes of four rules per byte of a frontier state, two bits per rule: neither
+# set broken, the span only, or both (a broken antecedent breaks its span).
+_CODES_BY_BYTE = tuple(
+    tuple((_WITNESSED, None, _VIOLATED, _NOT_COVERED)[b >> s & 3] for s in (0, 2, 4, 6))
+    for b in range(256)
+)
 
 
 class SignatureRow(NamedTuple):
@@ -218,9 +226,17 @@ def signature_rows(
     transaction so far; a class is either kept whole or dropped whole,
     which ORs its sets into the state.  Classes own disjoint bits, so the
     smallest prefix of a state extends to the smallest witness of every
-    pattern it leads to, in any class order.  The work is the number of
-    classes times the number of states, at most ``3**len(implications)``,
-    instead of ``2**width``.
+    pattern it leads to.  The work is the number of classes times the
+    number of states, at most ``3**len(implications)``, instead of
+    ``2**width``.
+
+    No two witnesses are compared.  Classes are taken in increasing
+    bitmask (top-bit) order, so every transaction of the frontier lies
+    below the current class's top bit: every drop of the class is smaller
+    than every keep.  The frontier is in ascending witness order, so a pass
+    over the drops and then the keeps meets the candidates in ascending
+    order: ``setdefault`` keeps each state's smallest witness and inserts
+    the states in witness order, and the table needs no sort.
     """
     occ, pairs = rule_bitmasks(implications, universe)
     classes: dict[int, int] = {}
@@ -234,22 +250,21 @@ def signature_rows(
                 sets |= 2 << 2 * j
         classes[sets] = classes.get(sets, 0) | bit
     frontier = {0: 0}
-    for sets, bits in classes.items():
-        step = {broken: z | bits for broken, z in frontier.items()}
+    for sets, bits in sorted(classes.items(), key=itemgetter(1)):
+        step: dict[int, int] = {}
+        add = step.setdefault
         for broken, z in frontier.items():
-            state = broken | sets
-            best = step.get(state)
-            if best is None or z < best:
-                step[state] = z
+            add(broken | sets, z)
+        for broken, z in frontier.items():
+            add(broken, z | bits)
         frontier = step
-    # Two bits per rule: neither broken, the span only, or both (a broken
-    # antecedent breaks its span too).
-    code_by_bits = (_WITNESSED, None, _VIOLATED, _NOT_COVERED)
-    shifts = range(0, 2 * len(pairs), 2)
-    return [
-        SignatureRow(tuple([code_by_bits[broken >> s & 3] for s in shifts]), z)
-        for z, broken in sorted((z, broken) for broken, z in frontier.items())
-    ]
+    count = len(pairs)
+    codes = [_CODES_BY_BYTE[b & 255] for b in frontier]
+    for s in range(8, 2 * count, 8):
+        byte = [_CODES_BY_BYTE[b >> s & 255] for b in frontier]
+        codes = list(map(concat, codes, byte))
+    new = tuple.__new__
+    return [new(SignatureRow, (c[:count], z)) for c, z in zip(codes, frontier.values())]
 
 
 def _integer_weights(gamma: Fraction) -> tuple[int, int, int]:

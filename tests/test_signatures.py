@@ -112,6 +112,75 @@ def test_frontier_matches_exhaustive_walk():
     assert time.perf_counter() - start < CORPUS_BUDGET_S
 
 
+def _many_rules(rng, count):
+    """``count`` rules over at most 10 of 12 attributes; sides may be empty
+    and rules may repeat.  Sides are unions of groups of 1 to 3 attributes
+    at random positions, so that classes of several attributes whose bit
+    ranges interleave arise at any rule count."""
+    names = [f"a{i}" for i in range(12)]
+    u = pt.AttributeUniverse(tuple(names))
+    pool = rng.sample(names, rng.randint(0, 10))
+    groups = []
+    while pool:
+        cut = rng.randint(1, 3)
+        groups.append(pool[:cut])
+        pool = pool[cut:]
+
+    def side(density):
+        return u.attrs(*[a for g in groups if rng.random() < density for a in g])
+
+    rules = []
+    for _ in range(count):
+        if rules and rng.random() < 0.2:
+            rules.append(rng.choice(rules))
+        else:
+            ante_density = rng.choice([0.0, 0.1, 0.2])
+            rules.append(pt.PartialImplication(
+                side(ante_density), side(rng.choice([0.0, 0.15, 0.3]))
+            ))
+    return u, rules
+
+
+def _interleaved(implications):
+    """Whether two attribute classes (attributes in exactly the same
+    antecedents and spans) have interleaving bit ranges, so that their
+    lowest bits and their top bits order them differently."""
+    occ = 0
+    for imp in implications:
+        occ |= imp.span.bits
+    classes = {}
+    for p in bit_positions(occ):
+        key = tuple((imp.antecedent.bits >> p & 1, imp.span.bits >> p & 1)
+                    for imp in implications)
+        classes.setdefault(key, []).append(p)
+    ranges = [(ps[0], ps[-1]) for ps in classes.values()]
+    return any(lo < top2 and lo2 < top for lo, top in ranges for lo2, top2 in ranges
+               if (lo, top) != (lo2, top2))
+
+
+def test_frontier_matches_exhaustive_walk_at_every_rule_count():
+    """0 to 21 rules, so that the status codes of up to six bytes of a
+    frontier state are decoded, each table against the walk."""
+    rng = random.Random(20260531)
+    start = time.perf_counter()
+    shapes = {"empty side": 0, "duplicate": 0, "interleaved": 0}
+    for count in range(22):
+        for _ in range(12):
+            u, implications = _many_rules(rng, count)
+            rows = signature_rows(implications, u)
+            assert [(row.codes, row.bits) for row in rows] == reference_rows(
+                implications
+            ), implications
+            shapes["empty side"] += any(
+                not imp.antecedent.bits or not imp.consequent.bits
+                for imp in implications
+            )
+            shapes["duplicate"] += len(set(implications)) < len(implications)
+            shapes["interleaved"] += _interleaved(implications)
+    assert min(shapes.values()) >= 80, shapes
+    assert time.perf_counter() - start < CORPUS_BUDGET_S
+
+
 def test_frontier_without_rules_or_attributes():
     u = pt.AttributeUniverse(("A", "B"))
     assert [(r.statuses, r.bits) for r in signature_rows([], u)] == [((), 0)]
@@ -318,12 +387,13 @@ def _count_solves(monkeypatch):
 
 def _properly_corpus(rng, count):
     """Seeded queries with k from 1 to 6 at 0, 1, 1/k, (k-1)/k and two
-    interior thresholds, over random premises, some repeated.  In a third
-    of them some premises entail the conclusion only together: a fan of
-    ``A -> B c`` against ``A c... -> B`` (from (j-1)/j on) or the cycle of
-    ``cycle_query`` (from about 0.57 on).  In another third the conclusion
-    sits over some premises: their antecedents below it, their spans
-    covering its consequent."""
+    interior thresholds, and for k >= 3 at four general-band thresholds
+    just below (k-1)/k, where a decide that holds needs rows, over random
+    premises, some repeated.  In a third of them some premises entail the
+    conclusion only together: a fan of ``A -> B c`` against ``A c... -> B``
+    (from (j-1)/j on) or the cycle of ``cycle_query`` (from about 0.57 on).
+    In another third the conclusion sits over some premises: their
+    antecedents below it, their spans covering its consequent."""
     u = pt.AttributeUniverse(tuple("ABCDEFG"))
 
     def rule(x, y):
@@ -362,7 +432,8 @@ def _properly_corpus(rng, count):
         rng.shuffle(premises)
         rules = pt.ImplicationSet(u, tuple(premises))
         interior = [F(3, 5), F(rng.randint(1, 29), 30)]
-        for gamma in [F(0), F(1), F(1, k), F(k - 1, k), *interior]:
+        band = [F(k - 1, k) - F(i, 8 * k) for i in range(1, 5) if k >= 3]
+        for gamma in [F(0), F(1), F(1, k), F(k - 1, k), *interior, *band]:
             queries.append(pt.EntailmentQuery(rules, conclusion, gamma))
     return queries
 
@@ -371,7 +442,7 @@ def test_properly_entails_shares_one_table(monkeypatch):
     """On seeded queries, ``properly_entails`` gives what a loop of public
     decides gives under every method, and its decides enumerate at most
     one table per call: every trial projects the query's table."""
-    queries = _properly_corpus(random.Random(1913), 300)
+    queries = _properly_corpus(random.Random(1913), 600)
     calls = _count_enumerations(monkeypatch)
     shared = 0
     for query in queries:
@@ -381,7 +452,7 @@ def test_properly_entails_shares_one_table(monkeypatch):
         shared += bool(calls) and result.holds and query.k >= 2
         for method in pt.Method:
             assert result == properly_entails_reference(query, method), (query, method)
-    assert len(queries) >= 200 and shared >= 10
+    assert len(queries) >= 200 and shared >= 60
 
 
 @pytest.mark.parametrize(
