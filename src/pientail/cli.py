@@ -247,24 +247,25 @@ def _cmd_gamma_star(args: argparse.Namespace) -> int:
     premises = _rule_set(text, antecedent_tokens)
     antecedent = premises.universe.attrs(*antecedent_tokens)
     bracket = critical_threshold(premises, antecedent, _parse_tolerance(args.tol))
+    lower, upper = bracket.lower, bracket.upper
+    # float(bracket.midpoint) without Fraction arithmetic: the same value in
+    # one correctly rounded integer division
+    num = lower.numerator * upper.denominator + upper.numerator * lower.denominator
+    midpoint = num / (2 * lower.denominator * upper.denominator)
+    lo, up, lams = _frac(lower), _frac(upper), [_frac(m) for m in bracket.multipliers]
     if args.json:
-        payload = {
-            "gamma_star_lower": _frac(bracket.lower),
-            "gamma_star_upper": _frac(bracket.upper),
-            "tolerance": _frac(bracket.tolerance),
-            "gamma_star_midpoint_approx": float(bracket.midpoint),
-            "lambda": [_frac(m) for m in bracket.multipliers],
-        }
-        _print_json(payload)
+        # the text of json.dumps(payload, indent=2): every string is a ratio
+        # of digits, and a bracket has at least one multiplier
+        lam = ",\n    ".join([f'"{m}"' for m in lams])
+        print(
+            f'{{\n  "gamma_star_lower": "{lo}",\n  "gamma_star_upper": "{up}",\n'
+            f'  "tolerance": "{_frac(bracket.tolerance)}",\n'
+            f'  "gamma_star_midpoint_approx": {midpoint!r},\n'
+            f'  "lambda": [\n    {lam}\n  ]\n}}'
+        )
     else:
-        print(
-            f"critical threshold within [{_frac(bracket.lower)}, {_frac(bracket.upper)}]"
-            f" (~{float(bracket.midpoint):.6f})"
-        )
-        print(
-            "multipliers at upper bound:",
-            " ".join(_frac(m) for m in bracket.multipliers),
-        )
+        print(f"critical threshold within [{lo}, {up}] (~{midpoint:.6f})")
+        print("multipliers at upper bound:", " ".join(lams))
     return 0
 
 
@@ -301,6 +302,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own subparser by name."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -354,20 +360,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(prune)
     prune.set_defaults(handler=_cmd_prune)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
+# The parsers of ``run``, built on its first call and reused: building them
+# costs more than a parse.
+_parsers = functools.cache(_build)
+
+
 def _parser() -> argparse.ArgumentParser:
-    """The parser of ``run``, built on its first call and reused: building
-    it costs more than a parse."""
-    return build_parser()
+    return _parsers()[0]
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, dispatch, and map failures to exit codes."""
+    """Parse arguments, dispatch, and map failures to exit codes.
+
+    A call that names its command first is parsed by that command's own
+    subparser alone, as the full parser would hand it on; the full parser
+    parses the rest (help, no or an unknown command, options before the
+    command) and any call with leftover arguments, and reports them."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
     try:
-        args = _parser().parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
+        if command is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -103,10 +103,11 @@ def _ratio_rows(premises: ImplicationSet, antecedent: AttrSet) -> list[Signature
         raise ValueError("critical threshold needs at least one premise")
     probe = PartialImplication(antecedent, antecedent.universe.empty())
     rows = signature_rows([probe, *premises], premises.universe)
+    new = tuple.__new__
     return [
-        SignatureRow(row.codes[1:], row.bits)
-        for row in rows
-        if row.codes[0] == _NOT_COVERED
+        new(SignatureRow, (codes[1:], bits))
+        for codes, bits in rows
+        if codes[0] == _NOT_COVERED
     ]
 
 
@@ -281,8 +282,8 @@ def max_ratio(
 def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
+        for j, v in enumerate(b, i):
+            out[j] += u * v
     return out
 
 
@@ -362,34 +363,40 @@ def _kernel(
     if there are fewer.
 
     Fraction-free Gauss-Jordan elimination over the integer polynomials
-    (Bareiss 1968): each pivot line holds the common pivot ``d`` in its own
-    column and 0 in the other pivot columns, and each of its entries is a
-    minor, so the kernel is the vector of cofactors up to sign."""
+    (Bareiss 1968): each entry of a pivot line in a column with no pivot is
+    a minor, so the kernel is the vector of cofactors up to sign.  Its
+    entries in the pivot columns, the common pivot ``d`` in its own and 0
+    in the others, are read by no step, so only the others are computed."""
     pivots: list[tuple[int, list[list[int]]]] = []
     chosen: list[Sequence[int]] = []
+    free = list(range(size))  # the columns with no pivot, ascending
     d: list[int] = [1]
     for codes in rows:
         if len(pivots) == size - 1:
             break
-        line = [_pmul(d, cells[c]) for c in codes]
+        line: list[list[int]] = [[]] * size
+        for j in free:
+            line[j] = _pmul(d, cells[codes[j]])
         for col, pivot_line in pivots:
             f = cells[codes[col]]
-            line = [_psub(u, _pmul(f, v)) for u, v in zip(line, pivot_line)]
-        col = next((j for j, v in enumerate(line) if _sign(v, x)), None)
+            if f:
+                for j in free:
+                    line[j] = _psub(line[j], _pmul(f, pivot_line[j]))
+        col = next((j for j in free if _sign(line[j], x)), None)
         if col is not None:
+            free.remove(col)
+            f = line[col]
             for _, pivot_line in pivots:
-                f, g = line[col], pivot_line[col]
-                pivot_line[:] = [
-                    _pdiv(_psub(_pmul(f, u), _pmul(g, v)), d)
-                    for u, v in zip(pivot_line, line)
-                ]
+                g = pivot_line[col]
+                for j in free:
+                    u = _psub(_pmul(f, pivot_line[j]), _pmul(g, line[j]))
+                    pivot_line[j] = _pdiv(u, d)
             pivots.append((col, line))
             chosen.append(codes)
-            d = line[col]
+            d = f
     if len(pivots) < size - 1:
         return None
-    free = ({*range(size)} - {c for c, _ in pivots}).pop()
-    entries = {col: _psub([], line[free]) for col, line in pivots}
+    entries = {col: [-c for c in line[free[0]]] for col, line in pivots}
     return [entries.get(i, d) for i in range(size)], chosen
 
 
@@ -423,7 +430,7 @@ def _predict(
     if kernel is None:
         return None
     lam, chosen = kernel
-    neg = [_psub([], v) for v in lam]
+    neg = [[-c for c in v] for v in lam]
     if _sign(lam[0], upper) < 0:
         lam, neg = neg, lam
     polys = lam + [  # the chosen rows' products are identically 0

@@ -1,14 +1,24 @@
 """Command-line interface: rule parsing, exit codes, and output formats."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import pientail as pt
-from pientail.cli import RuleParseError, parse_gamma, parse_rules, run, scan_rule
+from pientail.cli import (
+    RuleParseError,
+    build_parser,
+    parse_gamma,
+    parse_rules,
+    run,
+    scan_rule,
+)
 
 PAIR_RULES = "A -> B C\nA -> B D\n"
 CYCLE_RULES = "B -> A C H\nC -> A D\nD -> A B\n"
@@ -460,6 +470,133 @@ class TestParserReuse:
         assert one_round() == first
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli._parser()
+
+
+# Each command's options, as (option, value) pairs, over the rule files of
+# ``TestDispatch``.
+COMMAND_OPTIONS = {
+    "entail": [
+        ("--gamma", "1/2"), ("--premises", "pair"), ("--conclusion", "A C D -> B"),
+    ],
+    "counterexample": [
+        ("--gamma", "49/100"), ("--premises", "pair"), ("--conclusion", "A C D -> B"),
+    ],
+    "gamma-star": [
+        ("--premises", "cycle"), ("--antecedent", "B C D H"), ("--tol", "1/1000"),
+    ],
+    "nice": [("--premises", "cycle")],
+    "prune": [("--gamma", "1/2"), ("--rules", "pair")],
+}
+
+
+def _command_variants(command, options):
+    """Calls of one command that its subparser accepts or rejects in
+    different ways: as given, options reordered (with ``--json``), as
+    ``--opt=value``, with an abbreviated option, ``--help``, a required
+    option missing, an unknown option and an extra positional."""
+    flat = [a for pair in options for a in pair]
+    short = {"--premises": "--prem", "--rules": "--rul"}
+    yield [command, *flat]
+    yield [command, *[a for pair in options[::-1] for a in pair], "--json"]
+    yield [command, *[f"{o}={v}" for o, v in options]]
+    yield [command, *[short.get(a, a) for a in flat]]
+    yield [command, "--help"]
+    yield [command, *flat[2:]]
+    yield [command, *flat, "--bogus", "1"]
+    yield [command, *flat, "extra"]
+
+
+class TestDispatch:
+    """``run`` parses a call that names its command first with that
+    command's own subparser, and every other call with the full parser.
+    Either way it must answer as the full parser alone does: the same exit
+    code, stdout and stderr as ``build_parser().parse_args`` followed by
+    the handler it sets."""
+
+    @staticmethod
+    def _full_parser(argv):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
+        return args.handler(args)
+
+    def test_every_call_matches_the_full_parser(self, pair_file, cycle_file, capsys):
+        files = {"pair": pair_file, "cycle": cycle_file}
+        calls = [
+            argv
+            for command, options in COMMAND_OPTIONS.items()
+            for argv in _command_variants(
+                command, [(o, files.get(v, v)) for o, v in options]
+            )
+        ]
+        star = ["gamma-star", "--premises", cycle_file, "--antecedent", "B C D H"]
+        calls += [[], ["--help"], ["frobnicate"], ["gamma"], ["--json", *star]]
+        codes = []
+        for argv in calls:
+            code = run(argv)
+            got = (code, *capsys.readouterr())
+            want = (self._full_parser(argv), *capsys.readouterr())
+            assert got == want, argv
+            codes.append(code)
+        # each command: four accepted calls, help, and three usage errors
+        assert codes == [0, 0, 0, 0, 0, 2, 2, 2] * 5 + [2, 0, 2, 2, 2]
+
+
+# sha256 of the exit code and stdout of every call in ``_gamma_star_calls``,
+# each hashed as the code, a newline, then the output.  Computed with the
+# sources of commit 7c81c40, whose ``run`` parsed every call with the full
+# parser and printed through ``json.dumps``.
+GAMMA_STAR_DIGEST = "fbbd26a5a63d348ed554ae6b9d0fea5e84a8bf43c1f2158b76f77b24f3ad6ab8"
+CORPUS_BUDGET_S = 10.0
+
+
+def _gamma_star_calls(rng):
+    """The paper cycle, then 150 rotated 3-cycles ``x_i -> A x_{i+1}`` and 36
+    cycles of length 2, 4 or 5, each with shuffled antecedent tokens, a
+    seeded first rule, and at random up to two extra consequent attributes
+    (which the antecedent holds or not), at seeded tolerances: rule-file
+    texts, antecedents and tolerances."""
+    yield CYCLE_RULES, "B C D H", "1/1000000"
+    letters = "EFGIJKLMNOPQRSTUVWXYZ"
+    for n in [3] * 150 + [2, 4, 5] * 12:
+        target, *chain = rng.sample(letters, n + 1)
+        extra = rng.sample([c for c in letters if c not in chain and c != target], 2)
+        rules = [[chain[i], [target, chain[(i + 1) % n]]] for i in range(n)]
+        antecedent = list(chain)
+        for name in extra:
+            if rng.random() < 0.5:
+                rules[rng.randrange(n)][1].append(name)
+                if rng.random() < 0.7:
+                    antecedent.append(name)
+        first = rng.randrange(n)
+        rules = rules[first:] + rules[:first]
+        rng.shuffle(antecedent)
+        text = "".join(f"{lhs} -> {' '.join(rhs)}\n" for lhs, rhs in rules)
+        tol = rng.choice(("1/1000000", "1/1000", "1e-9", "1/3"))
+        yield text, " ".join(antecedent), tol
+
+
+def test_gamma_star_corpus_output_is_pinned(tmp_path, capsys):
+    """``gamma-star --json`` over a seeded corpus of cycles prints, byte for
+    byte, what it printed when ``run`` parsed every call with the full
+    parser and the payload went through ``json.dumps`` (the digest above),
+    within ``CORPUS_BUDGET_S``."""
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    for i, (text, antecedent, tol) in enumerate(_gamma_star_calls(random.Random(32))):
+        path = tmp_path / f"{i}.rules"
+        path.write_text(text)
+        code = run(
+            ["gamma-star", "--premises", str(path), "--antecedent", antecedent,
+             "--tol", tol, "--json"]
+        )
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest.update(f"{code}\n{captured.out}".encode())
+    assert i == 186
+    assert digest.hexdigest() == GAMMA_STAR_DIGEST
+    assert time.perf_counter() - start < CORPUS_BUDGET_S
 
 
 ALL_RULES = "A -> B C\nA -> B D\nA C D -> B\n"

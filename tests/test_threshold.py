@@ -817,6 +817,86 @@ class TestPrediction:
             negative = [x for x in range(lo + 1, hi) if min(_value(p, x) for p in polys) < 0]
             assert threshold._last_negative(polys, lo, hi) == max(negative, default=lo)
 
+    def test_kernel_matches_integer_cofactors(self):
+        """``_kernel`` at integer points equals, up to one sign, the
+        cofactors of the rows it chose, with the cells at each point as
+        integers (0, ``x`` and ``x - 2**depth``) and each cofactor a plain
+        Leibniz determinant.  Those rows are independent at the kernel's
+        point, so its cofactors there are not all 0; when it returns None,
+        every ``size - 1`` rows are dependent there."""
+        from pientail import threshold
+
+        def det(matrix):
+            total = 0
+            for perm in itertools.permutations(range(len(matrix))):
+                term = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                for line, col in zip(matrix, perm):
+                    term *= line[col]
+                total += term
+            return total
+
+        def cofactors(rows, x, top):
+            matrix = [[(0, x, x - top)[c] for c in row] for row in rows]
+            size = len(rows) + 1
+            return [
+                (-1) ** i * det([line[:i] + line[i + 1 :] for line in matrix])
+                for i in range(size)
+            ]
+
+        rng = random.Random(5772)
+        compared = 0
+        for _ in range(300):
+            size, depth = rng.randint(1, 5), rng.choice([2, 5, 20, 40])
+            top = 1 << depth
+            x = rng.choice([0, top, rng.randrange(top)])
+            rows = [
+                tuple(rng.choice((0, 1, 1, 2, 2)) for _ in range(size))
+                for _ in range(size - 1 + rng.randint(0, 2))
+            ]
+            rows += rows[: rng.randint(0, 1)]
+            rng.shuffle(rows)
+            kernel = threshold._kernel(rows, size, ((), (0, 1), (-top, 1)), x)
+            if kernel is None:
+                for chosen in itertools.combinations(rows, size - 1):
+                    assert not any(cofactors(chosen, x, top)), rows
+                continue
+            lam, chosen = kernel
+            assert len(chosen) == size - 1 and set(chosen) <= set(rows)
+            at_x = cofactors(chosen, x, top)
+            assert any(at_x), rows
+            sign = 1 if [_value(v, x) for v in lam] == at_x else -1
+            for y in [x, 0, top, *(rng.randint(-top, 2 * top) for _ in range(8))]:
+                want = [sign * v for v in cofactors(chosen, y, top)]
+                assert [_value(v, y) for v in lam] == want, (rows, y)
+            compared += 1
+        assert compared >= 200
+
+    def test_crossing_matches_a_scan(self):
+        """``_crossing`` names the last point of ``[s, e)`` with the sign at
+        ``s``, as a scan of every point does, on 600 seeded monotone integer
+        polynomials of degree 1 to 4: a product of linear factors whose
+        roots lie at or below ``s`` (so that it is monotone beyond them),
+        less a constant that puts its sign change in ``(s, e]``, negated for
+        half of them, with ``s`` near 0, ``2**20`` or ``2**40``."""
+        from pientail import threshold
+
+        rng = random.Random(6180)
+        for _ in range(600):
+            base = rng.choice([0, 1 << 20, 1 << 40]) + rng.randrange(1000)
+            poly = [rng.randint(1, 3)]
+            for _ in range(rng.randint(1, 4)):
+                den = rng.choice((1, 2, 3))
+                poly = _times(poly, [-rng.randint(den * (base - 500), den * base), den])
+            s = base + rng.randrange(50)
+            e = s + rng.randint(2, 300)
+            poly[0] -= rng.randint(_value(poly, s) + 1, _value(poly, e))
+            if rng.random() < 0.5:
+                poly = [-c for c in poly]
+            first = threshold._sign(poly, s)
+            assert first != 0 and threshold._sign(poly, e) != first
+            want = max(x for x in range(s, e) if threshold._sign(poly, x) == first)
+            assert threshold._crossing(poly, s, e) == want, (poly, s, e)
+
     def test_predicted_cell_matches_a_scan(self):
         """``_predict`` from the ray of real probes at depth 8 or 10 equals
         ``_scan_prediction``, from the full table and from its undominated
