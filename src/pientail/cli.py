@@ -368,10 +368,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
 _parsers = functools.cache(_build)
 
 
-def _parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes.
 

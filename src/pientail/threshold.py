@@ -181,53 +181,39 @@ def _feasible(
     return lp.solve(_cone_program(rows, k, gamma))
 
 
-_Positions = tuple[list[list[int]], list[list[int]]]
-
-
-def _positions(codes: Sequence[Sequence[int]]) -> _Positions:
-    """The positions each sequence of status ``codes`` witnesses, and those
-    it covers: per ratio row, the premises; per premise, the rows."""
-    return (
-        [[i for i, c in enumerate(seq) if c == _WITNESSED] for seq in codes],
-        [[i for i, c in enumerate(seq) if c != _NOT_COVERED] for seq in codes],
-    )
-
-
 def _worst_ratio(
-    witnessed: list[list[int]], covered: list[list[int]], numerators: Sequence[int]
+    rows: list[SignatureRow], numerators: Sequence[int]
 ) -> tuple[int, int]:
     """Worst witnessed/covered ratio, as an integer pair, of the nonnegative
-    multipliers ``numerators`` (over any common denominator) over the rows
-    whose premise positions are ``witnessed`` and ``covered``, with 0/0 read
-    as 0 and 0/1 when no row is covered."""
+    multipliers ``numerators`` (over any common denominator) over the ratio
+    ``rows``, each read from its status codes, with 0/0 read as 0 and 0/1
+    when no row is covered."""
     num, den = 0, 1
-    for w, c in zip(witnessed, covered):
-        a = sum([numerators[i] for i in w])
-        b = sum([numerators[i] for i in c])
+    for row in rows:
+        pairs = list(zip(numerators, row.codes))
+        a = sum([v for v, c in pairs if c == _WITNESSED])
+        b = sum([v for v, c in pairs if c != _NOT_COVERED])
         if a * den > num * b:
             num, den = a, b
     return num, den
 
 
 def _farkas_bound(
-    witnessed: list[list[int]],
-    covered: list[list[int]],
-    p: int,
-    q: int,
-    y: Sequence[int],
+    rows: list[SignatureRow], p: int, q: int, y: Sequence[int]
 ) -> tuple[int, int]:
     """The value, as an integer pair, below which the row duals ``y`` of a
-    bounded probe at ``gamma = p/q`` prove that no multipliers exist, each
-    premise given by the rows that witness and cover it: ``y >= 0`` with
-    ``y.(W - gamma C)_i > 0`` for every premise ``i`` (``W`` witnessed,
-    ``C`` covered) leaves no nonzero ``lambda >= 0`` with ``(W - gamma C)
-    lambda <= 0``, and the sums only grow as ``gamma`` falls."""
+    bounded probe of ``rows`` at ``gamma = p/q`` prove that no multipliers
+    exist: ``y >= 0`` with ``y.(W - gamma C)_i > 0`` for every premise
+    ``i`` (``W`` witnessed, ``C`` covered) leaves no nonzero ``lambda >=
+    0`` with ``(W - gamma C) lambda <= 0``, and the sums only grow as
+    ``gamma`` falls.  The sums read only the rows whose dual is nonzero."""
     if min(y) < 0:
         raise RuntimeError("probe duals are no Farkas certificate")
+    used = [(v, row.codes) for v, row in zip(y, rows) if v]
     num, den = 1, 0  # above every ratio: each premise lowers it
-    for rows_w, rows_c in zip(witnessed, covered):
-        w = sum([y[r] for r in rows_w])
-        c = sum([y[r] for r in rows_c])
+    for i in range(len(rows[0].codes)):
+        w = sum([v for v, codes in used if codes[i] == _WITNESSED])
+        c = sum([v for v, codes in used if codes[i] != _NOT_COVERED])
         if q * w <= p * c:
             raise RuntimeError("probe duals are no Farkas certificate")
         if w * den < num * c:
@@ -274,9 +260,7 @@ def max_ratio(
         raise ValueError("multipliers must sum to 1")
     scale = math.lcm(*[lam.denominator for lam in lams])
     numerators = [lam.numerator * (scale // lam.denominator) for lam in lams]
-    rows = _ratio_rows(premises, antecedent)
-    witnessed, covered = _positions([row.codes for row in rows])
-    return Fraction(*_worst_ratio(witnessed, covered, numerators))
+    return Fraction(*_worst_ratio(_ratio_rows(premises, antecedent), numerators))
 
 
 def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -401,15 +385,16 @@ def _kernel(
 
 
 def _predict(
-    codes: list[tuple[int, ...]], ray: Sequence[int], lower: int, upper: int, depth: int
+    rows: list[SignatureRow], ray: Sequence[int], lower: int, upper: int, depth: int
 ) -> int | None:
     """The lower end of the grid cell in ``[lower, upper)`` where the ray
     at ``upper`` is predicted to stop being feasible (``lower`` if it stays
     feasible above ``lower``), or None.
 
-    On the support S of the ray, ``|S| - 1`` ratio rows tight and
-    independent at ``upper`` have a kernel ``lambda`` of cofactor
-    polynomials (``_kernel``), a positive multiple of the ray at ``upper``.
+    On the support S of the ray, ``|S| - 1`` of the ratio ``rows``
+    projected onto S (``_project_rows``) that are tight and independent at
+    ``upper`` have a kernel ``lambda`` of cofactor polynomials
+    (``_kernel``), a positive multiple of the ray at ``upper``.
     Below ``upper`` it stays a certificate until some ``lambda_i``, or some
     row's product with ``lambda``, turns negative, so the critical
     threshold lies at or below that breakpoint (parametric programming in
@@ -419,7 +404,7 @@ def _predict(
     """
     cells = ((), (0, 1), (-1 << depth, 1))  # in x = 2**depth * g, by status code
     support = [i for i, v in enumerate(ray) if v]
-    patterns = list(dict.fromkeys([tuple([c[i] for i in support]) for c in codes]))
+    patterns = [row.codes for row in _project_rows(rows, support)]
     weights = [(ray[i] * upper, ray[i] << depth) for i in support]
     tight = [  # rows on which the ray's product is 0 at upper
         p
@@ -475,8 +460,10 @@ def critical_threshold(
     substitutes it into the probe's rows: row by row, ``(gamma C - W)
     lambda >= 0`` is the ratio check.  A ray of the undominated rows is
     also checked by its worst ratio (``_worst_ratio``) over every row, the
-    only check that reads the rows they dropped.  Each table's positions
-    are built once per call, when a probe first needs them.
+    only check that reads the rows they dropped.  Every step reads the
+    tables' status codes directly: a probe's Farkas bound sums over the
+    rows whose dual is nonzero, at most ``k`` of them (the surplus columns
+    nonbasic at the optimum).
     """
     tol = as_rational(tolerance)
     if tol <= 0:
@@ -484,18 +471,12 @@ def critical_threshold(
     rows = _ratio_rows(premises, antecedent)
     kept = _undominated(rows)
     k = len(premises)
-    columns = [[row.codes[i] for row in kept] for i in range(k)]
-    by_premise = {False: _positions(columns)}  # per table, for _farkas_bound
-    by_row: _Positions | None = None  # the full table's, for _worst_ratio
     depth = (-(-tol.denominator // tol.numerator) - 1).bit_length()  # 2**-D <= tol
     lower, upper, at_upper, full = 0, 1 << depth, (), False
 
     def check(ray: Sequence[int], p: int, q: int) -> None:
         """Raise unless the ray of the undominated rows passes every row."""
-        nonlocal by_row
-        if by_row is None:
-            by_row = _positions([row.codes for row in rows])
-        w, c = _worst_ratio(*by_row, ray)
+        w, c = _worst_ratio(rows, ray)
         if w * q > p * c:
             raise RuntimeError("probe ray exceeds its threshold")
 
@@ -509,10 +490,7 @@ def critical_threshold(
         table = rows if on_rows else kept
         outcome = _feasible(table, k, gamma)
         if isinstance(outcome, lp.Optimal):
-            if on_rows not in by_premise:
-                columns = [[row.codes[i] for row in table] for i in range(k)]
-                by_premise[on_rows] = _positions(columns)
-            w, c = _farkas_bound(*by_premise[on_rows], p, q, outcome.row_duals)
+            w, c = _farkas_bound(table, p, q, outcome.row_duals)
             lower = max(lower, x, -((-w << depth) // c) - 1)
             return False
         if not on_rows:
@@ -520,23 +498,21 @@ def critical_threshold(
         upper, at_upper, full = x, outcome.ray, on_rows
         return True
 
-    witnessed = by_premise[False][0]
-    if [] in witnessed:  # Bland's rule returns the first all-zero column's ray
-        free = witnessed.index([])
-        at_upper = tuple([int(i == free) for i in range(k)])
+    unwitnessed = [i for i in range(k) if all([r.codes[i] != _WITNESSED for r in kept])]
+    if unwitnessed:  # Bland's rule returns the first all-zero column's ray
+        at_upper = tuple([int(i == unwitnessed[0]) for i in range(k)])
         check(at_upper, 0, 1)
         upper, full = 0, True
     else:  # every undominated row, weighted 1, is a Farkas vector
-        w, c = _farkas_bound(*by_premise[False], 0, 1, [1] * len(kept))
+        w, c = _farkas_bound(kept, 0, 1, [1] * len(kept))
         lower = max(0, -((-w << depth) // c) - 1)
-    codes = [row.codes for row in kept]
     while upper - lower > 1:
         # plain bisection probes next the midpoint of the smallest dyadic
         # block of 2**levels cells holding lower + 1 .. upper; 1 is feasible
         # unprobed, and its ray, a unit vector, would predict only the top cell
         levels = (lower ^ (upper - 1)).bit_length()
         predict = levels > 2 and upper < 1 << depth
-        cell = _predict(codes, at_upper, lower, upper, depth) if predict else None
+        cell = _predict(kept, at_upper, lower, upper, depth) if predict else None
         if cell is None:
             probe((lower >> levels << levels) + (1 << levels - 1))
         elif (cell == lower or not probe(cell)) and lower == cell < upper - 1:

@@ -271,6 +271,15 @@ class TestGammaStarCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_empty_rule_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.rules"
+        path.write_text("")
+        code = run(["gamma-star", "--premises", str(path), "--antecedent", "A B"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: critical threshold needs at least one premise\n"
+
 
 class TestNiceCommand:
     def test_cycle_is_nice(self, cycle_file, capsys):
@@ -468,8 +477,8 @@ class TestParserReuse:
         assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
         assert first[0][1].startswith("{") and not first[1][1].startswith("{")
         assert one_round() == first
-        assert cli._parser() is cli._parser()
-        assert cli.build_parser() is not cli._parser()
+        assert cli._parsers()[0] is cli._parsers()[0]
+        assert cli.build_parser() is not cli._parsers()[0]
 
 
 # Each command's options, as (option, value) pairs, over the rule files of

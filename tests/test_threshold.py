@@ -178,6 +178,29 @@ class TestCriticalThreshold:
         assert bracket.lower == bracket.upper == 0
         assert pt.max_ratio(bracket.multipliers, rules, x) == 0
 
+    def test_outside_input_is_rejected(self, cycle_premises, cycle_antecedent):
+        """A tolerance that is not positive, an antecedent from another
+        universe and an empty premise set raise before any table is built."""
+        for tol in (0, F(-1, 2)):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                pt.critical_threshold(cycle_premises, cycle_antecedent, tol)
+        other = pt.AttributeUniverse(("X", "Y")).attrs("X")
+        uniform = (F(1, 3),) * 3
+        calls = [
+            lambda: pt.critical_threshold(cycle_premises, other),
+            lambda: pt.feasible_at(F(1, 2), cycle_premises, other),
+            lambda: pt.max_ratio(uniform, cycle_premises, other),
+        ]
+        for call in calls:
+            with pytest.raises(pt.UniverseMismatchError):
+                call()
+        empty = pt.ImplicationSet(cycle_premises.universe, ())
+        message = "critical threshold needs at least one premise"
+        with pytest.raises(ValueError, match=message):
+            pt.critical_threshold(empty, cycle_antecedent)
+        with pytest.raises(ValueError, match=message):
+            pt.feasible_at(F(1, 2), empty, cycle_antecedent)
+
     def test_tolerance_respected(self, cycle_premises, cycle_antecedent):
         for tol in (F(1, 100), F(1, 10000)):
             bracket = pt.critical_threshold(
@@ -494,10 +517,10 @@ class TestWitnessPrunedBisection:
                 gammas.append(gamma)
                 return real_feasible(rows, k, gamma)
 
-            def bound(witnessed, covered, p, q, y):
+            def bound(table, p, q, y):
                 if p == 0:
                     duals_at_zero.append(list(y))
-                return real_bound(witnessed, covered, p, q, y)
+                return real_bound(table, p, q, y)
 
             with monkeypatch.context() as patch:
                 patch.setattr(threshold, "_feasible", feasible)
@@ -633,6 +656,81 @@ class TestWitnessPrunedBisection:
                 patch.setattr(threshold, "_feasible", feasible)
                 with pytest.raises(RuntimeError, match=message):
                     pt.critical_threshold(cycle_premises, cycle_antecedent)
+
+
+def _farkas_value(rows, gamma, y):
+    """The least ``y.W_i / y.C_i`` over the premises ``i`` (``W`` witnessed,
+    ``C`` covered), summed in Fractions over every row from its statuses,
+    or None when some premise has ``y.W_i <= gamma y.C_i``."""
+    values = []
+    for i in range(len(rows[0].statuses)):
+        w = sum(
+            F(v) for v, row in zip(y, rows)
+            if row.statuses[i] is pt.CoverStatus.WITNESSED
+        )
+        c = sum(
+            F(v) for v, row in zip(y, rows)
+            if row.statuses[i] is not pt.CoverStatus.NOT_COVERED
+        )
+        if w <= gamma * c:
+            return None
+        values.append(w / c)
+    return min(values)
+
+
+class TestFarkasBound:
+    """``_farkas_bound`` sums only the rows whose dual is nonzero; its bound
+    must be the sum over every row of the probe's table."""
+
+    def test_matches_a_sum_over_every_row(self, monkeypatch):
+        """Every bounded probe that ``critical_threshold`` and plain
+        bisection solve at tolerance 1e-6, on the structured cases and 200
+        seeded premise sets, on the undominated rows and on the full table:
+        its duals, nonzero on at most ``k`` rows, give the bound of
+        ``_farkas_value``.  One negative dual, or the duals with every row
+        that witnesses some premise zeroed, raise."""
+        from pientail import lp, threshold
+
+        rng = random.Random(4242)
+        cases = list(_structured_cases().values())
+        cases += _random_premise_sets(rng, 200)
+        real = threshold._feasible
+        counts = {"undominated": 0, "full": 0, "corrupted": 0}
+        for premises, antecedent in cases:
+            full = len(threshold._ratio_rows(premises, antecedent))
+            probes = []
+
+            def feasible(rows, k, gamma):
+                outcome = real(rows, k, gamma)
+                if isinstance(outcome, lp.Optimal):
+                    probes.append((rows, gamma, outcome.row_duals))
+                return outcome
+
+            with monkeypatch.context() as patch:
+                patch.setattr(threshold, "_feasible", feasible)
+                pt.critical_threshold(premises, antecedent, F(1, 10**6))
+                plain_bisection(premises, antecedent, F(1, 10**6))
+            for rows, gamma, y in probes:
+                counts["full" if len(rows) == full else "undominated"] += 1
+                p, q = gamma.numerator, gamma.denominator
+                assert sum(1 for v in y if v) <= len(premises)
+                want = _farkas_value(rows, gamma, y)
+                assert want is not None
+                assert F(*threshold._farkas_bound(rows, p, q, y)) == want
+                negative = list(y)
+                negative[rng.randrange(len(y))] = -1
+                corrupted = [negative]
+                for i in range(len(premises)):
+                    corrupted.append([
+                        0 if row.statuses[i] is pt.CoverStatus.WITNESSED else v
+                        for v, row in zip(y, rows)
+                    ])
+                    assert _farkas_value(rows, gamma, corrupted[-1]) is None
+                for bad in corrupted:
+                    with pytest.raises(RuntimeError, match="no Farkas certificate"):
+                        threshold._farkas_bound(rows, p, q, bad)
+                    counts["corrupted"] += 1
+        assert min(counts.values()) >= 50, counts
 
 
 def _det(matrix):
@@ -912,8 +1010,7 @@ class TestPrediction:
         predicted = 0
         for premises, antecedent in cases:
             rows = threshold._ratio_rows(premises, antecedent)
-            codes = [row.codes for row in rows]
-            undominated = [row.codes for row in threshold._undominated(rows)]
+            undominated = threshold._undominated(rows)
             depth = rng.choice((8, 10))
             bracket = pt.critical_threshold(premises, antecedent, F(1, 1 << depth))
             least = int(bracket.upper * 2**depth)
@@ -921,9 +1018,10 @@ class TestPrediction:
                 outcome = threshold._feasible(rows, len(premises), F(upper, 1 << depth))
                 assert isinstance(outcome, lp.Unbounded)
                 lower = rng.randrange(upper)
-                for table in (codes, undominated):
+                for table in (rows, undominated):
+                    codes = [row.codes for row in table]
                     got = threshold._predict(table, outcome.ray, lower, upper, depth)
-                    want = _scan_prediction(table, outcome.ray, lower, upper, depth)
+                    want = _scan_prediction(codes, outcome.ray, lower, upper, depth)
                     assert got == want
                     predicted += got is not None and got > lower
         assert predicted >= 20
@@ -1162,7 +1260,6 @@ class TestRayCheck:
             k = len(premises)
             counts["duplicate"] += len(set(premises)) < k
             rows = threshold._ratio_rows(premises, antecedent)
-            witnessed, covered = threshold._positions([row.codes for row in rows])
             gammas = [F(0), F(1), F(1, k), F(k - 1, k)]
             gammas += [F(rng.randint(0, q), q) for q in rng.sample(range(1, 12), 3)]
             for gamma in gammas:
@@ -1176,7 +1273,7 @@ class TestRayCheck:
                     ray[rng.randrange(k)] += 1
                     rays.append(tuple(ray))
                 for ray in rays:
-                    w, c = threshold._worst_ratio(witnessed, covered, ray)
+                    w, c = threshold._worst_ratio(rows, ray)
                     exceeds = w * gamma.denominator > gamma.numerator * c
                     try:
                         lp._check_ray(program, {j: v for j, v in enumerate(ray) if v})
