@@ -18,7 +18,8 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .entailment import (
     EntailmentQuery,
@@ -29,6 +30,7 @@ from .entailment import (
 )
 from .homogeneity import ImplicationSet, enforces_homogeneity
 from .model import (
+    AttrSet,
     AttributeCapError,
     AttributeUniverse,
     Dataset,
@@ -45,6 +47,10 @@ if TYPE_CHECKING:
     import argparse
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
+# What ``_scan_attrs`` and ``scan_rule`` accept, checked in one match: ``\s``
+# is exactly the whitespace ``str.split`` splits on.
+_ATTRS = re.compile(r"[A-Za-z0-9_\s]*")
+_RULE = re.compile(r"[A-Za-z0-9_\s]*->[A-Za-z0-9_\s]*")
 
 
 class RuleParseError(ValueError):
@@ -80,48 +86,37 @@ def scan_rule(text: str, line_no: int | None = None) -> ParsedRule:
     )
 
 
-def scan_rules(text: str) -> list[ParsedRule]:
-    """Parse a rule file into raw token rules, skipping blanks and comments."""
-    rules = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rules.append(scan_rule(stripped, line_no))
-    return rules
-
-
-def build_universe(token_groups: Iterable[Iterable[str]]) -> AttributeUniverse:
-    """Universe over all tokens, ordered by first appearance."""
-    names: list[str] = []
-    seen: set[str] = set()
-    for group in token_groups:
-        for token in group:
-            if token not in seen:
-                seen.add(token)
-                names.append(token)
-    return AttributeUniverse(tuple(names))
-
-
-def _rule_set(text: str, *extra: Sequence[str]) -> ImplicationSet:
+def _rule_set(text: str, *extra: str) -> tuple[ImplicationSet, list[int]]:
     """Parse a rule file into an implication set over the universe of its
-    tokens followed by the ``extra`` token groups."""
-    parsed = scan_rules(text)
-    universe = build_universe(
-        [*(group for rule in parsed for group in (rule.lhs, rule.rhs)), *extra]
-    )
-    return ImplicationSet(
-        universe,
-        tuple(
-            PartialImplication(universe.attrs(*rule.lhs), universe.attrs(*rule.rhs))
-            for rule in parsed
-        ),
-    )
+    tokens followed by those of the ``extra`` groups (whitespace-separated
+    tokens, already checked), and the bitmask of each extra group.
+
+    One pass: ``_RULE`` checks each rule line whole (``scan_rule`` runs only
+    to raise a bad line's error), and each token takes the next bit
+    position on its first appearance."""
+    groups: list[str] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and line[0] != "#":
+            if not _RULE.fullmatch(line):
+                scan_rule(line, line_no)  # raises the line's error
+            groups += line.split("->")
+    positions: dict[str, int] = {}
+    masks = []
+    for group in (*groups, *extra):
+        bits = 0
+        for token in group.split():
+            bits |= 1 << positions.setdefault(token, len(positions))
+        masks.append(bits)
+    universe = AttributeUniverse(tuple(positions))
+    sides = [AttrSet(universe, bits) for bits in masks[: len(groups)]]
+    rules = tuple(map(PartialImplication, sides[::2], sides[1::2]))
+    return ImplicationSet(universe, rules), masks[len(groups) :]
 
 
 def parse_rules(text: str) -> ImplicationSet:
     """Parse a rule file into an implication set over its own universe."""
-    return _rule_set(text)
+    return _rule_set(text)[0]
 
 
 def _rational(text: str) -> Fraction:
@@ -147,7 +142,7 @@ def _parse_tolerance(text: str) -> Fraction:
 
 
 def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return "%d/%d" % value.as_integer_ratio()
 
 
 def _dataset_map(dataset: Dataset | None) -> dict[str, int] | None:
@@ -175,36 +170,30 @@ def _print_dataset(dataset: Dataset) -> None:
 
 def _load_query(args: argparse.Namespace) -> EntailmentQuery:
     text = _read(args.premises)
-    conclusion = scan_rule(args.conclusion)
-    premises = _rule_set(text, conclusion.lhs, conclusion.rhs)
+    if not _RULE.fullmatch(args.conclusion):
+        scan_rule(args.conclusion)  # raises the conclusion's error
+    premises, (lhs, rhs) = _rule_set(text, *args.conclusion.split("->"))
     universe = premises.universe
-    return EntailmentQuery(
-        premises=premises,
-        conclusion=PartialImplication(
-            universe.attrs(*conclusion.lhs), universe.attrs(*conclusion.rhs)
-        ),
-        gamma=parse_gamma(args.gamma),
-    )
+    conclusion = PartialImplication(AttrSet(universe, lhs), AttrSet(universe, rhs))
+    return EntailmentQuery(premises, conclusion, parse_gamma(args.gamma))
 
 
 def _emit_verdict(verdict: EntailmentVerdict, gamma: Fraction, as_json: bool) -> int:
+    cert = verdict.certificate
+    lams = None if cert is None else [_frac(m) for m in cert]
     if as_json:
         payload = {
             "holds": verdict.holds,
             "regime": verdict.regime.value,
             "gamma": _frac(gamma),
-            "lambda": (
-                [_frac(m) for m in verdict.certificate]
-                if verdict.certificate is not None
-                else None
-            ),
+            "lambda": lams,
             "counterexample": _dataset_map(verdict.counterexample),
         }
         _print_json(payload)
     elif verdict.holds:
         print(f"entailment holds at gamma {_frac(gamma)} (regime: {verdict.regime.value})")
-        if verdict.certificate is not None:
-            print("certificate multipliers:", " ".join(_frac(m) for m in verdict.certificate))
+        if lams is not None:
+            print("certificate multipliers:", " ".join(lams))
     else:
         print(
             f"entailment does not hold at gamma {_frac(gamma)} "
@@ -243,16 +232,16 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 def _cmd_gamma_star(args: argparse.Namespace) -> int:
     text = _read(args.premises)
-    antecedent_tokens = _scan_attrs(args.antecedent)
-    premises = _rule_set(text, antecedent_tokens)
-    antecedent = premises.universe.attrs(*antecedent_tokens)
+    if not _ATTRS.fullmatch(args.antecedent):
+        _scan_attrs(args.antecedent)  # raises the bad token's error
+    premises, (bits,) = _rule_set(text, args.antecedent)
+    antecedent = AttrSet(premises.universe, bits)
     bracket = critical_threshold(premises, antecedent, _parse_tolerance(args.tol))
-    lower, upper = bracket.lower, bracket.upper
+    (a, b), (c, d) = bracket.lower.as_integer_ratio(), bracket.upper.as_integer_ratio()
     # float(bracket.midpoint) without Fraction arithmetic: the same value in
     # one correctly rounded integer division
-    num = lower.numerator * upper.denominator + upper.numerator * lower.denominator
-    midpoint = num / (2 * lower.denominator * upper.denominator)
-    lo, up, lams = _frac(lower), _frac(upper), [_frac(m) for m in bracket.multipliers]
+    midpoint = (a * d + c * b) / (2 * b * d)
+    lo, up, lams = f"{a}/{b}", f"{c}/{d}", [_frac(m) for m in bracket.multipliers]
     if args.json:
         # the text of json.dumps(payload, indent=2): every string is a ratio
         # of digits, and a bracket has at least one multiplier
@@ -282,31 +271,46 @@ def _cmd_nice(args: argparse.Namespace) -> int:
 def _cmd_prune(args: argparse.Namespace) -> int:
     rules = parse_rules(_read(args.rules))
     kept = prune_rules(rules, parse_gamma(args.gamma))
+    dropped = len(rules) - len(kept)
     if args.json:
-        payload = {
-            "kept": [str(rule) for rule in kept],
-            "dropped": len(rules) - len(kept),
-        }
-        _print_json(payload)
+        _print_json({"kept": [str(rule) for rule in kept], "dropped": dropped})
     else:
         for rule in kept:
             print(rule)
-        dropped = len(rules) - len(kept)
         if dropped:
             print(f"# dropped {dropped} redundant rule(s)", file=sys.stderr)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON object")
+_REQUIRED = {"required": True}
+# Each command's help, handler and options, with the keywords of their
+# ``add_argument``; every command also takes the flag ``--json``.
+_COMMANDS = {
+    "entail": ("decide whether premises entail a conclusion", _cmd_entail, {
+        "--gamma": {**_REQUIRED, "help": "confidence threshold, e.g. 1/2 or 0.57"},
+        "--premises": {**_REQUIRED, "help": "rule file with the premises"},
+        "--conclusion": {**_REQUIRED, "help": "conclusion rule, e.g. 'A C -> B'"},
+        "--method": {"choices": [m.value for m in Method], "default": Method.AUTO.value,
+                     "help": "decision route (default: auto)"},
+    }),
+    "counterexample": ("produce a dataset refuting an entailment", _cmd_counterexample,
+                       dict.fromkeys(["--gamma", "--premises", "--conclusion"], _REQUIRED)),
+    "gamma-star": (
+        "bracket the critical threshold of premises vs an antecedent", _cmd_gamma_star, {
+            "--premises": _REQUIRED,
+            "--antecedent": {**_REQUIRED, "help": "attribute list, e.g. 'B C D H'"},
+            "--tol": {"default": "1/100000", "help": "bracket width (default 1/100000)"},
+        },
+    ),
+    "nice": ("check whether a rule set enforces homogeneity", _cmd_nice,
+             {"--premises": _REQUIRED}),
+    "prune": ("drop rules entailed by the remaining ones", _cmd_prune,
+              {"--gamma": _REQUIRED, "--rules": {**_REQUIRED, "help": "rule file to prune"}}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each command's own subparser by name."""
+    """The full parser: one subparser per command of ``_COMMANDS``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -317,71 +321,60 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    entail = sub.add_parser("entail", help="decide whether premises entail a conclusion")
-    entail.add_argument("--gamma", required=True, help="confidence threshold, e.g. 1/2 or 0.57")
-    entail.add_argument("--premises", required=True, help="rule file with the premises")
-    entail.add_argument("--conclusion", required=True, help="conclusion rule, e.g. 'A C -> B'")
-    entail.add_argument(
-        "--method",
-        choices=[m.value for m in Method],
-        default=Method.AUTO.value,
-        help="decision route (default: auto)",
-    )
-    _add_common(entail)
-    entail.set_defaults(handler=_cmd_entail)
-
-    counter = sub.add_parser(
-        "counterexample", help="produce a dataset refuting an entailment"
-    )
-    counter.add_argument("--gamma", required=True)
-    counter.add_argument("--premises", required=True)
-    counter.add_argument("--conclusion", required=True)
-    _add_common(counter)
-    counter.set_defaults(handler=_cmd_counterexample)
-
-    star = sub.add_parser(
-        "gamma-star", help="bracket the critical threshold of premises vs an antecedent"
-    )
-    star.add_argument("--premises", required=True)
-    star.add_argument("--antecedent", required=True, help="attribute list, e.g. 'B C D H'")
-    star.add_argument("--tol", default="1/100000", help="bracket width (default 1/100000)")
-    _add_common(star)
-    star.set_defaults(handler=_cmd_gamma_star)
-
-    nice = sub.add_parser("nice", help="check whether a rule set enforces homogeneity")
-    nice.add_argument("--premises", required=True)
-    _add_common(nice)
-    nice.set_defaults(handler=_cmd_nice)
-
-    prune = sub.add_parser("prune", help="drop rules entailed by the remaining ones")
-    prune.add_argument("--gamma", required=True)
-    prune.add_argument("--rules", required=True, help="rule file to prune")
-    _add_common(prune)
-    prune.set_defaults(handler=_cmd_prune)
-
-    return parser, sub.choices
+    for name, (summary, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for option, keywords in options.items():
+            command.add_argument(option, **keywords)
+        command.add_argument("--json", action="store_true", help="emit a JSON object")
+        command.set_defaults(handler=handler)
+    return parser
 
 
-# The parsers of ``run``, built on its first call and reused: building them
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes the full parser gives ``argv``, read from
+    ``_COMMANDS`` without argparse when ``argv`` is a command followed only
+    by its options' full names, ``--json`` alone and every other option
+    with one value that does not start with ``-`` and is among its choices,
+    with every required option given (an option's destination is its name
+    without the dashes); None for any other ``argv``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    values = {"json": False, **{o[2:]: kw.get("default") for o, kw in options.items()}}
+    missing = {o for o, kw in options.items() if kw.get("required")}
+    words = iter(argv[1:])
+    for option in words:
+        if option == "--json":
+            values["json"] = True
+            continue
+        value, keywords = next(words, "-"), options.get(option)
+        if keywords is None or value.startswith("-"):
+            return None
+        if value not in keywords.get("choices", [value]):
+            return None
+        values[option[2:]] = value
+        missing.discard(option)
+    if missing:
+        return None
+    return SimpleNamespace(command=argv[0], **values, handler=handler)
+
+
+# The parser of ``run``, built on its first call and reused: building it
 # costs more than a parse.
-_parsers = functools.cache(_build)
+_parser = functools.cache(build_parser)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes.
 
-    A call that names its command first is parsed by that command's own
-    subparser alone, as the full parser would hand it on; the full parser
-    parses the rest (help, no or an unknown command, options before the
-    command) and any call with leftover arguments, and reports them."""
+    A plain call (``_plain_args``) is read without argparse, which it
+    neither imports nor builds a parser for; the full parser parses every
+    other call and reports its errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
+    args = _plain_args(argv)
     try:
-        command = commands.get(argv[0]) if argv else None
-        args, extra = command.parse_known_args(argv[1:]) if command else (None, None)
-        if command is None or extra:
-            args = parser.parse_args(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -123,7 +123,7 @@ class AttributeUniverse(_Frozen):
     def __init__(self, names: Iterable[str]) -> None:
         names = names if isinstance(names, tuple) else tuple(names)
         for name in names:
-            if not name or any(ch.isspace() for ch in name):
+            if name.split() != [name]:  # empty, or holds whitespace
                 raise ValueError(f"invalid attribute name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate attribute names")

@@ -101,7 +101,7 @@ def _ratio_rows(premises: ImplicationSet, antecedent: AttrSet) -> list[Signature
         raise UniverseMismatchError("premises and antecedent universes differ")
     if len(premises) < 1:
         raise ValueError("critical threshold needs at least one premise")
-    probe = PartialImplication(antecedent, antecedent.universe.empty())
+    probe = PartialImplication(antecedent, antecedent)  # covered exactly when witnessed
     rows = signature_rows([probe, *premises], premises.universe)
     new = tuple.__new__
     return [

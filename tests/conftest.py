@@ -6,31 +6,18 @@ from typing import Iterator
 import pytest
 
 import pientail as pt
-from pientail.cli import build_universe, scan_rule, scan_rules
+from pientail.cli import _rule_set
 
 
 def make_query(premises_text: str, conclusion_text: str, gamma) -> pt.EntailmentQuery:
-    """Build a query from rule-file syntax, sharing one universe."""
-    parsed = scan_rules(premises_text)
-    conclusion = scan_rule(conclusion_text)
-    universe = build_universe(
-        [
-            *(group for rule in parsed for group in (rule.lhs, rule.rhs)),
-            conclusion.lhs,
-            conclusion.rhs,
-        ]
-    )
-    premises = pt.ImplicationSet(
-        universe,
-        tuple(
-            pt.PartialImplication(universe.attrs(*rule.lhs), universe.attrs(*rule.rhs))
-            for rule in parsed
-        ),
-    )
+    """Build a query from rule-file syntax, sharing one universe: the
+    loader's, with the conclusion's two sides as its extra groups."""
+    premises, (lhs, rhs) = _rule_set(premises_text, *conclusion_text.split("->"))
+    universe = premises.universe
     return pt.EntailmentQuery(
         premises=premises,
         conclusion=pt.PartialImplication(
-            universe.attrs(*conclusion.lhs), universe.attrs(*conclusion.rhs)
+            pt.AttrSet(universe, lhs), pt.AttrSet(universe, rhs)
         ),
         gamma=Fraction(gamma),
     )

@@ -11,8 +11,10 @@ from fractions import Fraction as F
 import pytest
 
 import pientail as pt
+from pientail import cli
 from pientail.cli import (
     RuleParseError,
+    _rule_set,
     build_parser,
     parse_gamma,
     parse_rules,
@@ -87,6 +89,108 @@ class TestParsing:
         rules = parse_rules(text)
         again = parse_rules("\n".join(str(r) for r in rules))
         assert [str(r) for r in again] == [str(r) for r in rules]
+
+
+def _two_pass_rule_set(text, *extra):
+    """The loader as two passes, the reference for ``_rule_set``: scan every
+    line to token tuples, then order the universe by first appearance over
+    the rules' sides and the extra groups."""
+    parsed = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parsed.append(scan_rule(stripped, line_no))
+    groups = [side for rule in parsed for side in (rule.lhs, rule.rhs)]
+    groups += [tuple(group.split()) for group in extra]
+    names = []
+    for group in groups:
+        for token in group:
+            if token not in names:
+                names.append(token)
+    universe = pt.AttributeUniverse(tuple(names))
+    masks = [universe.attrs(*group).bits for group in groups]
+    return names, masks[: 2 * len(parsed)], masks[2 * len(parsed) :]
+
+
+_GOOD_TOKENS = ("A", "B", "C", "x1", "beer_6pack", "_", "Z9", "a" * 12)
+_BAD_TOKENS = ("B,C", "\u00e9", "-", ">", "A-B", "#c", "A>")
+_SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", " \t ")
+
+
+def _random_side(rng, bad_rate):
+    tokens = [
+        rng.choice(_BAD_TOKENS) if rng.random() < bad_rate else rng.choice(_GOOD_TOKENS)
+        for _ in range(rng.randrange(4))
+    ]
+    text = "".join(rng.choice(_SPACES) + token for token in tokens)
+    return text + rng.choice(("", *_SPACES))
+
+
+def _random_rule_text(rng):
+    """A seeded rule file: rules with empty sides, repeated and bad
+    tokens, lines with 0 or 2 arrows, comments and blank lines, under
+    ``\\n`` or ``\\r\\n`` endings."""
+    lines = []
+    for _ in range(rng.randrange(7)):
+        kind = rng.random()
+        if kind < 0.1:
+            line = rng.choice(("", " ", "\t", "\u00a0", "\u2003"))
+        elif kind < 0.2:
+            line = rng.choice(("", "  ", "\t")) + "#" + _random_side(rng, 0.5) + " -> -> x"
+        else:
+            arrows = 1 if kind < 0.96 else rng.choice((0, 2))
+            sides = [_random_side(rng, 0.02) for _ in range(arrows + 1)]
+            line = rng.choice(("->", " -> ", "\t->")).join(sides)
+        lines.append(line)
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n"))
+
+
+class TestLoaderEquivalence:
+    def test_one_pass_matches_two_passes(self):
+        """``parse_rules`` and ``_rule_set`` with extra groups give the
+        rules, universe order and extra masks of the two-pass reference,
+        and the same ``RuleParseError`` message on every bad file; the
+        one-match checks ``_ATTRS`` and ``_RULE`` accept exactly what
+        ``_scan_attrs`` and ``scan_rule`` accept."""
+        rng = random.Random(37)
+        parsed, failed = 0, {"expected": 0, "invalid": 0}
+        for _ in range(2000):
+            text = _random_rule_text(rng)
+            extra = [_random_side(rng, 0) for _ in range(rng.randrange(3))]
+            try:
+                expected = _two_pass_rule_set(text, *extra)
+            except RuleParseError as exc:
+                failed[str(exc).split()[0]] += 1
+                for load in (lambda: parse_rules(text), lambda: _rule_set(text, *extra)):
+                    with pytest.raises(RuleParseError) as caught:
+                        load()
+                    assert str(caught.value) == str(exc)
+                continue
+            parsed += 1
+            names, rule_masks, extra_masks = expected
+            rules, masks = _rule_set(text, *extra)
+            assert rules.universe.names == tuple(names)
+            pairs = [(r.antecedent.bits, r.consequent.bits) for r in rules]
+            assert [m for pair in pairs for m in pair] == rule_masks
+            assert masks == extra_masks
+            alone = parse_rules(text)
+            assert [str(r) for r in alone] == [str(r) for r in rules]
+            assert rules.universe.names[: alone.universe.size] == alone.universe.names
+        assert parsed > 1000 and min(failed.values()) > 100
+        for _ in range(2000):
+            side = _random_side(rng, 0.2)
+            rule = side + rng.choice(("", "->", "->->")) + _random_side(rng, 0.2)
+            for check, scan, text in (
+                (cli._ATTRS, cli._scan_attrs, side),
+                (cli._RULE, scan_rule, rule),
+            ):
+                try:
+                    scan(text)
+                except RuleParseError:
+                    assert not check.fullmatch(text)
+                else:
+                    assert check.fullmatch(text)
 
 
 class TestParseGamma:
@@ -477,8 +581,8 @@ class TestParserReuse:
         assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
         assert first[0][1].startswith("{") and not first[1][1].startswith("{")
         assert one_round() == first
-        assert cli._parsers()[0] is cli._parsers()[0]
-        assert cli.build_parser() is not cli._parsers()[0]
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()
 
 
 # Each command's options, as (option, value) pairs, over the rule files of
@@ -515,12 +619,34 @@ def _command_variants(command, options):
     yield [command, *flat, "extra"]
 
 
+def _plain_edges(star, pair_file):
+    """Calls at the edges of what ``_plain_args`` takes: a repeated option,
+    an empty value, values and options that start with ``-``, a missing
+    value, ``--``, help, and the choices of ``--method``."""
+    entail = ["entail", "--gamma", "1/2", "--premises", pair_file,
+              "--conclusion", "A C D -> B"]
+    return [
+        [*star, "--antecedent", "B C D H", "--json", "--json"],
+        [*star, "--antecedent", ""],
+        [*star, "--tol", "-1/2"],
+        [*star, "--premises", "nope", "--premises", star[2]],
+        [*entail, "--method", "lp"],
+        [*entail, "--method", "bogus"],
+        [*star, "--tol"],
+        [*star, "--", "--json"],
+        [*star, "-h"],
+        [*star, "--antecedent", "-B"],
+        [*star, "--json", "x"],
+        [*entail, "--method", "auto", "--json"],
+        [*entail, "--gamma", "--json"],
+    ]
+
+
 class TestDispatch:
-    """``run`` parses a call that names its command first with that
-    command's own subparser, and every other call with the full parser.
-    Either way it must answer as the full parser alone does: the same exit
-    code, stdout and stderr as ``build_parser().parse_args`` followed by
-    the handler it sets."""
+    """``run`` reads a plain call with ``_plain_args``, and parses every
+    other call with the full parser.  Either way it must answer as the full
+    parser alone does: the same exit code, stdout and stderr as
+    ``build_parser().parse_args`` followed by the handler it sets."""
 
     @staticmethod
     def _full_parser(argv):
@@ -541,6 +667,7 @@ class TestDispatch:
         ]
         star = ["gamma-star", "--premises", cycle_file, "--antecedent", "B C D H"]
         calls += [[], ["--help"], ["frobnicate"], ["gamma"], ["--json", *star]]
+        calls += _plain_edges(star, pair_file)
         codes = []
         for argv in calls:
             code = run(argv)
@@ -549,7 +676,69 @@ class TestDispatch:
             assert got == want, argv
             codes.append(code)
         # each command: four accepted calls, help, and three usage errors
-        assert codes == [0, 0, 0, 0, 0, 2, 2, 2] * 5 + [2, 0, 2, 2, 2]
+        assert codes[:45] == [0, 0, 0, 0, 0, 2, 2, 2] * 5 + [2, 0, 2, 2, 2]
+        assert codes[45:] == [0, 0, 2, 0, 0, 2, 2, 2, 0, 2, 2, 0, 2]
+
+    def test_plain_args_match_the_full_parser(self, pair_file, cycle_file):
+        """``_plain_args`` gives the attributes of the full parser's
+        namespace for every call it takes, and takes the plain calls of
+        each command."""
+        star = ["gamma-star", "--premises", cycle_file, "--antecedent", "B C D H"]
+        files = {"pair": pair_file, "cycle": cycle_file}
+        calls = [
+            argv
+            for command, options in COMMAND_OPTIONS.items()
+            for argv in _command_variants(
+                command, [(o, files.get(v, v)) for o, v in options]
+            )
+        ] + _plain_edges(star, pair_file)
+        taken = []
+        for argv in calls:
+            args = cli._plain_args(argv)
+            if args is not None:
+                assert vars(args) == vars(build_parser().parse_args(argv)), argv
+            taken.append(args is not None)
+        # the first two variants of each command, then the edges
+        assert taken[:40] == [True, True, False, False, False, False, False, False] * 5
+        assert taken[40:] == [True, True, False, True, True, False, False, False,
+                              False, False, False, True, False]
+        assert cli._plain_args([]) is None and cli._plain_args(["--json", *star]) is None
+        # seeded mutations of each command's plain call: a token inserted,
+        # replaced or deleted, up to three times
+        words = ["--gamma", "--premises", "--method", "--tol", "--json", "1/2", "lp",
+                 "bogus", "", "-1", "--", "--tol=1/2", "--prem", "-h", "a -b"]
+        rng = random.Random(3707)
+        parser, taken = build_parser(), 0
+        for _ in range(3000):
+            command, options = rng.choice(list(COMMAND_OPTIONS.items()))
+            rest = [a for pair in options for a in pair]
+            for _ in range(rng.randrange(4)):
+                i = rng.randrange(len(rest) + 1)
+                if not rest or rng.random() < 0.5:
+                    rest.insert(i, rng.choice(words))
+                elif rng.random() < 0.5:
+                    rest[i - 1] = rng.choice(words)
+                else:
+                    del rest[i - 1]
+            args = cli._plain_args([command, *rest])
+            if args is not None:
+                assert vars(args) == vars(parser.parse_args([command, *rest])), rest
+                taken += 1
+        assert taken > 500
+
+    def test_a_plain_call_loads_no_argparse(self, cycle_file):
+        """A plain call is read without importing ``argparse``; a call that
+        ``_plain_args`` does not take loads it for the full parser."""
+        script = (
+            "import sys\nfrom pientail.cli import run\nrun(sys.argv[1:])\n"
+            "print('argparse' in sys.modules)"
+        )
+        for option, loaded in (("--premises", "False"), ("--prem", "True")):
+            argv = ["gamma-star", option, cycle_file, "--antecedent", "B C D H"]
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True
+            )
+            assert proc.stdout.splitlines()[-1] == loaded, proc.stderr
 
 
 # sha256 of the exit code and stdout of every call in ``_gamma_star_calls``,

@@ -427,3 +427,96 @@ class TestPrune:
             for rule in rules:
                 q = pt.EntailmentQuery(kept, rule, gamma)
                 assert pt.decide(q).holds
+
+
+class TestSelfChecks:
+    """Every witness is re-checked before it is returned: a corrupted
+    solver output or witness raises the check's ``RuntimeError``."""
+
+    @staticmethod
+    def _solve_returning(monkeypatch, corrupt):
+        """Route ``entailment``'s LP solves through ``corrupt``, which gets
+        each program and its true outcome."""
+        from pientail import entailment
+
+        solve = entailment.lp.solve
+        monkeypatch.setattr(
+            entailment.lp, "solve", lambda program: corrupt(program, solve(program))
+        )
+
+    def test_lp_duals_of_the_wrong_length(self, monkeypatch, pair_query):
+        from pientail import lp
+
+        def drop_a_dual(program, outcome):
+            assert isinstance(outcome, lp.Optimal)
+            return lp.Optimal(outcome.row_duals[:-1], outcome.denominator)
+
+        self._solve_returning(monkeypatch, drop_a_dual)
+        with pytest.raises(RuntimeError, match="no dual value per premise"):
+            pt.decide_lp(pair_query)
+
+    def test_lp_duals_that_certify_nothing(self, monkeypatch, pair_query):
+        # one premise alone does not carry the pair's conclusion
+        from pientail import lp
+
+        self._solve_returning(monkeypatch, lambda program, outcome: lp.Optimal((1, 0), 1))
+        with pytest.raises(RuntimeError, match="fail their own constraints"):
+            pt.decide_lp(pair_query)
+
+    @pytest.mark.parametrize(
+        "code, message",
+        [
+            # a transaction that violates a premise
+            (1, "counterexample fails a premise on re-verification"),
+            # a transaction that covers no rule at all
+            (0, "counterexample satisfies the conclusion"),
+        ],
+    )
+    def test_lp_rays_that_refute_nothing(self, monkeypatch, code, message):
+        from pientail import entailment, lp
+
+        query = make_query("A -> B C\nA -> B D", "A C D -> B", F(49, 100))
+        rows = entailment._query_rows(query)
+        # the first row whose premise statuses are all ``code``
+        row = next(
+            j for j, r in enumerate(rows) if set(r.codes[1:]) == {code}
+        )
+        ray = tuple(int(j == row) for j in range(len(rows)))
+        self._solve_returning(monkeypatch, lambda program, outcome: lp.Unbounded(ray, 1))
+        with pytest.raises(RuntimeError, match=message):
+            pt.decide_lp(query)
+
+    def test_an_lp_that_certifies_an_uncarried_query(self, monkeypatch):
+        # gamma * k < 1: no single premise carries the conclusion, so the
+        # low band fails, and its counterexample comes from the LP
+        from pientail import entailment
+
+        query = make_query("A -> B C\nA -> B D", "A C D -> B", F(49, 100))
+        assert pt.decide(query).regime is pt.Regime.LOW_GAMMA
+        monkeypatch.setattr(
+            entailment,
+            "decide_lp",
+            lambda q: pt.EntailmentVerdict(
+                True, pt.Regime.LP_DIRECT, certificate=(F(1, 2), F(1, 2))
+            ),
+        )
+        with pytest.raises(RuntimeError, match="certifies a query no premise subset"):
+            pt.decide(query)
+
+    def test_subset_multipliers_that_fail_the_query(self, monkeypatch, cycle_query):
+        # the cycle holds at 57/100 in the general band; a unit ray on its
+        # first premise does not certify it
+        from pientail import lp, threshold
+
+        feasible = threshold._feasible
+
+        def unit_ray(rows, k, gamma):
+            outcome = feasible(rows, k, gamma)
+            if isinstance(outcome, lp.Unbounded):
+                return lp.Unbounded((1,) + (0,) * (k - 1), 1)
+            return outcome
+
+        assert pt.decide(cycle_query).regime is pt.Regime.GENERAL_GAMMA_STAR
+        monkeypatch.setattr(threshold, "_feasible", unit_ray)
+        with pytest.raises(RuntimeError, match="subset multipliers fail"):
+            pt.decide(cycle_query)

@@ -45,6 +45,20 @@ class TestAttrSet:
         with pytest.raises(ValueError):
             pt.AttributeUniverse(("A B",))
 
+    def test_names_with_whitespace_rejected(self):
+        """A name is rejected exactly when it is empty or holds a character
+        that ``str.isspace`` calls whitespace, wherever it stands."""
+        spaces = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+        others = ["A", "_", "\u00e9", "B,C", "-", "\u200b", "\ufeff"]
+        for name in ["", *spaces, *others]:
+            for padded in {name, f"x{name}", f"{name}x", f"x{name}y"}:
+                bad = not padded or any(ch.isspace() for ch in padded)
+                if bad:
+                    with pytest.raises(ValueError, match="invalid attribute name"):
+                        pt.AttributeUniverse((padded,))
+                else:
+                    assert pt.AttributeUniverse((padded,)).names == (padded,)
+
     def test_universe_takes_any_number_of_attributes(self):
         names = tuple(f"x{i}" for i in range(200))
         big = pt.AttributeUniverse(names)
